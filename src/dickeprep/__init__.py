@@ -8,87 +8,66 @@ trajectory engines, the large-j asymptotic formulas, phase-space geometry,
 and the dispersive-cavity readout model.
 """
 
-from .core import (
-    Angle,
-    AnglePolicy,
-    BackendOverflow,
-    DickePrepError,
-    DomainError,
-    NormDrift,
-    OutOfRange,
-    ParityMismatch,
-    ParseError,
-    ProtocolConfig,
-    RegimeViolation,
-    ResetPolicy,
-    SingularSystem,
-    SpinSpec,
-    ValidationError,
-    default_max_iterations,
-    ring_radius,
-    validate_spin,
-)
-from .wigner import (
-    RotationColumn,
-    d_column,
-    d_element,
-    outcome_distribution,
-    rotate_state,
-    transition_probabilities,
-)
-from .angles import (
-    AnglePolicyResult,
-    approx_angle_mt0,
-    geometric_angle,
-    optimal_angle,
-    optimal_angles_for_target,
-)
-from .chain import (
-    AbsorptionReport,
-    TransitionChain,
-    build_chain,
-    expected_steps,
-    expected_steps_for,
-    mt_sweep,
-    naive_expected_steps,
-)
-from .simulate import (
-    SummaryStats,
-    SymmetricState,
-    TrajectoryRecord,
-    monte_carlo_summary,
-    rng_stream,
-    run_statevector,
-    run_trajectory,
-)
-from .asymptotics import (
-    AsymptoticComparison,
-    bessel_limit,
-    beta_moment,
-    compare_stationary_phase,
-    contraction_sum,
-    reset_probability,
-    stationary_phase_d,
-)
-from .geometry import (
-    QDistribution,
-    geometric_transition_pdf,
-    husimi_q_dicke,
-    husimi_q_integral,
-    husimi_q_profile,
-    infinitesimal_arc_length,
-    tv_distance_discretized,
-)
-from .cavity import (
-    CavityParams,
-    EstimatorResult,
-    crb_variance,
-    fisher_information,
-    required_photons,
-    resonant_peak_gap,
-    simulate_weight_estimator,
-    transmission,
-)
-from .config import load_config, parse_config
+import importlib
 
 __version__ = "0.1.0"
+
+# public name -> defining submodule.  Names are imported on first access
+# (PEP 562), so importing the package, or dickeprep.cli, loads no numpy:
+# the CLI can still cap BLAS threads before numpy starts.
+_EXPORTS = {
+    "core": (
+        "Angle", "AnglePolicy", "BackendOverflow", "DickePrepError", "DomainError",
+        "NormDrift", "OutOfRange", "ParityMismatch", "ParseError", "ProtocolConfig",
+        "RegimeViolation", "ResetPolicy", "SingularSystem", "SpinSpec",
+        "ValidationError", "default_max_iterations", "ring_radius", "validate_spin",
+    ),
+    "wigner": (
+        "RotationColumn", "d_column", "d_element", "outcome_distribution",
+        "rotate_state", "transition_probabilities",
+    ),
+    "angles": (
+        "AnglePolicyResult", "approx_angle_mt0", "geometric_angle", "optimal_angle",
+        "optimal_angles_for_target",
+    ),
+    "chain": (
+        "AbsorptionReport", "TransitionChain", "build_chain", "expected_steps",
+        "expected_steps_for", "mt_sweep", "naive_expected_steps",
+    ),
+    "simulate": (
+        "SummaryStats", "SymmetricState", "TrajectoryRecord", "monte_carlo_summary",
+        "rng_stream", "run_statevector", "run_trajectory",
+    ),
+    "asymptotics": (
+        "AsymptoticComparison", "bessel_limit", "beta_moment",
+        "compare_stationary_phase", "contraction_sum", "reset_probability",
+        "stationary_phase_d",
+    ),
+    "geometry": (
+        "QDistribution", "geometric_transition_pdf", "husimi_q_dicke",
+        "husimi_q_integral", "husimi_q_profile", "infinitesimal_arc_length",
+        "tv_distance_discretized",
+    ),
+    "cavity": (
+        "CavityParams", "EstimatorResult", "crb_variance", "fisher_information",
+        "required_photons", "resonant_peak_gap", "simulate_weight_estimator",
+        "transmission",
+    ),
+    "config": (
+        "load_config", "parse_config",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -8,7 +8,8 @@ at |m'| above the threshold into the all-up state m = j (measure + reset
 count as one loop iteration).
 
 Expected absorption times come from the standard fundamental-matrix
-identity: on the transient states, (I - Q) t = 1.
+identity: on the transient states, (I - Q) t = 1, solved on the states
+the walk can enter (Kemeny & Snell, Finite Markov Chains, 1960).
 """
 
 from __future__ import annotations
@@ -102,31 +103,39 @@ def build_chain(config: ProtocolConfig) -> TransitionChain:
 
 
 def expected_steps(chain: TransitionChain) -> AbsorptionReport:
-    """Solve (I - Q) t = 1 on the transient states for the expected number
-    of iterations before absorption."""
+    """Solve (I - Q) t = 1 for the expected number of iterations before
+    absorption.
+
+    The solve runs only on the transient states the walk can enter: those
+    with a non-zero column in the matrix, plus the start state m = j.  Every
+    row's mass lies in entered columns, so each other transient state r
+    follows exactly from one product, t_r = 1 + P[r, S] t_S.  The sqrt_j
+    reset shrinks the O(n^3) solve to its O(sqrt(j))-state window; without
+    a reset every column is entered and the solve covers all transient
+    states.
+    (I - Q) is block triangular in (S, rest) with identity on the rest, so
+    it is singular exactly when its S block is.
+    """
     n = chain.size
     i_t = chain.absorbing_index
-    if n == 1:
-        return AbsorptionReport(
-            expected_steps_from=np.zeros(1),
-            start_state_value=0.0,
-            angle_policy=chain.config.angle_policy,
-            reset_policy=chain.config.reset_policy,
-            two_j=chain.config.two_j,
-            target_two_mt=chain.config.target_two_mt,
-        )
-    keep = np.arange(n) != i_t
-    a = chain.matrix[np.ix_(keep, keep)]  # fresh copy; negate in place to save memory
-    np.negative(a, out=a)
-    a[np.diag_indices_from(a)] += 1.0
-    try:
-        t = scipy.linalg.solve(a, np.ones(n - 1), overwrite_a=True, overwrite_b=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"(I - Q) is numerically singular: {exc}") from exc
-    if not np.all(np.isfinite(t)):
-        raise SingularSystem("(I - Q) solve produced non-finite expected steps")
     out = np.zeros(n)
-    out[keep] = t
+    if n > 1:
+        p = chain.matrix
+        transient = np.arange(n) != i_t
+        solved = p.any(axis=0) & transient
+        solved[n - 1] = transient[n - 1]  # the start state, unless it is the target
+        a = p[np.ix_(solved, solved)]  # fresh copy; negate in place to save memory
+        np.negative(a, out=a)
+        a[np.diag_indices_from(a)] += 1.0
+        try:
+            t = scipy.linalg.solve(a, np.ones(len(a)), overwrite_a=True, overwrite_b=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularSystem(f"(I - Q) is numerically singular: {exc}") from exc
+        if not np.all(np.isfinite(t)):
+            raise SingularSystem("(I - Q) solve produced non-finite expected steps")
+        out[solved] = t
+        rest = transient & ~solved
+        out[rest] = 1.0 + p[np.ix_(rest, solved)] @ t
     return AbsorptionReport(
         expected_steps_from=out,
         start_state_value=float(out[n - 1]),

@@ -27,15 +27,23 @@ _FIGURE_IDS = ("fig2a", "fig2b", "fig2c", "fig2d", "pdf-comparison", "cavity-spe
 
 
 def _apply_thread_cap(argv: list[str]) -> None:
-    """Export BLAS thread caps before numpy is imported anywhere."""
-    threads = os.environ.get("DICKE_PREP_THREADS")
-    if "--threads" in argv:
-        idx = argv.index("--threads")
-        if idx + 1 < len(argv):
-            threads = argv[idx + 1]
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
+    """Export BLAS thread caps before numpy is imported anywhere.
+
+    An explicit --threads N or --threads=N overrides the BLAS variables;
+    DICKE_PREP_THREADS only fills those not already set.
+    """
+    threads = None
+    for k, arg in enumerate(argv):
+        if arg == "--threads" and k + 1 < len(argv):
+            threads = argv[k + 1]
+        elif arg.startswith("--threads="):
+            threads = arg.partition("=")[2]
+    fallback = os.environ.get("DICKE_PREP_THREADS")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        if threads:
+            os.environ[var] = threads
+        elif fallback:
+            os.environ.setdefault(var, fallback)
 
 
 def _fmt(value) -> str:

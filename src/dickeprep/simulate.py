@@ -219,7 +219,9 @@ def sample_iterations(
     The chain engine is vectorized in chunks; trajectory i always consumes
     draws from rng_stream(config.seed, i) in step order, so the result is
     identical to looping run_trajectory over i (tested), and independent of
-    chunking.
+    chunking.  Each step groups the active trajectories by state and draws
+    with the same searchsorted rule as run_trajectory, so a cumulative row
+    is fetched only for a state some trajectory stands on.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -237,19 +239,15 @@ def sample_iterations(
 
     tables = PolicyTables(config)
     two_j = config.two_j
-    n = two_j + 1
     i_t = config.target_index
     max_iters = config.max_iterations
-    # stack cumulative rows once; the sampler then only gathers
-    cums = np.empty((n, n))
-    for i in range(n):
-        cums[i] = tables.cumulative(i) if i != i_t else 1.0
     reset_to_start = np.array(
         [
             config.reset_policy.triggers(two_j, int(tm)) and (idx != i_t)
             for idx, tm in enumerate(wigner.two_m_values(two_j))
         ]
     )
+    cums: dict[int, np.ndarray] = {}  # rows of the states some trajectory stood on
 
     iterations = np.zeros(n_runs, dtype=np.int64)
     succeeded = np.zeros(n_runs, dtype=bool)
@@ -269,16 +267,23 @@ def sample_iterations(
                 for k in range(size):
                     if not done[k]:
                         block[k] = gens[k].random(_BLOCK)
-            active = ~done
-            u = block[active, step % _BLOCK]
-            rows = cums[cur[active]]
-            nxt = (rows < u[:, None]).sum(axis=1)
-            np.clip(nxt, 0, n - 1, out=nxt)
+            idx_active = np.flatnonzero(~done)
+            u = block[idx_active, step % _BLOCK]
+            src = cur[idx_active]
+            # group the active trajectories by state; draw each group from its row
+            order = np.argsort(src, kind="stable")
+            states, starts = np.unique(src[order], return_index=True)
+            nxt = np.empty_like(src)
+            for s, group in zip(states.tolist(), np.split(order, starts[1:])):
+                cum = cums.get(s)
+                if cum is None:
+                    cum = cums[s] = tables.cumulative(s)
+                nxt[group] = np.searchsorted(cum, u[group], side="left")
+            np.clip(nxt, 0, two_j, out=nxt)
             hit = nxt == i_t
             resetting = reset_to_start[nxt] & ~hit
             nxt[resetting] = two_j
-            iters[active] += 1
-            idx_active = np.flatnonzero(active)
+            iters[idx_active] += 1
             cur[idx_active] = nxt
             done[idx_active[hit]] = True
             step += 1

@@ -30,6 +30,7 @@ squared probabilities never need).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,20 +344,16 @@ def outcome_distribution(spec: SpinSpec, angle, backend: str = BACKEND_PROPAGATI
 # probability-only fast path (inverse iteration)
 
 _START_KEY = 0x5D1C_E000  # fixed Philox key base: deterministic start vectors
-_start_vectors: dict[int, np.ndarray] = {}
+_START_CACHE_SIZE = 64  # (n, attempt) start vectors kept; a chain reuses one n
 
 
+@functools.lru_cache(maxsize=_START_CACHE_SIZE)
 def _start_vector(n: int, attempt: int = 0) -> np.ndarray:
-    key = (n, attempt)
-    cached = _start_vectors.get(key)
-    if cached is None:
-        gen = np.random.Generator(np.random.Philox(key=_START_KEY + 7919 * attempt + n))
-        v = gen.uniform(-1.0, 1.0, n)
-        v /= np.linalg.norm(v)
-        v.setflags(write=False)
-        _start_vectors[key] = v
-        cached = v
-    return cached
+    gen = np.random.Generator(np.random.Philox(key=_START_KEY + 7919 * attempt + n))
+    v = gen.uniform(-1.0, 1.0, n)
+    v /= np.linalg.norm(v)
+    v.setflags(write=False)
+    return v
 
 
 def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:

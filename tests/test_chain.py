@@ -154,3 +154,45 @@ def test_half_integer_spin_chain():
     sweep = chain.mt_sweep(5)
     assert [s[0] for s in sweep] == [1, 3, 5]
     assert sweep[-1][1] == 0.0
+
+
+def _dense_expected_steps(built):
+    # reference: the full fundamental-matrix solve over every transient state
+    n = built.size
+    keep = np.arange(n) != built.absorbing_index
+    a = np.eye(n - 1) - built.matrix[np.ix_(keep, keep)]
+    out = np.zeros(n)
+    out[keep] = np.linalg.solve(a, np.ones(n - 1))
+    return out
+
+
+_SOLVE_CASES = [
+    # (two_j, two_mt, reset, some transient state has an all-zero column)
+    (40, 0, "none", False),
+    (40, 0, "sqrt_j", True),
+    (40, 10, ResetPolicy(kind="custom", threshold=3.0), True),  # m_t = 5 lies outside the window
+    (40, 0, ResetPolicy(kind="custom", threshold=20.0), False),  # threshold >= j: nothing rerouted
+    (41, 1, "none", False),
+    (41, 1, "sqrt_j", True),
+    (41, 11, ResetPolicy(kind="custom", threshold=3.0), True),
+    (41, 1, ResetPolicy(kind="custom", threshold=21.0), False),
+]
+
+
+@pytest.mark.parametrize(
+    "policy,two_j,two_mt,reset,shrinks",
+    [
+        (policy, *case)
+        for policy in (AnglePolicy.APPROX_MT0, AnglePolicy.GEOMETRIC, AnglePolicy.NUMERIC_OPTIMAL)
+        for case in _SOLVE_CASES
+        if policy != AnglePolicy.APPROX_MT0 or case[1] == 0  # approx_mt0 needs m_t = 0
+    ],
+)
+def test_entered_state_solve_matches_dense_reference(policy, two_j, two_mt, reset, shrinks):
+    built = chain.build_chain(_cfg(two_j, two_mt, policy, reset))
+    transient = np.arange(built.size) != built.absorbing_index
+    assert (~built.matrix[:, transient].any(axis=0)).any() == shrinks
+    got = chain.expected_steps(built).expected_steps_from
+    ref = _dense_expected_steps(built)
+    assert got[built.absorbing_index] == 0.0
+    assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -274,3 +277,49 @@ def test_fig2b_matrix_rows_stochastic(tmp_path):
     assert len(columns) == 101 and len(rows) == 101
     for r in rows:
         assert sum(float(v) for v in r) == pytest.approx(1.0, abs=1e-9)
+
+def _run_python(code, **env):
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    import dickeprep
+
+    src = str(Path(dickeprep.__file__).resolve().parents[1])
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=full_env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_loads_no_numpy():
+    out = _run_python("import sys, dickeprep.cli; print('numpy' in sys.modules, 'scipy' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
+def test_threads_flag_overrides_preset_blas_variable():
+    code = (
+        "import os\n"
+        "from dickeprep import cli\n"
+        "cli.main(['--threads=1', '--no-timestamp', 'dmatrix', '--two-j', '4', '--two-m', '0', '--theta', '0.5'])\n"
+        "threads = None\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        threads = next(int(ln.split()[1]) for ln in f if ln.startswith('Threads:'))\n"
+        "print('RESULT', os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'], threads)\n"
+    )
+    out = _run_python(code, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", DICKE_PREP_THREADS="2")
+    _, openblas, omp, threads = out.splitlines()[-1].split()
+    assert (openblas, omp) == ("1", "1")
+    if threads != "None":
+        assert threads == "1"  # numpy's BLAS started under the cap
+
+
+def test_threads_env_fallback_fills_only_unset_variables():
+    code = (
+        "import os\n"
+        "from dickeprep import cli\n"
+        "os.environ.pop('MKL_NUM_THREADS', None)\n"
+        "cli._apply_thread_cap(['chain'])\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])\n"
+    )
+    out = _run_python(code, OPENBLAS_NUM_THREADS="2", DICKE_PREP_THREADS="1")
+    assert out.split() == ["2", "1"]

@@ -50,14 +50,38 @@ def test_first_step_angle_is_half_pi():
 
 
 def test_batch_equals_sequential_runs():
-    for reset in ("none", "sqrt_j"):
-        cfg = _cfg(10, reset=reset, seed=9)
+    configs = [
+        _cfg(10, reset="none", seed=9),
+        _cfg(10, reset="sqrt_j", seed=9),
+        _cfg(200, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=4),
+        ProtocolConfig(two_j=60, target_two_mt=4, reset_policy=ResetPolicy(kind="custom", threshold=4.0), seed=5),
+        _cfg(41, 1, AnglePolicy.GEOMETRIC, seed=6),  # half-integer j, no reset
+    ]
+    for cfg in configs:
         its, ok = simulate.sample_iterations(cfg, 300)
         tables = simulate.PolicyTables(cfg)
         for i in range(300):
             rec = simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables)
             assert its[i] == rec.iterations
             assert ok[i] == rec.succeeded
+
+
+def test_sampler_fetches_only_entered_rows(monkeypatch):
+    cfg = _cfg(400, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=17)
+    fetched = []
+    original = simulate.PolicyTables.cumulative
+
+    def counting(self, i_m):
+        fetched.append(i_m)
+        return original(self, i_m)
+
+    monkeypatch.setattr(simulate.PolicyTables, "cumulative", counting)
+    its, ok = simulate.sample_iterations(cfg, 3000)
+    assert ok.all()
+    two_m = wigner.two_m_values(400)
+    window = int(np.count_nonzero(two_m * two_m <= 2 * 400))  # |m| <= sqrt(j)
+    assert len(fetched) == len(set(fetched)) <= window + 1
+    assert 400 in fetched  # the start state m = j
 
 
 def test_reset_flag_consistency():

@@ -171,3 +171,14 @@ def test_row_probabilities_is_matrix_row():
     oracle = rotation_oracle(two_j, theta)
     row = wigner.row_probabilities(two_j, 4, theta)
     assert np.max(np.abs(row - oracle[(4 + two_j) // 2, :] ** 2)) < 1e-11
+
+
+def test_start_vector_cache_is_bounded():
+    bound = wigner._START_CACHE_SIZE
+    first = {n: wigner._start_vector(n, 0).copy() for n in range(2, 2 + 3 * bound)}
+    for n in range(2, 2 + 3 * bound):
+        for attempt in (1, 2):
+            wigner._start_vector(n, attempt)
+    assert wigner._start_vector.cache_info().currsize <= bound
+    for n, v in first.items():  # evicted vectors come back identical
+        assert np.array_equal(wigner._start_vector(n, 0), v)
