@@ -88,7 +88,7 @@ def compare_stationary_phase(
 ) -> list[AsymptoticComparison]:
     """Exact-vs-approx table over interior lattice points x in (lo, hi).
 
-    The exact values come from one propagation-backend column at
+    The exact values come from one backend-b (eigenvector) column at
     arcsin(m/j); the interior window keeps clear of the diverging
     endpoints, where the expansion is not valid.
     """
@@ -96,7 +96,7 @@ def compare_stationary_phase(
     if spec.two_m <= 0:
         raise DomainError("comparison needs m > 0")
     beta = math.asin(spec.m / spec.j)
-    column = wigner.d_column(spec, beta, backend=wigner.BACKEND_PROPAGATION)
+    column = wigner.d_column(spec, beta)
     scale = error_scale(two_j, two_m)
     lo, hi = interior
     out = []

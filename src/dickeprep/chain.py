@@ -64,8 +64,8 @@ def build_chain(config: ProtocolConfig) -> TransitionChain:
     """Build the protocol's transition matrix under config's policies.
 
     Rows are the measurement outcome distributions at the policy angle for
-    each source state (computed by the O(j) eigenvector fast path, which
-    tests pin against outcome_distribution), with reset routing applied and
+    each source state (computed by the O(j) eigenvector kernel, which
+    tests pin against a dense matrix exponential), with reset routing applied and
     the absorbing row at the target.  Every row is checked to sum to 1
     within 1e-9.
     """

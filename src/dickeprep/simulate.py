@@ -33,10 +33,34 @@ _BLOCK = 32            # uniforms drawn per trajectory per refill
 _CHUNK = 8192          # trajectories stepped together in the batch sampler
 
 
+def _stream_key(base_seed: int, index: int) -> np.ndarray:
+    return np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
+
+
 def rng_stream(base_seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one trajectory: Philox keyed on (seed, index)."""
-    key = np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(base_seed, index)))
+
+
+class _BlockReader:
+    """Draws rng_stream(seed, i)'s b-th block of _BLOCK uniforms from one
+    reused Philox: a uniform takes one 64-bit output, four per counter
+    step, so the block starts at counter _BLOCK / 4 * b with an empty
+    buffer (the counter is incremented before each step)."""
+
+    def __init__(self, base_seed: int):
+        self.base_seed = base_seed
+        self.bits = np.random.Philox(key=_stream_key(base_seed, 0))
+        self.gen = np.random.Generator(self.bits)
+        self.state = self.bits.state
+
+    def block(self, index: int, b: int) -> np.ndarray:
+        st = self.state
+        st["state"]["key"] = _stream_key(self.base_seed, index)
+        st["state"]["counter"] = np.array([_BLOCK // 4 * b, 0, 0, 0], dtype=np.uint64)
+        st["buffer_pos"] = 4
+        self.bits.state = st
+        return self.gen.random(_BLOCK)
 
 
 class TrajectoryStep(NamedTuple):
@@ -103,7 +127,7 @@ class PolicyTables:
         cached = self._columns.get(i_m)
         if cached is None:
             spec = SpinSpec(self.two_j, 2 * i_m - self.two_j)
-            col = wigner.d_column(spec, self.angles[i_m], backend=wigner.BACKEND_PROPAGATION)
+            col = wigner.d_column(spec, self.angles[i_m])
             cached = col.amplitudes
             self._columns[i_m] = cached
         return cached
@@ -248,12 +272,12 @@ def sample_iterations(
         ]
     )
     cums: dict[int, np.ndarray] = {}  # rows of the states some trajectory stood on
+    streams = _BlockReader(config.seed)
 
     iterations = np.zeros(n_runs, dtype=np.int64)
     succeeded = np.zeros(n_runs, dtype=bool)
     for lo in range(0, n_runs, _CHUNK):
         hi = min(lo + _CHUNK, n_runs)
-        gens = [rng_stream(config.seed, i) for i in range(lo, hi)]
         size = hi - lo
         cur = np.full(size, two_j, dtype=np.int64)
         done = np.zeros(size, dtype=bool)
@@ -264,9 +288,8 @@ def sample_iterations(
         while not done.all() and step < max_iters:
             if step % _BLOCK == 0:
                 block = np.empty((size, _BLOCK))
-                for k in range(size):
-                    if not done[k]:
-                        block[k] = gens[k].random(_BLOCK)
+                for k in np.flatnonzero(~done).tolist():
+                    block[k] = streams.block(lo + k, step // _BLOCK)
             idx_active = np.flatnonzero(~done)
             u = block[idx_active, step % _BLOCK]
             src = cur[idx_active]

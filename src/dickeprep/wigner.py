@@ -1,31 +1,29 @@
 """Wigner d-matrix numerics: the probability kernel of the whole protocol.
 
 A column d^j_{.,m}(theta) holds the real amplitudes <j,m'|exp(-i theta J_y)|j,m>
-over m' = -j..j (index i maps to two_m' = 2i - two_j).  Two public backends:
+over m' = -j..j (index i maps to two_m' = 2i - two_j).  Two column backends:
 
 * ``a`` (LogSum): the classical finite sum over k with factorials evaluated
   through log-gamma and sign-tracked compensated summation.  Cheap and simple,
   but the alternating sum cancels catastrophically for large j, so it is
   restricted to two_j <= 600 and self-checks its norm.
 
-* ``b`` (TridiagonalPropagation): A = -i J_y is a real antisymmetric
-  tridiagonal matrix in the J_z basis, so exp(theta A) is real orthogonal.
-  The source basis vector is propagated with a Chebyshev polynomial expansion
-  of the exponential (Bessel-function coefficients, three-term recurrence of
-  tridiagonal matvecs).  Truncation is pushed below 1e-16, so the result is
-  machine-precision accurate and norm-preserving; cost scales as
-  O(j * |theta| * j) work per column and stays cheap whenever theta*j is
-  moderate (e.g. theta = arcsin(m/j) costs ~m matvecs at any j).
+* ``b`` (Eigenvector, the default): the rotated column is the eigenvector of
+  the real symmetric tridiagonal H = cos(theta) J_z + sin(theta) J_x with
+  the known eigenvalue m.  One banded LU factorization plus inverse
+  iteration recovers it in O(j) to machine precision; the global sign is
+  then fixed from the closed-form edge elements d^j_{+-j,m}(theta).
+
+``rotate_state`` applies exp(-i theta J_y) to a general real vector by a
+Chebyshev expansion of the exponential (Bessel-function coefficients,
+three-term recurrence of tridiagonal matvecs), O(|theta| j^2).
 
 Sign convention: fixed by the generator exp(-i theta J_y) with Condon-Shortley
 ladder operators, J_+|j,m> = sqrt(j(j+1)-m(m+1))|j,m+1>.  Tests pin signs
 against a dense matrix exponential of that generator, not external tables.
 
-The module also provides an O(j) probability-only fast path used for building
-transition matrices: the rotated column is the eigenvector of the tridiagonal
-cos(theta) J_z + sin(theta) J_x with known eigenvalue m, recoverable by one
-banded LU factorization plus inverse iteration (global sign lost, which the
-squared probabilities never need).
+``transition_probabilities`` squares the same eigenvector, so chain rows
+never need the sign step.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from .core import (
 )
 
 BACKEND_LOGSUM = "a"
-BACKEND_PROPAGATION = "b"
+BACKEND_EIGENVECTOR = "b"
 LOGSUM_MAX_TWO_J = 600
 
 # hard error threshold: norm drift signals a stability bug, not noise to hide
@@ -99,7 +97,7 @@ def two_m_values(two_j: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# backend b: Chebyshev propagation through the tridiagonal generator
+# general-vector rotation: Chebyshev propagation through the tridiagonal generator
 
 
 def rotate_state(two_j: int, amplitudes: np.ndarray, angle) -> np.ndarray:
@@ -148,18 +146,6 @@ def rotate_state(two_j: int, amplitudes: np.ndarray, angle) -> np.ndarray:
         ck = coefs[k]
         if ck != 0.0 and abs(ck) > 1e-18:
             out += (2.0 * ck) * phi
-    return out
-
-
-def _column_propagation(spec: SpinSpec, theta: float) -> np.ndarray:
-    v = np.zeros(spec.two_j + 1)
-    v[(spec.two_m + spec.two_j) // 2] = 1.0
-    out = rotate_state(spec.two_j, v, theta)
-    drift = abs(float(out @ out) - 1.0)
-    if drift > NORM_TOLERANCE:
-        raise NormDrift(
-            f"propagation norm drifted by {drift:.3e} (two_j={spec.two_j}, theta={theta!r})"
-        )
     return out
 
 
@@ -300,10 +286,11 @@ def _column_logsum(spec: SpinSpec, theta: float) -> np.ndarray:
 # public column / element / distribution API
 
 
-def d_column(spec: SpinSpec, angle, backend: str = BACKEND_PROPAGATION) -> RotationColumn:
+def d_column(spec: SpinSpec, angle, backend: str = BACKEND_EIGENVECTOR) -> RotationColumn:
     """Compute the rotation column d^j_{.,m}(theta).
 
-    backend "a" = LogSum (two_j <= 600), "b" = TridiagonalPropagation.
+    backend "a" = LogSum (two_j <= 600), "b" = the O(j) signed eigenvector
+    of cos(theta) J_z + sin(theta) J_x (default; exact at any j).
     The rotation is evaluated at the angle as given; the stored Angle is
     its canonical [-pi, pi] representative (for half-integer j the two can
     differ by a global sign when |theta| > pi, since the rotation group is
@@ -312,21 +299,21 @@ def d_column(spec: SpinSpec, angle, backend: str = BACKEND_PROPAGATION) -> Rotat
     theta = _as_radians(angle)
     if backend == BACKEND_LOGSUM:
         amps = _column_logsum(spec, theta)
-    elif backend == BACKEND_PROPAGATION:
-        amps = _column_propagation(spec, theta)
+    elif backend == BACKEND_EIGENVECTOR:
+        amps = _column_eigenvector(spec, theta)
     else:
         raise OutOfRange(f"unknown backend {backend!r}; use 'a' or 'b'")
     amps.setflags(write=False)
     return RotationColumn(spec=spec, angle=Angle(theta), amplitudes=amps, backend=backend)
 
 
-def d_element(spec_m: SpinSpec, two_m_prime: int, angle, backend: str = BACKEND_PROPAGATION) -> float:
+def d_element(spec_m: SpinSpec, two_m_prime: int, angle, backend: str = BACKEND_EIGENVECTOR) -> float:
     """Single element d^j_{m',m}(theta); equals d_column(...).amplitude(m')."""
     col = d_column(spec_m, angle, backend=backend)
     return col.amplitude(two_m_prime)
 
 
-def outcome_distribution(spec: SpinSpec, angle, backend: str = BACKEND_PROPAGATION) -> np.ndarray:
+def outcome_distribution(spec: SpinSpec, angle, backend: str = BACKEND_EIGENVECTOR) -> np.ndarray:
     """Measurement outcome probabilities |d^j_{m',m}(theta)|^2 over m'.
 
     The squared column must sum to 1 within 1e-10 (checked, never silently
@@ -341,10 +328,11 @@ def outcome_distribution(spec: SpinSpec, angle, backend: str = BACKEND_PROPAGATI
 
 
 # ---------------------------------------------------------------------------
-# probability-only fast path (inverse iteration)
+# backend b: the rotated column as an eigenvector, by inverse iteration
 
 _START_KEY = 0x5D1C_E000  # fixed Philox key base: deterministic start vectors
 _START_CACHE_SIZE = 64  # (n, attempt) start vectors kept; a chain reuses one n
+_RESOLVED = 1e-8  # entries above this fraction of the largest have a trustworthy sign
 
 
 @functools.lru_cache(maxsize=_START_CACHE_SIZE)
@@ -356,28 +344,26 @@ def _start_vector(n: int, attempt: int = 0) -> np.ndarray:
     return v
 
 
-def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:
-    """|d^j_{m',m}(theta)|^2 over m' in O(j) time (global sign discarded).
+def _eigenvector(two_j: int, two_m: int, theta: float) -> np.ndarray:
+    """Unit eigenvector of H = cos(theta) J_z + sin(theta) J_x for the
+    eigenvalue m, up to sign.
 
-    The rotated basis column is the unit eigenvector of the real symmetric
-    tridiagonal H = cos(theta) J_z + sin(theta) J_x with (exactly known)
-    eigenvalue m; eigenvalues of H are the integers/half-integers -j..j with
-    unit spacing, so inverse iteration with the exact shift converges in one
-    or two solves.  Zero pivots from the exact shift are floored at eps*j,
-    the same device LAPACK's stein uses.  Residual-checked; falls back to
-    the propagation backend if the residual check fails.
+    The eigenvalues of H are the integers/half-integers -j..j with unit
+    spacing, so inverse iteration with the exact shift converges in one or
+    two solves.  Zero pivots from the exact shift are floored at eps*j, the
+    same device LAPACK's stein uses.  Raises NormDrift when no attempt
+    passes the residual check.
     """
-    theta = _as_radians(angle)
-    two_j = spec.two_j
     n = two_j + 1
-    i_m = (spec.two_m + two_j) // 2
     if theta == 0.0 or n == 1:
-        probs = np.zeros(n)
-        probs[i_m] = 1.0
-        return probs
-
+        v = np.zeros(n)
+        v[(two_m + two_j) // 2] = 1.0
+        return v
+    if n == 2:  # the banded LU needs n >= 3; spin-1/2 has a closed form
+        c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+        return np.array([s, c]) if two_m > 0 else np.array([c, -s])
     j = two_j / 2.0
-    m_val = spec.two_m / 2.0
+    m_val = two_m / 2.0
     m_grid = np.arange(n) - j
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     off = sin_t * ladder_strengths(two_j) / 2.0
@@ -391,7 +377,14 @@ def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:
     if tiny.any():
         df = np.where(tiny, np.where(df < 0.0, -floor, floor), df)
 
-    scale = max(1.0, j)
+    def residual(x: np.ndarray) -> float:
+        r = diag * x
+        r[:-1] += off * x[1:]
+        r[1:] += off * x[:-1]
+        return float(np.max(np.abs(r)))
+
+    tol = 1e-10 * max(1.0, j)
+    best = np.inf
     for attempt in range(3):
         v = _start_vector(n, attempt).copy()
         ok = True
@@ -403,23 +396,68 @@ def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:
             v /= np.linalg.norm(v)
         if not ok:
             continue
-        resid = (cos_t * m_grid - m_val) * v
-        resid[:-1] += off * v[1:]
-        resid[1:] += off * v[:-1]
-        res = float(np.max(np.abs(resid)))
-        if res <= 1e-10 * scale:
-            return v * v
+        res = residual(v)
+        if res <= tol:
+            return v
+        best = min(best, res)
         v2, solve_info = _gttrs(dlf, df, duf, du2, ipiv, v)
         if solve_info == 0 and np.all(np.isfinite(v2)):
             v2 /= np.linalg.norm(v2)
-            resid = (cos_t * m_grid - m_val) * v2
-            resid[:-1] += off * v2[1:]
-            resid[1:] += off * v2[:-1]
-            if float(np.max(np.abs(resid))) <= 1e-10 * scale:
-                return v2 * v2
+            res = residual(v2)
+            if res <= tol:
+                return v2
+            best = min(best, res)
+    raise NormDrift(
+        f"inverse iteration found no eigenvector (two_j={two_j}, two_m={two_m}, "
+        f"theta={theta!r}): best residual {best:.3e} > {tol:.1e}"
+    )
 
-    # should not happen; the propagation backend is exact but slower
-    return outcome_distribution(spec, theta)
+
+def _column_eigenvector(spec: SpinSpec, theta: float) -> np.ndarray:
+    """The signed column: the eigenvector with its sign fixed from the
+    closed-form edge elements, never from the computed (noisy) edge entries.
+
+    With c, s = cos, sin(theta/2),
+        d_{j,m}  = (-1)^(j-m) sqrt(C(2j, j-m)) c^(j+m) s^(j-m),
+        d_{-j,m} =            sqrt(C(2j, j+m)) c^(j-m) s^(j+m).
+    The binomials are equal, so the top edge is the larger iff
+    m (|c| - |s|) >= 0.  Its sign is carried to the first well-resolved
+    entry: across the classically forbidden stretch in between, each
+    neighbour ratio has the sign of -sin(theta) (H - m) at the entry
+    nearer the edge.
+    """
+    two_j, two_m = spec.two_j, spec.two_m
+    v = _eigenvector(two_j, two_m, theta)
+    if theta == 0.0:  # the identity; both edge formulas may vanish there
+        return v
+    jpm, jmm = (two_j + two_m) // 2, (two_j - two_m) // 2
+    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    c_neg, s_neg = int(c < 0.0), int(s < 0.0)
+    top = two_m * (abs(c) - abs(s)) >= 0.0
+    mag = np.abs(v)
+    resolved = np.flatnonzero(mag >= _RESOLVED * mag.max())
+    shifted = np.cos(theta) * m_values(two_j) - two_m / 2.0
+    if top:
+        negative = jmm + c_neg * jpm + s_neg * jmm
+        k = resolved[-1]
+        stretch = shifted[k + 1:]
+    else:
+        negative = c_neg * jmm + s_neg * jpm
+        k = resolved[0]
+        stretch = shifted[:k]
+    negative += np.count_nonzero(np.sin(theta) * stretch > 0.0)
+    if (v[k] < 0.0) != bool(negative % 2):
+        v = -v
+    return v
+
+
+def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:
+    """|d^j_{m',m}(theta)|^2 over m' in O(j) time: the squared backend-b
+    eigenvector, with no sign step.  Raises NormDrift if inverse iteration
+    fails its residual check.
+    """
+    v = _eigenvector(spec.two_j, spec.two_m, _as_radians(angle))
+    return v * v
 
 
 def row_probabilities(two_j: int, two_m_target: int, angle) -> np.ndarray:

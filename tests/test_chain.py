@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dickeprep.core import AnglePolicy, ProtocolConfig, ResetPolicy, SingularSystem, SpinSpec
-from dickeprep import chain, wigner
+from dickeprep.core import AnglePolicy, ProtocolConfig, ResetPolicy, SingularSystem
+from dickeprep import angles, chain, wigner
+
+from oracles import rotation_oracle
 
 
 def _cfg(two_j, two_mt=0, policy=AnglePolicy.APPROX_MT0, reset="none", **kw):
@@ -38,8 +40,7 @@ def test_rows_match_outcome_distribution():
     for i in range(built.size):
         if i == built.absorbing_index:
             continue
-        spec = SpinSpec(20, 2 * i - 20)
-        exact = wigner.outcome_distribution(spec, built.angles[i])
+        exact = rotation_oracle(20, built.angles[i])[:, i] ** 2
         assert np.max(np.abs(built.matrix[i] - exact)) < 1e-11
 
 
@@ -196,3 +197,13 @@ def test_entered_state_solve_matches_dense_reference(policy, two_j, two_mt, rese
     ref = _dense_expected_steps(built)
     assert got[built.absorbing_index] == 0.0
     assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("two_mt", [1, -1])
+def test_spin_half_chain(two_mt):
+    # one qubit: every step from the other state succeeds with sin^2(theta/2)
+    theta = angles.policy_angles(1, two_mt, AnglePolicy.GEOMETRIC)[(1 - two_mt) // 2]
+    report = chain.expected_steps_for(1, two_mt)
+    expected = np.zeros(2)
+    expected[(1 - two_mt) // 2] = 1.0 / math.sin(theta / 2) ** 2
+    assert report.expected_steps_from == pytest.approx(expected, rel=1e-12)

@@ -7,6 +7,8 @@ from scipy.stats import chi2_contingency
 from dickeprep.core import AnglePolicy, ProtocolConfig, ResetPolicy
 from dickeprep import chain, simulate, wigner
 
+from oracles import rotation_oracle
+
 
 def _cfg(two_j, two_mt=0, policy=AnglePolicy.APPROX_MT0, reset="none", seed=42, **kw):
     return ProtocolConfig(
@@ -64,6 +66,34 @@ def test_batch_equals_sequential_runs():
             rec = simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables)
             assert its[i] == rec.iterations
             assert ok[i] == rec.succeeded
+
+
+def test_batch_equals_sequential_runs_across_draw_blocks():
+    # runs longer than one 32-draw block read later blocks of their stream
+    cfg = _cfg(100, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=3)
+    its, ok = simulate.sample_iterations(cfg, 300)
+    assert its.max() > 32
+    tables = simulate.PolicyTables(cfg)
+    for i in range(300):
+        rec = simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables)
+        assert (its[i], ok[i]) == (rec.iterations, rec.succeeded)
+
+
+def test_block_reader_matches_streams():
+    for seed, i in ((7, 0), (2**64 - 1, 5), (-3, 8191)):
+        streams = simulate._BlockReader(seed)
+        ref = simulate.rng_stream(seed, i).random(3 * simulate._BLOCK)
+        blocks = [streams.block(i, b) for b in (2, 0, 1)]
+        assert np.array_equal(np.concatenate([blocks[1], blocks[2], blocks[0]]), ref)
+
+
+@pytest.mark.parametrize("engine", ["chain", "statevector"])
+def test_spin_half_both_engines(engine):
+    cfg = ProtocolConfig(two_j=1, target_two_mt=-1, seed=4)
+    stats = simulate.summarize(cfg, 4000, engine=engine)
+    expected = chain.expected_steps_for(1, -1).start_state_value
+    assert stats.success_rate == 1.0
+    assert abs(stats.mean_iterations - expected) < 4 * stats.std_error
 
 
 def test_sampler_fetches_only_entered_rows(monkeypatch):
@@ -149,10 +179,8 @@ def test_statevector_columns_match_outcome_distribution():
         if 2 * i_m - 24 == 0:
             continue
         col = tables.column(i_m)
-        probs = wigner.outcome_distribution(
-            type(cfg.spin)(24, 2 * i_m - 24), tables.angles[i_m]
-        )
-        assert np.max(np.abs(col**2 - probs)) < 1e-9
+        exact = rotation_oracle(24, tables.angles[i_m])[:, i_m]
+        assert np.max(np.abs(col - exact)) < 1e-10
 
 
 def test_statevector_record_structure():

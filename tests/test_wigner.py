@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from dickeprep.core import OutOfRange, SpinSpec
+from dickeprep.core import NormDrift, OutOfRange, SpinSpec
 from dickeprep import wigner
 
 from oracles import rotation_oracle
 
 THETAS = [-2.8, -1.0, -0.2, 0.4, np.pi / 4, 1.3, np.pi / 2, 2.2, 3.0]
+
+
+def _chebyshev_column(two_j, two_m, theta):
+    """Reference column: rotate_state of a basis vector (Chebyshev propagation)."""
+    v = np.zeros(two_j + 1)
+    v[(two_m + two_j) // 2] = 1.0
+    return wigner.rotate_state(two_j, v, theta)
 
 
 @pytest.mark.parametrize("backend", ["a", "b"])
@@ -24,11 +31,14 @@ def test_columns_match_dense_exponential_oracle(backend):
 
 def test_half_spin_column_closed_form():
     # oracle-pinned convention: column m=+1/2 is (sin t/2, cos t/2) over m'=(-1/2, +1/2)
-    theta = 0.7
-    col = wigner.d_column(SpinSpec(1, 1), theta)
-    assert col.amplitudes == pytest.approx([math.sin(theta / 2), math.cos(theta / 2)], abs=1e-14)
-    col = wigner.d_column(SpinSpec(1, -1), theta)
-    assert col.amplitudes == pytest.approx([math.cos(theta / 2), -math.sin(theta / 2)], abs=1e-14)
+    for theta in (0.7, -2.0, 3.9, 2 * np.pi):
+        s, c = math.sin(theta / 2), math.cos(theta / 2)
+        col = wigner.d_column(SpinSpec(1, 1), theta)
+        assert col.amplitudes == pytest.approx([s, c], abs=1e-14)
+        col = wigner.d_column(SpinSpec(1, -1), theta)
+        assert col.amplitudes == pytest.approx([c, -s], abs=1e-14)
+        assert wigner.transition_probabilities(SpinSpec(1, 1), theta) == pytest.approx([s * s, c * c], abs=1e-14)
+        assert wigner.transition_probabilities(SpinSpec(1, -1), theta) == pytest.approx([c * c, s * s], abs=1e-14)
 
 
 @pytest.mark.parametrize("backend", ["a", "b"])
@@ -149,7 +159,7 @@ def test_transition_probabilities_matches_column():
             spec = SpinSpec(two_j, 2 * i_m - two_j)
             theta = float(rng.uniform(-3.0, 3.0))
             fast = wigner.transition_probabilities(spec, theta)
-            exact = wigner.outcome_distribution(spec, theta)
+            exact = _chebyshev_column(two_j, spec.two_m, theta) ** 2
             assert np.max(np.abs(fast - exact)) < 1e-11
 
 
@@ -161,7 +171,7 @@ def test_transition_probabilities_zero_pivot_case():
     probs = wigner.transition_probabilities(spec, theta)
     assert np.all(np.isfinite(probs))
     assert abs(probs.sum() - 1.0) < 1e-12
-    exact = wigner.outcome_distribution(spec, theta)
+    exact = rotation_oracle(32, theta)[:, (24 + 32) // 2] ** 2
     assert np.max(np.abs(probs - exact)) < 1e-11
 
 
@@ -182,3 +192,51 @@ def test_start_vector_cache_is_bounded():
     assert wigner._start_vector.cache_info().currsize <= bound
     for n, v in first.items():  # evicted vectors come back identical
         assert np.array_equal(wigner._start_vector(n, 0), v)
+
+
+@pytest.mark.parametrize("two_j", [1, 2, 5, 12, 25, 40])
+def test_signed_columns_match_dense_exponential_beyond_pi(two_j):
+    # half-integer j changes sign under a 2 pi rotation; the sign step must follow
+    for theta in (np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 3.7, -4.4, 5.9, 3 * np.pi):
+        oracle = rotation_oracle(two_j, theta)
+        for i_m in range(two_j + 1):
+            col = wigner.d_column(SpinSpec(two_j, 2 * i_m - two_j), theta)
+            assert np.max(np.abs(col.amplitudes - oracle[:, i_m])) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "two_j, two_m, theta",
+    [
+        (2048, 2048, np.pi / 2),
+        (2048, 0, 0.05),
+        (2048, -1500, 2.9),
+        (2048, 600, -1.1),
+        (2048, -2, -np.pi / 2),
+        (4096, 0, 0.3),  # both edge elements underflow below 1e-308
+    ],
+)
+def test_signed_column_matches_chebyshev_large_j(two_j, two_m, theta):
+    col = wigner.d_column(SpinSpec(two_j, two_m), theta).amplitudes
+    assert np.max(np.abs(col - _chebyshev_column(two_j, two_m, theta))) < 1e-10
+
+
+def test_signed_transpose_is_inverse_rotation_j1024():
+    # d_{m',m}(theta) = d_{m,m'}(-theta), entry by entry with signs
+    two_j, theta = 2048, 0.8
+    two_ms = (-2048, -700, -2, 0, 2, 300, 1400, 2048)
+    fwd = {tm: wigner.d_column(SpinSpec(two_j, tm), theta) for tm in two_ms}
+    back = {tm: wigner.d_column(SpinSpec(two_j, tm), -theta) for tm in two_ms}
+    for a in two_ms:
+        for b in two_ms:
+            assert fwd[a].amplitude(b) == pytest.approx(back[b].amplitude(a), abs=1e-12)
+
+
+def test_failed_inverse_iteration_raises(monkeypatch):
+    def broken(dl, d, du, du2, ipiv, b):
+        return np.full_like(b, np.nan), 0
+
+    monkeypatch.setattr(wigner, "_gttrs", broken)
+    with pytest.raises(NormDrift, match=r"two_j=20, two_m=4"):
+        wigner.transition_probabilities(SpinSpec(20, 4), 0.9)
+    with pytest.raises(NormDrift):
+        wigner.d_column(SpinSpec(20, 4), 0.9)
