@@ -8,8 +8,9 @@ for |j,m_t>:
   of |j,m> until it touches the target ring with a shared tangent.
 * approx_angle_mt0: the m_t = 0 simplification theta = arcsin(m/j).
 * optimal_angle: deterministic numerical maximization of the overlap
-  |d^j_{m_t,m}(theta)|^2 (coarse grid at resolution pi/(8j+16), then
-  golden-section refinement to 1e-10 rad).
+  |d^j_{m_t,m}(theta)|^2 (coarse grid at resolution pi/(8j+16), then a
+  safeguarded Newton refinement on the analytic theta-derivatives of the
+  overlap, wigner.row_derivatives, to 1e-10 rad).
 
 Angle signs: for m < m_t the same formulas produce negative angles; the
 optimizer mirrors through (m_t, m) -> (-m_t, -m), which leaves the overlap
@@ -28,14 +29,12 @@ from .core import (
     AnglePolicy,
     DomainError,
     OutOfRange,
-    ring_radius,
     validate_spin,
 )
 from . import wigner
 
 _CLAMP_TOL = 1e-12
-_GOLDEN_TOL = 1e-10
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_NEWTON_TOL = 1e-10  # rad: stop once the Newton step is this small
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,25 @@ class AnglePolicyResult:
     fell_back: bool = False  # optimizer degraded to the geometric angle
 
 
+def _asin(arg: np.ndarray) -> np.ndarray:
+    """math.asin of every entry.  np.arcsin differs from it in the last ulp
+    on some entries, which would change seeded outputs."""
+    return np.array([math.asin(a) for a in arg.tolist()])
+
+
+def _geometric_angles(two_j: int, two_mt: int, m: np.ndarray) -> np.ndarray:
+    """Tangency angles for the sources m (floats), in geometric_angle's
+    operation order."""
+    j = two_j / 2.0
+    mt = two_mt / 2.0
+    r0_sq = j * (j + 1.0)
+    arg = (m * math.sqrt(r0_sq - mt * mt) - mt * np.sqrt(r0_sq - m * m)) / r0_sq
+    over = np.abs(arg) - 1.0 > _CLAMP_TOL
+    if over.any():
+        raise DomainError(f"tangency arcsin argument {arg[over][0]} out of [-1, 1]")
+    return _asin(np.clip(arg, -1.0, 1.0))
+
+
 def geometric_angle(two_j: int, two_mt: int, two_m: int) -> Angle:
     """Ring-tangency angle arcsin[(m r_{m_t} - m_t r_m) / r_0^2].
 
@@ -55,16 +73,11 @@ def geometric_angle(two_j: int, two_mt: int, two_m: int) -> Angle:
     argument is clamped when within 1e-12 of +-1; beyond that it is a
     DomainError.
     """
-    target = validate_spin(two_j, two_mt)
+    validate_spin(two_j, two_mt)
     source = validate_spin(two_j, two_m)
-    j = two_j / 2.0
-    r0_sq = j * (j + 1.0)
-    arg = (source.m * ring_radius(target) - target.m * ring_radius(source)) / r0_sq
-    if abs(arg) > 1.0:
-        if abs(arg) - 1.0 > _CLAMP_TOL:
-            raise DomainError(f"tangency arcsin argument {arg} out of [-1, 1]")
-        arg = math.copysign(1.0, arg)
-    return Angle(math.asin(arg))
+    if two_m == two_mt:  # also the only state of j = 0, where r_0 = 0
+        return Angle(0.0)
+    return Angle(float(_geometric_angles(two_j, two_mt, np.array([source.m]))[0]))
 
 
 def approx_angle_mt0(two_j: int, two_m: int) -> Angle:
@@ -73,28 +86,6 @@ def approx_angle_mt0(two_j: int, two_m: int) -> Angle:
     if two_j == 0:
         return Angle(0.0)
     return Angle(math.asin(spec.m / spec.j))
-
-
-def _overlap(two_j: int, two_mt: int, two_m: int, theta: float) -> float:
-    """|d^j_{m_t,m}(theta)|^2 via the O(j) row evaluation."""
-    row = wigner.row_probabilities(two_j, two_mt, theta)
-    return float(row[(two_m + two_j) // 2])
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-    return ((x1, f1) if f1 >= f2 else (x2, f2))
 
 
 def _coarse_grid(two_j: int) -> np.ndarray:
@@ -108,14 +99,81 @@ def _coarse_grid(two_j: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, points + 2)[1:-1]
 
 
+def _grid_scan(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse grid and, per source state, the index of its best point.
+
+    Each grid theta yields the whole row |d^j_{m_t,.}(theta)|^2 in O(j), so
+    one scan serves every m; ties go to the smallest theta.
+    """
+    grid = _coarse_grid(two_j)
+    best_val = np.full(two_j + 1, -1.0)
+    best_idx = np.zeros(two_j + 1, dtype=np.int64)
+    for gi, th in enumerate(grid):
+        row = wigner.row_probabilities(two_j, two_mt, th)
+        better = row > best_val  # strict: the smallest-theta maximum wins ties
+        best_val[better] = row[better]
+        best_idx[better] = gi
+    return grid, best_idx
+
+
+def _cell(grid: np.ndarray, b: int) -> tuple[float, float, float]:
+    """(lo, hi, start): the one-cell bracket around grid point b, and b.
+
+    The last cell ends at pi itself: for m = -m_t the maximum is
+    d^j_{-m,m}(pi)^2 = 1 there.
+    """
+    lo = grid[b - 1] if b > 0 else grid[0] / 2.0
+    hi = grid[b + 1] if b + 1 < len(grid) else math.pi
+    return lo, hi, grid[b]
+
+
+def _refine(
+    two_j: int, two_mt: int, i: int, lo: float, hi: float, start: float
+) -> AnglePolicyResult:
+    """Maximize f(theta) = |d^j_{m_t,m}(theta)|^2 (m at index i) in [lo, hi].
+
+    Safeguarded Newton on the analytic derivatives: each evaluation shrinks
+    the bracket to the side where f' says the maximum lies, takes the step
+    -f'/f'' when f'' < 0 and it lands strictly inside the bracket, and
+    bisects otherwise.  It stops once |f'/f''| < 1e-10 rad (or the bracket
+    is that narrow) and returns the last evaluated theta with its f.  The
+    geometric angle is then compared as a candidate (fell_back=True when it
+    wins).
+    """
+    theta = start
+    while True:
+        f, df, d2f = wigner.row_derivatives(two_j, two_mt, theta, i)
+        if d2f < 0.0 and abs(df) < _NEWTON_TOL * -d2f:
+            break
+        if df > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        if hi - lo < _NEWTON_TOL:
+            break
+        newton = d2f < 0.0 and lo < theta - df / d2f < hi
+        theta = theta - df / d2f if newton else 0.5 * (lo + hi)
+
+    theta_geo = geometric_angle(two_j, two_mt, 2 * i - two_j).radians
+    overlap_geo = float(wigner.row_probabilities(two_j, two_mt, theta_geo)[i])
+    fell_back = f < overlap_geo
+    return AnglePolicyResult(
+        angle=Angle(theta_geo if fell_back else theta),
+        overlap_probability=overlap_geo if fell_back else f,
+        policy=AnglePolicy.NUMERIC_OPTIMAL,
+        fell_back=fell_back,
+    )
+
+
 def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
     """Deterministically maximize the overlap |d^j_{m_t,m}(theta)|^2.
 
     Coarse grid scan over (0, pi), ties broken toward the smaller theta,
-    then golden-section refinement to 1e-10 rad.  The geometric angle is
-    always a candidate, so the returned overlap is >= the geometric one;
-    if refinement somehow degrades below it, the geometric angle is
-    returned with fell_back=True.
+    then a safeguarded Newton refinement on the analytic theta-derivatives
+    of the overlap, to 1e-10 rad, inside the best point's one-cell bracket.
+    The geometric angle is always a candidate, so the returned overlap is
+    >= the geometric one; if refinement somehow degrades below it, the
+    geometric angle is returned with fell_back=True.
     """
     validate_spin(two_j, two_mt)
     validate_spin(two_j, two_m)
@@ -129,63 +187,25 @@ def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
             policy=AnglePolicy.NUMERIC_OPTIMAL,
             fell_back=mirrored.fell_back,
         )
-
-    grid = _coarse_grid(two_j)
-    row_at = lambda th: _overlap(two_j, two_mt, two_m, th)
-    values = np.array([row_at(th) for th in grid])
-    best = int(np.argmax(values))  # first (smallest-theta) maximum wins ties
-    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
-    hi = grid[best + 1] if best + 1 < len(grid) else 0.5 * (grid[-1] + math.pi)
-    theta_star, overlap_star = _golden_max(row_at, lo, hi, _GOLDEN_TOL)
-
-    theta_geo = geometric_angle(two_j, two_mt, two_m).radians
-    overlap_geo = row_at(theta_geo)
-    if overlap_star < overlap_geo:
-        return AnglePolicyResult(
-            angle=Angle(theta_geo),
-            overlap_probability=overlap_geo,
-            policy=AnglePolicy.NUMERIC_OPTIMAL,
-            fell_back=True,
-        )
-    return AnglePolicyResult(
-        angle=Angle(theta_star),
-        overlap_probability=overlap_star,
-        policy=AnglePolicy.NUMERIC_OPTIMAL,
-    )
+    grid, best_idx = _grid_scan(two_j, two_mt)
+    i = (two_m + two_j) // 2
+    return _refine(two_j, two_mt, i, *_cell(grid, int(best_idx[i])))
 
 
 def _optimal_above_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimal (angle, overlap) per source state, filled only for m > m_t.
 
-    One coarse scan is shared across all m: each grid theta yields the whole
-    row |d^j_{m_t,.}(theta)|^2 in O(j), after which every m is refined in
-    its own one-cell bracket.
+    One coarse scan is shared across all m, after which every m is refined
+    in its own one-cell bracket by the same _refine as optimal_angle.
     """
     n = two_j + 1
-    grid = _coarse_grid(two_j)
-    best_val = np.full(n, -1.0)
-    best_idx = np.zeros(n, dtype=np.int64)
-    for gi, th in enumerate(grid):
-        row = wigner.row_probabilities(two_j, two_mt, th)
-        better = row > best_val  # strict: the smallest-theta maximum wins ties
-        best_val[better] = row[better]
-        best_idx[better] = gi
-
+    grid, best_idx = _grid_scan(two_j, two_mt)
     angles = np.zeros(n)
     overlaps = np.ones(n)
     for i in range((two_mt + two_j) // 2 + 1, n):
-        two_m = 2 * i - two_j
-        b = int(best_idx[i])
-        lo = grid[b - 1] if b > 0 else grid[0] / 2.0
-        hi = grid[b + 1] if b + 1 < len(grid) else 0.5 * (grid[-1] + math.pi)
-        f = lambda th, _i=i: float(wigner.row_probabilities(two_j, two_mt, th)[_i])
-        theta_star, overlap_star = _golden_max(f, lo, hi, _GOLDEN_TOL)
-        theta_geo = geometric_angle(two_j, two_mt, two_m).radians
-        overlap_geo = f(theta_geo)
-        if overlap_star < overlap_geo:
-            theta_star, overlap_star = theta_geo, overlap_geo
-        angles[i] = theta_star
-        overlaps[i] = overlap_star
+        res = _refine(two_j, two_mt, i, *_cell(grid, int(best_idx[i])))
+        angles[i] = res.angle.radians
+        overlaps[i] = res.overlap_probability
     return angles, overlaps
 
 
@@ -216,20 +236,15 @@ def policy_angles(two_j: int, two_mt: int, policy: str) -> np.ndarray:
 
     The target entry is 0 (absorbing, no rotation applied).
     """
-    n = two_j + 1
-    out = np.zeros(n)
     if policy == AnglePolicy.GEOMETRIC:
-        for i in range(n):
-            two_m = 2 * i - two_j
-            if two_m != two_mt:
-                out[i] = geometric_angle(two_j, two_mt, two_m).radians
+        validate_spin(two_j, two_mt)
+        out = _geometric_angles(two_j, two_mt, wigner.m_values(two_j)) if two_j else np.zeros(1)
+        out[(two_mt + two_j) // 2] = 0.0
     elif policy == AnglePolicy.APPROX_MT0:
         if two_mt != 0:
             raise DomainError("approx_mt0 policy requires target_two_mt = 0")
-        for i in range(n):
-            two_m = 2 * i - two_j
-            if two_m != 0:
-                out[i] = approx_angle_mt0(two_j, two_m).radians
+        m = wigner.m_values(two_j)
+        out = _asin(m / (two_j / 2.0)) if two_j else np.zeros(1)
     elif policy == AnglePolicy.NUMERIC_OPTIMAL:
         out, _ = optimal_angles_for_target(two_j, two_mt)
     else:

@@ -125,7 +125,7 @@ class AnglePolicy:
 
     GEOMETRIC = "geometric"            # tangency formula, any target
     APPROX_MT0 = "approx_mt0"          # arcsin(m/j), target m_t = 0 only
-    NUMERIC_OPTIMAL = "numeric_optimal"  # grid + golden-section maximization
+    NUMERIC_OPTIMAL = "numeric_optimal"  # grid + Newton maximization
 
     ALL = (GEOMETRIC, APPROX_MT0, NUMERIC_OPTIMAL)
 

@@ -106,6 +106,7 @@ class PolicyTables:
         self._rows: dict[int, np.ndarray] = {}
         self._cums: dict[int, np.ndarray] = {}
         self._columns: dict[int, np.ndarray] = {}
+        self._column_cums: dict[int, np.ndarray] = {}
 
     def row(self, i_m: int) -> np.ndarray:
         cached = self._rows.get(i_m)
@@ -123,13 +124,30 @@ class PolicyTables:
         return cached
 
     def column(self, i_m: int) -> np.ndarray:
-        """Rotated basis column (signed amplitudes) for the statevector engine."""
+        """Rotated basis column (signed amplitudes) for the statevector engine.
+
+        Built once per state: its norm is checked (NormDrift beyond 1e-8,
+        then SymmetricState's 1e-9) and the cumulative of its squares is
+        stored with it.
+        """
         cached = self._columns.get(i_m)
         if cached is None:
             spec = SpinSpec(self.two_j, 2 * i_m - self.two_j)
-            col = wigner.d_column(spec, self.angles[i_m])
-            cached = col.amplitudes
+            cached = wigner.d_column(spec, self.angles[i_m]).amplitudes
+            norm_dev = abs(float(cached @ cached) - 1.0)
+            if norm_dev > 1e-8:
+                raise NormDrift(f"statevector norm drifted by {norm_dev:.3e}")
+            SymmetricState(two_j=self.two_j, amplitudes=cached)
+            self._column_cums[i_m] = _normalized_cumulative(cached**2)
             self._columns[i_m] = cached
+        return cached
+
+    def column_cumulative(self, i_m: int) -> np.ndarray:
+        """Cumulative outcome distribution of column(i_m)."""
+        cached = self._column_cums.get(i_m)
+        if cached is None:
+            self.column(i_m)
+            cached = self._column_cums[i_m]
         return cached
 
 
@@ -188,26 +206,21 @@ def run_statevector(
     """Sample one run while maintaining the full symmetric-subspace state.
 
     Each iteration rotates the current state by the policy angle (an
-    orthogonal map, norm checked to 1e-8) and projectively measures J_z,
+    orthogonal map; PolicyTables checks each rotated column's norm when it
+    first builds it) and projectively measures J_z,
     collapsing to a basis vector; the visited-m process has the same law
     as run_trajectory's.
     """
     tables = tables if tables is not None else PolicyTables(config)
     two_j = config.two_j
-    n = two_j + 1
     i_t = config.target_index
     i_cur = two_j
     steps: list[TrajectoryStep] = []
     succeeded = i_cur == i_t
     while not succeeded and len(steps) < config.max_iterations:
-        # pre-measurement state: the rotated basis vector
-        amps = tables.column(i_cur)
-        norm_dev = abs(float(amps @ amps) - 1.0)
-        if norm_dev > 1e-8:
-            raise NormDrift(f"statevector norm drifted by {norm_dev:.3e}")
-        state = SymmetricState(two_j=two_j, amplitudes=amps)
+        # pre-measurement state: the rotated basis vector, sampled by its squares
         u = float(rng.random())
-        i_next = _draw(_normalized_cumulative(state.amplitudes**2), u)
+        i_next = _draw(tables.column_cumulative(i_cur), u)
         two_m_next = 2 * i_next - two_j
         reset = False
         if i_next == i_t:

@@ -29,6 +29,7 @@ never need the sign step.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -458,6 +459,34 @@ def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:
     """
     v = _eigenvector(spec.two_j, spec.two_m, _as_radians(angle))
     return v * v
+
+
+def row_derivatives(two_j: int, two_m_target: int, angle, i: int) -> tuple[float, float, float]:
+    """f = row_probabilities(two_j, two_m_target, angle)[i] and its first
+    and second theta-derivatives, from the same O(j) eigenvector.
+
+    The row r(theta) = d^j_{m_t,.}(theta) obeys r' = r A with the real
+    antisymmetric A = -i J_y = (J_- - J_+)/2, so with a = ladder_strengths
+        (rA)_k = (a_{k-1} r_{k-1} - a_k r_{k+1}) / 2,
+        f' = 2 r_i (rA)_i,   f'' = 2 [(rA)_i^2 + r_i (rA^2)_i].
+    Every term is bilinear in r, so the unsigned eigenvector serves.
+    """
+    u = _eigenvector(two_j, two_m_target, -_as_radians(angle))
+    j = two_j / 2.0
+
+    def a(k: int) -> float:
+        m = k - j
+        return math.sqrt(j * (j + 1.0) - m * (m + 1.0)) if 0 <= k < two_j else 0.0
+
+    def r(k: int) -> float:
+        return float(u[k]) if 0 <= k <= two_j else 0.0
+
+    def r_a(k: int) -> float:
+        return 0.5 * (a(k - 1) * r(k - 1) - a(k) * r(k + 1))
+
+    r_i, ra_i = r(i), r_a(i)
+    ra2_i = 0.5 * (a(i - 1) * r_a(i - 1) - a(i) * r_a(i + 1))
+    return r_i * r_i, 2.0 * r_i * ra_i, 2.0 * (ra_i * ra_i + r_i * ra2_i)
 
 
 def row_probabilities(two_j: int, two_m_target: int, angle) -> np.ndarray:

@@ -95,22 +95,134 @@ def test_angle_formulas_converge_at_fixed_scaled_m():
 
 
 def test_batched_matches_single(two_j=24):
+    # one shared refinement: the batched and single-state optimizers agree exactly
     batch_angles, batch_overlaps = angles.optimal_angles_for_target(two_j, 0)
     for two_m in (-two_j, -6, 4, 10, two_j):
         res = angles.optimal_angle(two_j, 0, two_m)
         i = (two_m + two_j) // 2
-        assert batch_angles[i] == pytest.approx(res.angle.radians, abs=1e-8)
-        assert batch_overlaps[i] == pytest.approx(res.overlap_probability, rel=1e-10)
+        assert batch_angles[i] == res.angle.radians
+        assert batch_overlaps[i] == res.overlap_probability
 
 
 def test_batched_nonzero_target():
     two_j = 16
     batch_angles, batch_overlaps = angles.optimal_angles_for_target(two_j, 4)
-    for two_m in (-16, -2, 8, 16):
+    for two_m in (-16, -4, -2, 8, 16):
         res = angles.optimal_angle(two_j, 4, two_m)
         i = (two_m + two_j) // 2
-        assert batch_angles[i] == pytest.approx(res.angle.radians, abs=1e-8)
-        assert batch_overlaps[i] == pytest.approx(res.overlap_probability, rel=1e-10)
+        assert batch_angles[i] == res.angle.radians
+        assert batch_overlaps[i] == res.overlap_probability
+
+
+def _golden_max(f, lo, hi, tol=1e-10):
+    """Golden-section reference maximizer (compares f values only)."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = f(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+_REFINE_CASES = [(24, 0), (41, 1), (100, 10), (400, 0), (16, 4)]
+
+
+@pytest.mark.parametrize("two_j,two_mt", _REFINE_CASES)
+def test_optimal_angles_are_local_maxima(two_j, two_mt):
+    batch_angles, batch_overlaps = angles.optimal_angles_for_target(two_j, two_mt)
+    i_t = (two_mt + two_j) // 2
+    for i, theta in enumerate(batch_angles):
+        if i == i_t:
+            continue
+        overlap = lambda th: float(wigner.row_probabilities(two_j, two_mt, th)[i])
+        here = overlap(theta)
+        if i > i_t:  # refined directly, not through the mirror
+            assert here == batch_overlaps[i]
+        for step in (-1e-4, 1e-4, -1e-7, 1e-7):
+            assert overlap(theta + step) <= here, (i, theta, step)
+
+
+@pytest.mark.parametrize("two_j,two_mt", _REFINE_CASES)
+def test_newton_refinement_matches_golden_section(two_j, two_mt):
+    # every state the batched optimizer refines, for each target it mirrors through
+    for target in sorted({two_mt, -two_mt}):
+        grid, best_idx = angles._grid_scan(two_j, target)
+        for i in range((target + two_j) // 2 + 1, two_j + 1):
+            lo, hi, start = angles._cell(grid, int(best_idx[i]))
+            res = angles._refine(two_j, target, i, lo, hi, start)
+            assert not res.fell_back
+            overlap = lambda th: float(wigner.row_probabilities(two_j, target, th)[i])
+            _, ref = _golden_max(overlap, lo, hi)
+            assert res.overlap_probability >= ref * (1.0 - 1e-14), (target, i)
+
+
+def test_optimal_angle_reaches_pi_for_mirror_state():
+    # d(pi) maps |m> to |-m>: the optimum for m = -m_t is pi with overlap 1
+    res = angles.optimal_angle(16, 4, -4)
+    assert abs(res.angle.radians) == pytest.approx(math.pi, abs=1e-9)
+    assert res.overlap_probability == pytest.approx(1.0, abs=1e-15)
+    half = angles.optimal_angle(41, 1, -1)
+    assert half.overlap_probability == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "two_j,two_mt,i", [(24, 0, 18), (41, 1, 30), (41, -3, 5), (100, 10, 80), (7, 1, 7)]
+)
+def test_row_derivatives_match_finite_differences(two_j, two_mt, i):
+    overlap = lambda th: float(wigner.row_probabilities(two_j, two_mt, th)[i])
+    h = 1e-4
+    for theta in (0.3, 1.1, 2.6, -0.8):
+        f, df, d2f = wigner.row_derivatives(two_j, two_mt, theta, i)
+        assert f == overlap(theta)
+        near = [overlap(theta + k * h) for k in (-2, -1, 1, 2)]
+        fd1 = (near[0] - 8.0 * near[1] + 8.0 * near[2] - near[3]) / (12.0 * h)
+        fd2 = (-near[0] + 16.0 * near[1] - 30.0 * f + 16.0 * near[2] - near[3]) / (12.0 * h * h)
+        assert df == pytest.approx(fd1, abs=1e-9)
+        assert d2f == pytest.approx(fd2, abs=1e-6)
+
+
+def test_refinement_evaluations_per_state(monkeypatch):
+    two_j = 256
+    calls = [0]
+    original = wigner._eigenvector
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(wigner, "_eigenvector", counting)
+    angles.optimal_angles_for_target(two_j, 0)
+    refined = two_j // 2  # the m > 0 sources; m < 0 come from the mirror
+    # beyond the shared grid scan: Newton steps plus one geometric candidate per state
+    assert calls[0] - len(angles._coarse_grid(two_j)) <= 8 * refined
+
+
+def _scalar_geometric(two_j, two_mt, two_m):
+    """The tangency formula in scalar math, the table's bitwise reference."""
+    j, mt, m = two_j / 2.0, two_mt / 2.0, two_m / 2.0
+    r0_sq = j * (j + 1.0)
+    arg = (m * math.sqrt(j * (j + 1.0) - mt * mt) - mt * math.sqrt(j * (j + 1.0) - m * m)) / r0_sq
+    return math.asin(max(-1.0, min(1.0, arg)))
+
+
+@pytest.mark.parametrize("two_j,two_mt", [(7, 1), (64, 0), (64, -20), (201, 201), (2048, 0)])
+def test_policy_tables_equal_scalar_loop(two_j, two_mt):
+    geo = angles.policy_angles(two_j, two_mt, AnglePolicy.GEOMETRIC)
+    ref = [_scalar_geometric(two_j, two_mt, 2 * i - two_j) for i in range(two_j + 1)]
+    assert geo.tobytes() == np.array(ref).tobytes()
+    for i in range(0, two_j + 1, 5):
+        assert angles.geometric_angle(two_j, two_mt, 2 * i - two_j).radians == ref[i]
+    if two_j % 2 == 0:
+        approx = angles.policy_angles(two_j, 0, AnglePolicy.APPROX_MT0)
+        ref = [angles.approx_angle_mt0(two_j, 2 * i - two_j).radians for i in range(two_j + 1)]
+        assert approx.tobytes() == np.array(ref).tobytes()
 
 
 def test_policy_angles_dispatch():

@@ -183,6 +183,25 @@ def test_statevector_columns_match_outcome_distribution():
         assert np.max(np.abs(col - exact)) < 1e-10
 
 
+def test_statevector_builds_each_column_cumulative_once(monkeypatch):
+    cfg = _cfg(60, policy=AnglePolicy.GEOMETRIC, seed=21)
+    built = []
+    original = simulate._normalized_cumulative
+
+    def counting(row):
+        built.append(row)
+        return original(row)
+
+    monkeypatch.setattr(simulate, "_normalized_cumulative", counting)
+    tables = simulate.PolicyTables(cfg)
+    steps = 0
+    for i in range(40):
+        steps += simulate.run_statevector(cfg, simulate.rng_stream(cfg.seed, i), tables).iterations
+    assert len(built) == len(tables._columns) < steps
+    for i_m, cum in tables._column_cums.items():
+        assert np.array_equal(cum, original(tables.row(i_m)))
+
+
 def test_statevector_record_structure():
     cfg = _cfg(12, seed=3)
     rec = simulate.run_statevector(cfg, simulate.rng_stream(cfg.seed, 0))
