@@ -103,16 +103,19 @@ def _grid_scan(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
     """The coarse grid and, per source state, the index of its best point.
 
     Each grid theta yields the whole row |d^j_{m_t,.}(theta)|^2 in O(j), so
-    one scan serves every m; ties go to the smallest theta.
+    one scan serves every m; the rows come in stacks of increasing theta,
+    and ties go to the smallest theta.
     """
     grid = _coarse_grid(two_j)
+    states = np.arange(two_j + 1)
     best_val = np.full(two_j + 1, -1.0)
     best_idx = np.zeros(two_j + 1, dtype=np.int64)
-    for gi, th in enumerate(grid):
-        row = wigner.row_probabilities(two_j, two_mt, th)
-        better = row > best_val  # strict: the smallest-theta maximum wins ties
-        best_val[better] = row[better]
-        best_idx[better] = gi
+    for rows, stack in wigner.row_stacks(two_j, two_mt, grid):
+        top = np.argmax(stack, axis=0)  # the first, smallest-theta maximum in the stack
+        val = stack[top, states]
+        better = val > best_val  # strict: an earlier stack keeps its tie
+        best_val[better] = val[better]
+        best_idx[better] = rows.start + top[better]
     return grid, best_idx
 
 
@@ -127,8 +130,26 @@ def _cell(grid: np.ndarray, b: int) -> tuple[float, float, float]:
     return lo, hi, grid[b]
 
 
+def overlap_probabilities(two_j: int, two_mt: int, states, thetas) -> np.ndarray:
+    """|d^j_{m_t,m}(theta)|^2 for each source index in states at its own
+    theta: entry k is row_probabilities(two_j, two_mt, thetas[k])[states[k]],
+    bit for bit, from stacked rows.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    out = np.empty(len(states))
+    for rows, stack in wigner.row_stacks(two_j, two_mt, thetas):
+        out[rows] = stack[np.arange(len(stack)), states[rows]]
+    return out
+
+
 def _refine(
-    two_j: int, two_mt: int, i: int, lo: float, hi: float, start: float
+    two_j: int,
+    two_mt: int,
+    i: int,
+    lo: float,
+    hi: float,
+    start: float,
+    candidate: tuple[float, float] | None = None,
 ) -> AnglePolicyResult:
     """Maximize f(theta) = |d^j_{m_t,m}(theta)|^2 (m at index i) in [lo, hi].
 
@@ -138,7 +159,7 @@ def _refine(
     bisects otherwise.  It stops once |f'/f''| < 1e-10 rad (or the bracket
     is that narrow) and returns the last evaluated theta with its f.  The
     geometric angle is then compared as a candidate (fell_back=True when it
-    wins).
+    wins); candidate = (angle, overlap) passes it in precomputed.
     """
     theta = start
     while True:
@@ -154,8 +175,10 @@ def _refine(
         newton = d2f < 0.0 and lo < theta - df / d2f < hi
         theta = theta - df / d2f if newton else 0.5 * (lo + hi)
 
-    theta_geo = geometric_angle(two_j, two_mt, 2 * i - two_j).radians
-    overlap_geo = float(wigner.row_probabilities(two_j, two_mt, theta_geo)[i])
+    if candidate is None:
+        theta_geo = geometric_angle(two_j, two_mt, 2 * i - two_j).radians
+        candidate = theta_geo, float(wigner.row_probabilities(two_j, two_mt, theta_geo)[i])
+    theta_geo, overlap_geo = candidate
     fell_back = f < overlap_geo
     return AnglePolicyResult(
         angle=Angle(theta_geo if fell_back else theta),
@@ -195,15 +218,20 @@ def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
 def _optimal_above_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimal (angle, overlap) per source state, filled only for m > m_t.
 
-    One coarse scan is shared across all m, after which every m is refined
-    in its own one-cell bracket by the same _refine as optimal_angle.
+    One coarse scan is shared across all m, and the geometric candidates
+    come from one stacked evaluation; then every m is refined in its own
+    one-cell bracket by the same _refine as optimal_angle.
     """
     n = two_j + 1
     grid, best_idx = _grid_scan(two_j, two_mt)
+    above = np.arange((two_mt + two_j) // 2 + 1, n)
+    theta_geo = _geometric_angles(two_j, two_mt, wigner.m_values(two_j)[above])
+    overlap_geo = overlap_probabilities(two_j, two_mt, above, theta_geo)
     angles = np.zeros(n)
     overlaps = np.ones(n)
-    for i in range((two_mt + two_j) // 2 + 1, n):
-        res = _refine(two_j, two_mt, i, *_cell(grid, int(best_idx[i])))
+    candidates = zip(theta_geo.tolist(), overlap_geo.tolist())
+    for i, candidate in zip(above.tolist(), candidates):
+        res = _refine(two_j, two_mt, i, *_cell(grid, int(best_idx[i])), candidate)
         angles[i] = res.angle.radians
         overlaps[i] = res.overlap_probability
     return angles, overlaps

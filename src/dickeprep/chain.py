@@ -26,7 +26,6 @@ from .core import (
     ProtocolConfig,
     ResetPolicy,
     SingularSystem,
-    SpinSpec,
 )
 from . import angles as angles_mod
 from . import wigner
@@ -64,9 +63,9 @@ def build_chain(config: ProtocolConfig) -> TransitionChain:
     """Build the protocol's transition matrix under config's policies.
 
     Rows are the measurement outcome distributions at the policy angle for
-    each source state (computed by the O(j) eigenvector kernel, which
-    tests pin against a dense matrix exponential), with reset routing applied and
-    the absorbing row at the target.  Every row is checked to sum to 1
+    each source state (computed in stacks by the O(j) eigenvector kernel,
+    which tests pin against a dense matrix exponential), with reset routing
+    applied and the absorbing row at the target.  Every row is checked to sum to 1
     within 1e-9.
     """
     two_j = config.two_j
@@ -75,13 +74,10 @@ def build_chain(config: ProtocolConfig) -> TransitionChain:
     theta = angles_mod.policy_angles(two_j, config.target_two_mt, config.angle_policy)
 
     matrix = np.empty((n, n))
-    for i in range(n):
-        if i == i_t:
-            matrix[i] = 0.0
-            matrix[i, i] = 1.0
-            continue
-        spec = SpinSpec(two_j, 2 * i - two_j)
-        matrix[i] = wigner.transition_probabilities(spec, theta[i])
+    for rows, probs in wigner.transition_stacks(two_j, wigner.two_m_values(two_j), theta):
+        matrix[rows] = probs
+    matrix[i_t] = 0.0
+    matrix[i_t, i_t] = 1.0
 
     if config.reset_policy.kind != ResetPolicy.NONE:
         two_m_grid = wigner.two_m_values(two_j)

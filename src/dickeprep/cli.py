@@ -107,28 +107,29 @@ def _cmd_dmatrix(args) -> int:
 
 def _angle_table(two_j: int, two_mt: int, which: str):
     from . import angles as angles_mod
-    from . import wigner
 
-    rows = []
+    states = [i for i in range(two_j + 1) if 2 * i - two_j != two_mt]
     if which in ("both", "numeric_optimal"):
         opt_angles, opt_overlaps = angles_mod.optimal_angles_for_target(two_j, two_mt)
-    for i in range(two_j + 1):
-        two_m = 2 * i - two_j
-        if two_m == two_mt:
-            continue
-        row: list = [two_m]
+    if which in ("both", "geometric"):
+        geo = [angles_mod.geometric_angle(two_j, two_mt, 2 * i - two_j).radians for i in states]
+        geo_overlaps = angles_mod.overlap_probabilities(two_j, two_mt, states, geo)
+    if which == "approx_mt0":
+        approx = [angles_mod.approx_angle_mt0(two_j, 2 * i - two_j).radians for i in states]
+        approx_overlaps = angles_mod.overlap_probabilities(two_j, two_mt, states, approx)
+    rows = []
+    for k, i in enumerate(states):
+        row: list = [2 * i - two_j]
         if which in ("both", "geometric"):
-            geo = angles_mod.geometric_angle(two_j, two_mt, two_m).radians
-            row.append(geo)
+            row.append(geo[k])
         if which in ("both", "numeric_optimal"):
             row.append(float(opt_angles[i]))
         if which in ("both", "geometric"):
-            row.append(float(wigner.row_probabilities(two_j, two_mt, geo)[i]))
+            row.append(float(geo_overlaps[k]))
         if which in ("both", "numeric_optimal"):
             row.append(float(opt_overlaps[i]))
         if which == "approx_mt0":
-            th = angles_mod.approx_angle_mt0(two_j, two_m).radians
-            row += [th, float(wigner.row_probabilities(two_j, two_mt, th)[i])]
+            row += [approx[k], float(approx_overlaps[k])]
         rows.append(tuple(row))
     return rows
 

@@ -14,6 +14,16 @@ over m' = -j..j (index i maps to two_m' = 2i - two_j).  Two column backends:
   iteration recovers it in O(j) to machine precision; the global sign is
   then fixed from the closed-form edge elements d^j_{+-j,m}(theta).
 
+  Many rows of one j are solved as a stack (``_eigenvectors``): K shifted
+  tridiagonals become the diagonal blocks of one block-diagonal system,
+  factored by one LAPACK gttrf call and solved by two gttrs calls.  The
+  couplings between blocks are zero, so the blocks cannot interact:
+  dgttrf's partial-pivoting test |d| >= |dl| = 0 always holds at a block
+  boundary (no row interchange crosses it), and the fill it adds there is
+  0 * du = 0.  Each block's factors and solves are therefore the ones it
+  gets alone, bit for bit.  A row that fails its first attempt is redone
+  alone; a single row is the stack of one.
+
 ``rotate_state`` applies exp(-i theta J_y) to a general real vector by a
 Chebyshev expansion of the exponential (Bessel-function coefficients,
 three-term recurrence of tridiagonal matvecs), O(|theta| j^2).
@@ -30,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,11 +340,13 @@ def outcome_distribution(spec: SpinSpec, angle, backend: str = BACKEND_EIGENVECT
 
 
 # ---------------------------------------------------------------------------
-# backend b: the rotated column as an eigenvector, by inverse iteration
+# backend b: the rotated column as an eigenvector, by stacked inverse iteration
 
 _START_KEY = 0x5D1C_E000  # fixed Philox key base: deterministic start vectors
 _START_CACHE_SIZE = 64  # (n, attempt) start vectors kept; a chain reuses one n
 _RESOLVED = 1e-8  # entries above this fraction of the largest have a trustworthy sign
+_STACK_ENTRIES = 2**14  # entries per stacked solve; 2**16 raised peak RSS by 3-6 MB
+_EPS = np.finfo(np.float64).eps
 
 
 @functools.lru_cache(maxsize=_START_CACHE_SIZE)
@@ -345,73 +358,146 @@ def _start_vector(n: int, attempt: int = 0) -> np.ndarray:
     return v
 
 
-def _eigenvector(two_j: int, two_m: int, theta: float) -> np.ndarray:
-    """Unit eigenvector of H = cos(theta) J_z + sin(theta) J_x for the
-    eigenvalue m, up to sign.
+@functools.lru_cache(maxsize=_START_CACHE_SIZE)
+def _operators(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of J_z and the ladder strengths, read-only."""
+    m_grid = np.arange(two_j + 1) - two_j / 2.0
+    ladder = ladder_strengths(two_j)
+    m_grid.setflags(write=False)
+    ladder.setflags(write=False)
+    return m_grid, ladder
 
-    The eigenvalues of H are the integers/half-integers -j..j with unit
-    spacing, so inverse iteration with the exact shift converges in one or
-    two solves.  Zero pivots from the exact shift are floored at eps*j, the
-    same device LAPACK's stein uses.  Raises NormDrift when no attempt
-    passes the residual check.
+
+def _factor(two_j: int, two_ms: np.ndarray, thetas: np.ndarray):
+    """LU factors of the K shifted tridiagonals H_k - m_k, placed as blocks
+    along the diagonal of one (K n) x (K n) system with zero couplings
+    between blocks, from one gttrf call.
+
+    Returns (diag, off, lu): the (K, n) diagonals and (K, n - 1) couplings
+    for the residual check, and the gttrs factor arguments.  Zero pivots
+    from the exact shift are floored at eps*j, the device LAPACK's stein
+    uses.
     """
-    n = two_j + 1
-    if theta == 0.0 or n == 1:
-        v = np.zeros(n)
-        v[(two_m + two_j) // 2] = 1.0
-        return v
-    if n == 2:  # the banded LU needs n >= 3; spin-1/2 has a closed form
-        c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-        return np.array([s, c]) if two_m > 0 else np.array([c, -s])
-    j = two_j / 2.0
-    m_val = two_m / 2.0
-    m_grid = np.arange(n) - j
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    off = sin_t * ladder_strengths(two_j) / 2.0
-    diag = cos_t * m_grid - m_val
-
-    dlf, df, duf, du2, ipiv, info = _gttrf(off.copy(), diag.copy(), off.copy())
+    m_grid, ladder = _operators(two_j)
+    diag = np.multiply.outer(np.cos(thetas), m_grid)
+    diag -= two_ms[:, None] / 2.0
+    coupling = np.zeros((len(thetas), two_j + 1))
+    off = coupling[:, :-1]
+    np.multiply.outer(np.sin(thetas), ladder, out=off)
+    off /= 2.0
+    flat = coupling.ravel()[:-1]  # entry k n - 1 couples block k to block k + 1: zero
+    dlf, df, duf, du2, ipiv, info = _gttrf(flat, diag.ravel(), flat)
     if info < 0:
         raise OutOfRange(f"gttrf failed with info={info}")
-    floor = np.finfo(np.float64).eps * max(1.0, j)
+    floor = _EPS * max(1.0, two_j / 2.0)
     tiny = np.abs(df) < floor
     if tiny.any():
         df = np.where(tiny, np.where(df < 0.0, -floor, floor), df)
+    return diag, off, (dlf, df, duf, du2, ipiv)
 
-    def residual(x: np.ndarray) -> float:
-        r = diag * x
-        r[:-1] += off * x[1:]
-        r[1:] += off * x[:-1]
-        return float(np.max(np.abs(r)))
 
-    tol = 1e-10 * max(1.0, j)
+def _solve(lu, v: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """One stacked solve with the rows of v as right-hand sides, each row
+    then normalised.  Non-finite rows are flagged in bad and zeroed: at the
+    zero couplings 0 * nan = nan, so they would reach the neighbouring
+    blocks on the next solve.
+    """
+    x, info = _gttrs(*lu, v.ravel())
+    x = x.reshape(v.shape)
+    sq = np.vecdot(x, x)  # per row, the bits of the v.dot(v) in np.linalg.norm (tested)
+    bad |= ~np.isfinite(sq)
+    if info != 0:
+        bad[:] = True
+    if bad.any():
+        x[bad] = 0.0
+        sq[bad] = 1.0
+    x /= np.sqrt(sq)[:, None]
+    return x
+
+
+def _residuals(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """max |(H_k - m_k) v_k| per row."""
+    r = diag * v
+    r[:, :-1] += off * v[:, 1:]
+    r[:, 1:] += off * v[:, :-1]
+    return np.abs(r).max(axis=1)
+
+
+def _eigenvectors(two_j: int, two_ms, thetas) -> np.ndarray:
+    """Unit eigenvectors, up to sign, of H_k = cos(theta_k) J_z +
+    sin(theta_k) J_x for the eigenvalues m_k: row k of the (K, n) result.
+
+    The eigenvalues of H are the integers/half-integers -j..j with unit
+    spacing, so inverse iteration with the exact shift converges in one or
+    two solves.  All K rows go into one gttrf and two gttrs calls as the
+    blocks of one block-diagonal system (transition_stacks keeps K n near
+    _STACK_ENTRIES).  The blocks cannot interact: the couplings between
+    them are zero, so dgttrf's pivot test |d| >= |dl| = 0 always holds at
+    a block boundary and its fill there is 0 * du = 0; each block's
+    factors and solves are the ones it gets alone, bit for bit.  A row
+    that fails its first attempt (non-finite, or residual above
+    tolerance) is redone alone by _retry.  theta = 0, spin 0 and spin 1/2
+    have closed forms.
+    """
+    two_ms = np.asarray(two_ms, dtype=np.int64)
+    thetas = np.asarray(thetas, dtype=np.float64)
+    n, count = two_j + 1, len(thetas)
+    if n <= 2 or not thetas.all():
+        out = np.zeros((count, n))
+        basis = (thetas == 0.0) | (n == 1)
+        out[basis, (two_ms[basis] + two_j) // 2] = 1.0
+        rest = np.flatnonzero(~basis)
+        if n == 2:  # the banded LU needs n >= 3
+            c, s = np.cos(0.5 * thetas[rest]), np.sin(0.5 * thetas[rest])
+            up = (two_ms[rest] > 0)[:, None]
+            out[rest] = np.where(up, np.stack([s, c], axis=1), np.stack([c, -s], axis=1))
+        elif len(rest):
+            out[rest] = _eigenvectors(two_j, two_ms[rest], thetas[rest])
+        return out
+    diag, off, lu = _factor(two_j, two_ms, thetas)
+    bad = np.zeros(count, dtype=bool)
+    v = np.tile(_start_vector(n), (count, 1))
+    for _ in range(2):
+        v = _solve(lu, v, bad)
+    tol = 1e-10 * max(1.0, two_j / 2.0)
+    for k in np.flatnonzero(bad | ~(_residuals(diag, off, v) <= tol)):
+        v[k] = _retry(two_j, int(two_ms[k]), float(thetas[k]), tol)
+    return v
+
+
+def _retry(two_j: int, two_m: int, theta: float, tol: float) -> np.ndarray:
+    """One row alone, through up to three start vectors: two solves each,
+    plus a third when the residual check fails.  Raises NormDrift naming
+    the row when no attempt passes.
+    """
+    diag, off, lu = _factor(two_j, np.array([two_m]), np.array([theta]))
     best = np.inf
     for attempt in range(3):
-        v = _start_vector(n, attempt).copy()
-        ok = True
+        bad = np.zeros(1, dtype=bool)
+        v = _start_vector(two_j + 1, attempt)[None, :]
         for _ in range(2):
-            v, solve_info = _gttrs(dlf, df, duf, du2, ipiv, v)
-            if solve_info != 0 or not np.all(np.isfinite(v)):
-                ok = False
-                break
-            v /= np.linalg.norm(v)
-        if not ok:
+            v = _solve(lu, v, bad)
+        if bad[0]:
             continue
-        res = residual(v)
+        res = _residuals(diag, off, v)[0]
         if res <= tol:
-            return v
+            return v[0]
         best = min(best, res)
-        v2, solve_info = _gttrs(dlf, df, duf, du2, ipiv, v)
-        if solve_info == 0 and np.all(np.isfinite(v2)):
-            v2 /= np.linalg.norm(v2)
-            res = residual(v2)
+        v = _solve(lu, v, bad)
+        if not bad[0]:
+            res = _residuals(diag, off, v)[0]
             if res <= tol:
-                return v2
+                return v[0]
             best = min(best, res)
     raise NormDrift(
         f"inverse iteration found no eigenvector (two_j={two_j}, two_m={two_m}, "
         f"theta={theta!r}): best residual {best:.3e} > {tol:.1e}"
     )
+
+
+def _eigenvector(two_j: int, two_m: int, theta: float) -> np.ndarray:
+    """The one-row case of _eigenvectors."""
+    return _eigenvectors(two_j, (two_m,), (theta,))[0]
 
 
 def _column_eigenvector(spec: SpinSpec, theta: float) -> np.ndarray:
@@ -461,6 +547,25 @@ def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:
     return v * v
 
 
+def transition_stacks(two_j: int, two_ms, angles) -> Iterator[tuple[slice, np.ndarray]]:
+    """transition_probabilities for many (two_m, angle) pairs of one two_j,
+    one stacked solve at a time.
+
+    Yields (rows, probabilities): a slice of the inputs and the array whose
+    row k is transition_probabilities(SpinSpec(two_j, two_ms[rows][k]),
+    angles[rows][k]), bit for bit.  A stack holds about _STACK_ENTRIES
+    entries, so memory stays flat however many rows are asked for.
+    """
+    two_ms = np.asarray(two_ms, dtype=np.int64)
+    thetas = np.asarray(angles, dtype=np.float64)
+    step = max(1, _STACK_ENTRIES // (two_j + 1))
+    for first in range(0, len(thetas), step):
+        rows = slice(first, first + step)
+        v = _eigenvectors(two_j, two_ms[rows], thetas[rows])
+        v *= v
+        yield rows, v
+
+
 def row_derivatives(two_j: int, two_m_target: int, angle, i: int) -> tuple[float, float, float]:
     """f = row_probabilities(two_j, two_m_target, angle)[i] and its first
     and second theta-derivatives, from the same O(j) eigenvector.
@@ -497,3 +602,13 @@ def row_probabilities(two_j: int, two_m_target: int, angle) -> np.ndarray:
     """
     theta = _as_radians(angle)
     return transition_probabilities(SpinSpec(two_j, two_m_target), -theta)
+
+
+def row_stacks(two_j: int, two_m_target: int, angles) -> Iterator[tuple[slice, np.ndarray]]:
+    """row_probabilities for many angles at one target, in the stacks of
+    transition_stacks: row k of a stack is
+    row_probabilities(two_j, two_m_target, angles[rows][k]), bit for bit.
+    """
+    SpinSpec(two_j, two_m_target)  # validates now, not at the first stack
+    thetas = np.asarray(angles, dtype=np.float64)
+    return transition_stacks(two_j, np.full(len(thetas), two_m_target), -thetas)

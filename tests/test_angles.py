@@ -243,3 +243,72 @@ def test_geometric_angle_domain_clamp():
         for two_mt in range(-two_j, two_j + 1, 2):
             for two_m in range(-two_j, two_j + 1, 2):
                 angles.geometric_angle(two_j, two_mt, two_m)  # must not raise
+
+
+@pytest.mark.parametrize("entries", [1, 3 * 41 + 5, 2**14])
+@pytest.mark.parametrize("two_j,two_mt", [(40, 0), (40, -6), (41, 1), (64, 64)])
+def test_stacked_grid_scan_equals_row_loop(monkeypatch, entries, two_j, two_mt):
+    monkeypatch.setattr(wigner, "_STACK_ENTRIES", entries)
+    grid, best_idx = angles._grid_scan(two_j, two_mt)
+    best_val = np.full(two_j + 1, -1.0)
+    ref = np.zeros(two_j + 1, dtype=np.int64)
+    for gi, th in enumerate(grid):
+        row = wigner.row_probabilities(two_j, two_mt, th)
+        better = row > best_val  # strict: the smallest theta wins ties
+        best_val[better] = row[better]
+        ref[better] = gi
+    assert np.array_equal(best_idx, ref)
+
+
+def test_stacked_grid_scan_keeps_the_first_tie(monkeypatch):
+    # equal rows at every grid point: each state's best stays at index 0
+    def flat_rows(two_j, two_mt, thetas):
+        step = 3
+        for first in range(0, len(thetas), step):
+            rows = slice(first, min(first + step, len(thetas)))
+            yield rows, np.full((rows.stop - rows.start, two_j + 1), 0.25)
+
+    monkeypatch.setattr(wigner, "row_stacks", flat_rows)
+    _, best_idx = angles._grid_scan(6, 0)
+    assert not best_idx.any()
+
+
+@pytest.mark.parametrize("two_j,two_mt", [(33, -5), (200, 24), (2048, 0)])
+def test_overlap_probabilities_equal_row_entries(two_j, two_mt):
+    rng = np.random.default_rng(two_j)
+    states = rng.integers(0, two_j + 1, 12)
+    thetas = rng.uniform(-3.5, 3.5, 12)
+    thetas[4] = 0.0
+    got = angles.overlap_probabilities(two_j, two_mt, states, thetas)
+    for k in range(12):
+        assert got[k] == wigner.row_probabilities(two_j, two_mt, thetas[k])[states[k]]
+
+
+def test_optimizer_rows_come_in_stacks(monkeypatch):
+    # the grid scan and the geometric candidates are stacked; only the
+    # Newton steps go one row at a time
+    two_j = 256
+    rows = [0]
+    original = wigner._eigenvectors
+
+    def counting(two_j, two_ms, thetas):
+        rows[0] += len(thetas)
+        return original(two_j, two_ms, thetas)
+
+    factorizations = [0]
+    real_gttrf = wigner._gttrf
+
+    def counting_gttrf(*args):
+        factorizations[0] += 1
+        return real_gttrf(*args)
+
+    monkeypatch.setattr(wigner, "_eigenvectors", counting)
+    monkeypatch.setattr(wigner, "_gttrf", counting_gttrf)
+    angles.optimal_angles_for_target(two_j, 0)
+    refined = two_j // 2
+    grid = len(angles._coarse_grid(two_j))
+    newton = rows[0] - grid - refined
+    assert newton <= 8 * refined
+    per_stack = wigner._STACK_ENTRIES // (two_j + 1)
+    stacks = math.ceil(grid / per_stack) + math.ceil(refined / per_stack)
+    assert factorizations[0] == stacks + newton

@@ -1,0 +1,60 @@
+"""Property tests of the rotation kernel's invariants (Hypothesis)."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from dickeprep.core import SpinSpec  # noqa: E402
+from dickeprep import wigner  # noqa: E402
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+special_angles = st.sampled_from(
+    [0.0, 1e-300, 1e-12, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.pi - 1e-12, 4 * math.pi]
+)
+angles = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False) | special_angles
+
+
+@st.composite
+def stacks(draw, max_two_j=300):
+    """(two_j, two_ms, thetas): one two_j and up to 12 rows."""
+    two_j = draw(st.integers(0, max_two_j))
+    count = draw(st.integers(1, 12))
+    indices = draw(st.lists(st.integers(0, two_j), min_size=count, max_size=count))
+    thetas = draw(st.lists(angles, min_size=count, max_size=count))
+    return two_j, [2 * i - two_j for i in indices], thetas
+
+
+@PROPERTY_SETTINGS
+@given(stacks(), st.integers(1, 4 * 301))
+def test_stacked_row_equals_single_row(stack, entries):
+    two_j, two_ms, thetas = stack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigner, "_STACK_ENTRIES", entries)
+        rows = np.vstack([p for _, p in wigner.transition_stacks(two_j, two_ms, thetas)])
+    for row, two_m, theta in zip(rows, two_ms, thetas):
+        assert row.tobytes() == wigner.transition_probabilities(SpinSpec(two_j, two_m), theta).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(stacks(max_two_j=2048))
+def test_rows_sum_to_one(stack):
+    two_j, two_ms, thetas = stack
+    for _, probs in wigner.transition_stacks(two_j, two_ms, thetas):
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 40), angles)
+def test_transpose_is_the_inverse_rotation(two_j, theta):
+    # d(theta)^T = d(-theta), signed, for integer and half-integer j
+    def matrix(angle):
+        return np.column_stack(
+            [wigner.d_column(SpinSpec(two_j, 2 * i - two_j), angle).amplitudes for i in range(two_j + 1)]
+        )
+
+    assert np.max(np.abs(matrix(theta).T - matrix(-theta))) <= 1e-12

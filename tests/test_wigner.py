@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
 from dickeprep.core import NormDrift, OutOfRange, SpinSpec
 from dickeprep import wigner
@@ -240,3 +241,151 @@ def test_failed_inverse_iteration_raises(monkeypatch):
         wigner.transition_probabilities(SpinSpec(20, 4), 0.9)
     with pytest.raises(NormDrift):
         wigner.d_column(SpinSpec(20, 4), 0.9)
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel: K rows from one gttrf and two gttrs calls
+
+ZERO_PIVOT_THETA = math.asin((12 * math.sqrt(16 * 17)) / (16.0 * 17.0))  # at (32, 24)
+STACK_THETAS = [
+    1e-300, 1e-12, -3e-9,  # tiny
+    math.pi / 2, math.pi / 2 - 1e-9, -math.pi / 2 + 1e-12,  # near +-pi/2
+    math.pi, -math.pi, math.pi - 1e-12, -math.pi + 1e-9,  # near +-pi
+    3.5, -4.2, 7.0, 4 * math.pi - 0.1,  # beyond pi
+    0.0, 0.7, -1.9, 0.0,  # theta = 0 rows mixed in
+]
+
+
+def _assert_rows_equal_single(two_j, two_ms, thetas):
+    stacked = wigner._eigenvectors(two_j, two_ms, thetas)
+    assert stacked.shape == (len(thetas), two_j + 1)
+    for k, (two_m, theta) in enumerate(zip(two_ms, thetas)):
+        single = wigner._eigenvector(two_j, two_m, theta)
+        # squared rows bit for bit; signed entries equal as numbers (an
+        # underflowed entry may carry either sign of zero at a block edge)
+        assert (stacked[k] * stacked[k]).tobytes() == (single * single).tobytes()
+        assert np.array_equal(stacked[k], single)
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 32, 33, 200, 201, 2048])
+def test_stacked_rows_equal_single_rows(two_j):
+    rng = np.random.default_rng(two_j)
+    two_ms = 2 * rng.integers(0, two_j + 1, len(STACK_THETAS)) - two_j
+    _assert_rows_equal_single(two_j, two_ms, STACK_THETAS)
+
+
+def test_stacked_zero_pivot_row():
+    thetas = [ZERO_PIVOT_THETA, 0.4, ZERO_PIVOT_THETA, -ZERO_PIVOT_THETA]
+    _assert_rows_equal_single(32, [24, 24, -8, 24], thetas)
+
+
+@pytest.mark.parametrize("entries", [1, 33 * 3 + 1, 33 * 5 - 1, 2**14])
+def test_stack_sizes_that_do_not_divide_the_rows(monkeypatch, entries):
+    monkeypatch.setattr(wigner, "_STACK_ENTRIES", entries)
+    rng = np.random.default_rng(entries)
+    thetas = rng.uniform(-4.0, 4.0, 17)
+    thetas[[3, 11]] = 0.0
+    two_ms = 2 * rng.integers(0, 33, len(thetas)) - 32
+    _assert_rows_equal_single(32, two_ms, thetas)
+    stacks = list(wigner.transition_stacks(32, two_ms, thetas))
+    step = max(1, entries // 33)
+    assert [s.stop - s.start for s, _ in stacks][:-1] == [step] * (len(stacks) - 1)
+    for rows, probs in stacks:
+        for k, p in zip(range(rows.start, rows.stop), probs):
+            single = wigner.transition_probabilities(SpinSpec(32, int(two_ms[k])), thetas[k])
+            assert p.tobytes() == single.tobytes()
+
+
+def _first_attempt_reference(two_j, two_m, theta):
+    """One row's first inverse-iteration attempt written out alone: one
+    gttrf, two gttrs, np.linalg.norm after each."""
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0),))
+    off = np.sin(theta) * wigner.ladder_strengths(two_j) / 2.0
+    diag = np.cos(theta) * (np.arange(two_j + 1) - two_j / 2.0) - two_m / 2.0
+    dl, d, du, du2, ipiv, _ = gttrf(off, diag, off)
+    floor = np.finfo(np.float64).eps * max(1.0, two_j / 2.0)
+    d = np.where(np.abs(d) < floor, np.where(d < 0.0, -floor, floor), d)
+    v = wigner._start_vector(two_j + 1, 0)
+    for _ in range(2):
+        v, _ = gttrs(dl, d, du, du2, ipiv, v)
+        v = v / np.linalg.norm(v)
+    r = diag * v
+    r[:-1] += off * v[1:]
+    r[1:] += off * v[:-1]
+    return v, np.max(np.abs(r)) <= 1e-10 * max(1.0, two_j / 2.0)
+
+
+@pytest.mark.parametrize("two_j", [2, 3, 32, 201, 2048])
+def test_stacked_rows_equal_per_row_reference(two_j):
+    rng = np.random.default_rng(two_j + 1)
+    thetas = [t for t in STACK_THETAS if t != 0.0]
+    two_ms = 2 * rng.integers(0, two_j + 1, len(thetas)) - two_j
+    stacked = wigner._eigenvectors(two_j, two_ms, thetas)
+    checked = 0
+    for k, (two_m, theta) in enumerate(zip(two_ms, thetas)):
+        ref, passed = _first_attempt_reference(two_j, int(two_m), theta)
+        if passed:  # a row that fails its first attempt is redone alone
+            assert (stacked[k] * stacked[k]).tobytes() == (ref * ref).tobytes()
+            checked += 1
+    assert checked >= len(thetas) - 2
+
+
+def test_row_norms_match_linalg_norm():
+    # the stacked normalisation relies on np.vecdot(V, V) giving, per row,
+    # the bits of the v.dot(v) inside np.linalg.norm
+    rng = np.random.default_rng(5)
+    for n in (3, 33, 65, 201, 2049, 4097):
+        rows = rng.standard_normal((9, n)) * np.logspace(-150, 150, 9)[:, None]
+        rows = np.vstack([rows, wigner._eigenvectors(n - 1, [n - 3] * 3, [0.3, 1.7, -2.9])])
+        got = np.sqrt(np.vecdot(rows, rows))
+        assert got.tobytes() == np.array([np.linalg.norm(v) for v in rows]).tobytes()
+
+
+def test_chain_rows_take_few_factorizations(monkeypatch):
+    calls = [0]
+    real = wigner._gttrf
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(wigner, "_gttrf", counting)
+    list(wigner.transition_stacks(200, wigner.two_m_values(200), np.full(201, 0.7)))
+    assert calls[0] == math.ceil(201 / (wigner._STACK_ENTRIES // 201))
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_poisoned_block_stays_in_its_block(monkeypatch, poison):
+    two_j, n = 40, 41
+    two_ms = [40, 4, -12, 0, 38]
+    thetas = [0.3, 0.9, -2.0, 1.4, 2.9]
+    expected = [wigner._eigenvector(two_j, m, t) for m, t in zip(two_ms, thetas)]
+    real_gttrs, real_retry = wigner._gttrs, wigner._retry
+    retried = []
+    alone_too = [False]
+
+    def poisoned(dl, d, du, du2, ipiv, b):
+        x, info = real_gttrs(dl, d, du, du2, ipiv, b)
+        x = x.copy()
+        if len(b) > n:
+            x[2 * n:3 * n] = poison  # the third row's block
+        elif alone_too[0]:
+            x[:] = poison
+        return x, info
+
+    def spying(two_j, two_m, theta, tol):
+        retried.append((two_m, theta))
+        return real_retry(two_j, two_m, theta, tol)
+
+    monkeypatch.setattr(wigner, "_gttrs", poisoned)
+    monkeypatch.setattr(wigner, "_retry", spying)
+    got = wigner._eigenvectors(two_j, two_ms, thetas)
+    assert retried == [(-12, -2.0)]
+    for k in range(len(thetas)):
+        assert got[k].tobytes() == expected[k].tobytes()
+
+    retried.clear()
+    alone_too[0] = True
+    with pytest.raises(NormDrift, match=r"two_j=40, two_m=-12, theta=-2\.0\)"):
+        wigner._eigenvectors(two_j, two_ms, thetas)
+    assert retried == [(-12, -2.0)]
