@@ -8,14 +8,24 @@ at |m'| above the threshold into the all-up state m = j (measure + reset
 count as one loop iteration).
 
 Expected absorption times come from the standard fundamental-matrix
-identity: on the transient states, (I - Q) t = 1, solved on the states
-the walk can enter (Kemeny & Snell, Finite Markov Chains, 1960).
+identity: on the transient states, (I - Q) t = 1 (Kemeny & Snell, Finite
+Markov Chains, 1960).  expected_steps_for solves it on the entered set S,
+read off the policy alone: the transient states a reset leaves in place
+(|m| within the threshold) plus the start state m = j, or every transient
+state when there is no reset.  A routed row puts all of its mass in S and
+the target, so S is closed: only S's rows are computed and only the S x S
+block is stored.  Every other transient state r follows from its own row,
+t_r = 1 + P[r, S] t_S, filled when the report's expected_steps_from is
+first read.  build_chain and expected_steps keep the dense n x n matrix for
+callers that want the matrix itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
@@ -49,18 +59,77 @@ class TransitionChain:
 
 @dataclass(frozen=True)
 class AbsorptionReport:
-    """Expected steps before absorption, per starting state."""
+    """Expected steps before absorption, per starting state.
 
-    expected_steps_from: np.ndarray  # indexed like the m grid; 0 at the target
-    start_state_value: float         # from the protocol's start state m = j
+    expected_steps_from is indexed like the m grid, with 0 at the target.
+    It is computed on first access and cached; start_state_value, from the
+    protocol's start state m = j, does not need it.
+    """
+
+    start_state_value: float
     angle_policy: str
     reset_policy: ResetPolicy
     two_j: int
     target_two_mt: int
+    _fill: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def expected_steps_from(self) -> np.ndarray:
+        return self._fill()
+
+
+def _report(config: ProtocolConfig, start: float, fill: Callable[[], np.ndarray]) -> AbsorptionReport:
+    return AbsorptionReport(
+        start_state_value=start,
+        angle_policy=config.angle_policy,
+        reset_policy=config.reset_policy,
+        two_j=config.two_j,
+        target_two_mt=config.target_two_mt,
+        _fill=fill,
+    )
+
+
+def _rerouted(config: ProtocolConfig) -> np.ndarray:
+    """The states whose measurement fires a reset; absorption wins over reset."""
+    rerouted = config.reset_policy.mask(config.two_j)
+    rerouted[config.target_index] = False
+    return rerouted
+
+
+def _routed_rows(
+    config: ProtocolConfig, theta: np.ndarray, rerouted: np.ndarray, states: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The outcome rows of the source states (grid indices), one stack at a
+    time, with the mass measured at rerouted states moved to the start state
+    m = j.  Each routed row is checked to sum to 1 within 1e-9.
+    """
+    two_j = config.two_j
+    for rows, probs in wigner.transition_stacks(two_j, 2 * states - two_j, theta[states]):
+        if rerouted.any():
+            moved = probs[:, rerouted].sum(axis=1)
+            probs[:, rerouted] = 0.0
+            probs[:, -1] += moved
+        row_dev = np.max(np.abs(probs.sum(axis=1) - 1.0))
+        if row_dev > _ROW_SUM_TOL:
+            raise SingularSystem(f"row sums deviate from 1 by {row_dev:.3e}")
+        yield rows, probs
+
+
+def _solve(q: np.ndarray) -> np.ndarray:
+    """t with (I - q) t = 1; q is overwritten."""
+    np.negative(q, out=q)
+    q[np.diag_indices_from(q)] += 1.0
+    try:
+        t = scipy.linalg.solve(q, np.ones(len(q)), overwrite_a=True, overwrite_b=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSystem(f"(I - Q) is numerically singular: {exc}") from exc
+    if not np.all(np.isfinite(t)):
+        raise SingularSystem("(I - Q) solve produced non-finite expected steps")
+    return t
 
 
 def build_chain(config: ProtocolConfig) -> TransitionChain:
-    """Build the protocol's transition matrix under config's policies.
+    """Build the protocol's dense transition matrix under config's policies.
 
     Rows are the measurement outcome distributions at the policy angle for
     each source state (computed in stacks by the O(j) eigenvector kernel,
@@ -74,72 +143,36 @@ def build_chain(config: ProtocolConfig) -> TransitionChain:
     theta = angles_mod.policy_angles(two_j, config.target_two_mt, config.angle_policy)
 
     matrix = np.empty((n, n))
-    for rows, probs in wigner.transition_stacks(two_j, wigner.two_m_values(two_j), theta):
+    for rows, probs in _routed_rows(config, theta, _rerouted(config), np.arange(n)):
         matrix[rows] = probs
     matrix[i_t] = 0.0
     matrix[i_t, i_t] = 1.0
-
-    if config.reset_policy.kind != ResetPolicy.NONE:
-        two_m_grid = wigner.two_m_values(two_j)
-        rerouted = np.array(
-            [config.reset_policy.triggers(two_j, int(tm)) for tm in two_m_grid]
-        )
-        rerouted[i_t] = False  # absorption wins over reset
-        if rerouted.any():
-            moved = matrix[:, rerouted].sum(axis=1)
-            matrix[:, rerouted] = 0.0
-            matrix[:, n - 1] += moved
-            matrix[i_t] = 0.0
-            matrix[i_t, i_t] = 1.0
-
-    row_dev = np.max(np.abs(matrix.sum(axis=1) - 1.0))
-    if row_dev > _ROW_SUM_TOL:
-        raise SingularSystem(f"row sums deviate from 1 by {row_dev:.3e}")
     return TransitionChain(config=config, matrix=matrix, absorbing_index=i_t, angles=theta)
 
 
 def expected_steps(chain: TransitionChain) -> AbsorptionReport:
-    """Solve (I - Q) t = 1 for the expected number of iterations before
-    absorption.
+    """Solve (I - Q) t = 1 on a dense chain for the expected number of
+    iterations before absorption.
 
     The solve runs only on the transient states the walk can enter: those
     with a non-zero column in the matrix, plus the start state m = j.  Every
     row's mass lies in entered columns, so each other transient state r
-    follows exactly from one product, t_r = 1 + P[r, S] t_S.  The sqrt_j
-    reset shrinks the O(n^3) solve to its O(sqrt(j))-state window; without
-    a reset every column is entered and the solve covers all transient
-    states.
+    follows exactly from one product, t_r = 1 + P[r, S] t_S.
     (I - Q) is block triangular in (S, rest) with identity on the rest, so
     it is singular exactly when its S block is.
     """
     n = chain.size
     i_t = chain.absorbing_index
+    p = chain.matrix
+    transient = np.arange(n) != i_t
+    solved = p.any(axis=0) & transient
+    solved[n - 1] = transient[n - 1]  # the start state, unless it is the target
+    t = _solve(p[np.ix_(solved, solved)])
     out = np.zeros(n)
-    if n > 1:
-        p = chain.matrix
-        transient = np.arange(n) != i_t
-        solved = p.any(axis=0) & transient
-        solved[n - 1] = transient[n - 1]  # the start state, unless it is the target
-        a = p[np.ix_(solved, solved)]  # fresh copy; negate in place to save memory
-        np.negative(a, out=a)
-        a[np.diag_indices_from(a)] += 1.0
-        try:
-            t = scipy.linalg.solve(a, np.ones(len(a)), overwrite_a=True, overwrite_b=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystem(f"(I - Q) is numerically singular: {exc}") from exc
-        if not np.all(np.isfinite(t)):
-            raise SingularSystem("(I - Q) solve produced non-finite expected steps")
-        out[solved] = t
-        rest = transient & ~solved
-        out[rest] = 1.0 + p[np.ix_(rest, solved)] @ t
-    return AbsorptionReport(
-        expected_steps_from=out,
-        start_state_value=float(out[n - 1]),
-        angle_policy=chain.config.angle_policy,
-        reset_policy=chain.config.reset_policy,
-        two_j=chain.config.two_j,
-        target_two_mt=chain.config.target_two_mt,
-    )
+    out[solved] = t
+    rest = transient & ~solved
+    out[rest] = 1.0 + p[np.ix_(rest, solved)] @ t
+    return _report(chain.config, float(out[n - 1]), lambda: out)
 
 
 def expected_steps_for(
@@ -148,14 +181,42 @@ def expected_steps_for(
     angle_policy: str = AnglePolicy.GEOMETRIC,
     reset_policy: ResetPolicy | None = None,
 ) -> AbsorptionReport:
-    """Convenience wrapper: build the chain and report expected steps."""
+    """Expected steps under the given policies, solved on the entered block.
+
+    Builds no n x n matrix: the rows of the entered set S are computed and
+    routed in stacks, the S x S block is solved, and the other transient
+    states are filled from their own rows on the first read of
+    expected_steps_from (see the module docstring).  The sqrt_j reset keeps
+    S to O(sqrt(j)) states.
+    """
     config = ProtocolConfig(
         two_j=two_j,
         target_two_mt=target_two_mt,
         angle_policy=angle_policy,
         reset_policy=reset_policy if reset_policy is not None else ResetPolicy(),
     )
-    return expected_steps(build_chain(config))
+    n = two_j + 1
+    theta = angles_mod.policy_angles(two_j, target_two_mt, config.angle_policy)
+    rerouted = _rerouted(config)
+    transient = np.arange(n) != config.target_index
+    entered = transient & ~rerouted
+    entered[n - 1] = transient[n - 1]  # the reset destination, unless it is the target
+    s = np.flatnonzero(entered)
+    q = np.empty((len(s), len(s)))
+    for rows, probs in _routed_rows(config, theta, rerouted, s):
+        q[rows] = probs[:, s]
+    t = _solve(q)
+
+    def fill() -> np.ndarray:
+        out = np.zeros(n)
+        out[s] = t
+        rest = np.flatnonzero(transient & ~entered)
+        for rows, probs in _routed_rows(config, theta, rerouted, rest):
+            out[rest[rows]] = 1.0 + probs[:, s] @ t
+        return out
+
+    start = float(t[-1]) if entered[n - 1] else 0.0  # m = j is S's last state
+    return _report(config, start, fill)
 
 
 def naive_expected_steps(two_j: int) -> float:

@@ -179,11 +179,12 @@ def _cmd_chain(args) -> int:
             from dataclasses import replace
 
             cfg = replace(cfg, seed=args.seed)
-        built = chain_mod.build_chain(cfg)
         if args.emit:
-            wrote.append(_emit_matrix(Path(args.emit), built, args.no_timestamp))
+            wrote.append(_emit_matrix(Path(args.emit), chain_mod.build_chain(cfg), args.no_timestamp))
         else:
-            report = chain_mod.expected_steps(built)
+            report = chain_mod.expected_steps_for(
+                cfg.two_j, cfg.target_two_mt, cfg.angle_policy, cfg.reset_policy
+            )
             print(f"expected steps from m=j: {report.start_state_value!r}")
     if args.expected_steps:
         js = [int(x) for x in args.j_list.split(",") if x]

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class DickePrepError(Exception):
     """Base class for all package-specific errors."""
@@ -163,6 +165,15 @@ class ResetPolicy:
             # |m| > sqrt(j)  <=>  m^2 > j  <=>  (two_m)^2 > 2*two_j, exactly
             return two_m * two_m > 2 * two_j
         return abs(two_m) / 2.0 > self.threshold
+
+    def mask(self, two_j: int) -> np.ndarray:
+        """triggers at every state of the m grid -j..j, as a boolean array."""
+        two_m = np.arange(-two_j, two_j + 1, 2, dtype=np.int64)
+        if self.kind == "none":
+            return np.zeros(len(two_m), dtype=bool)
+        if self.kind == "sqrt_j":
+            return two_m * two_m > 2 * two_j
+        return np.abs(two_m) / 2.0 > self.threshold
 
 
 def default_max_iterations(two_j: int) -> int:

@@ -278,12 +278,8 @@ def sample_iterations(
     two_j = config.two_j
     i_t = config.target_index
     max_iters = config.max_iterations
-    reset_to_start = np.array(
-        [
-            config.reset_policy.triggers(two_j, int(tm)) and (idx != i_t)
-            for idx, tm in enumerate(wigner.two_m_values(two_j))
-        ]
-    )
+    reset_to_start = config.reset_policy.mask(two_j)
+    reset_to_start[i_t] = False  # absorption wins over reset
     cums: dict[int, np.ndarray] = {}  # rows of the states some trajectory stood on
     streams = _BlockReader(config.seed)
 

@@ -105,17 +105,22 @@ def test_naive_formula():
         chain.naive_expected_steps(3)
 
 
-def test_log_growth_quick():
-    js = [16, 32, 64, 128]
-    steps = [
+def _log_fit(js):
+    # R^2 and coefficients of a linear fit of the geometric sqrt_j start values against log j
+    steps = np.array([
         chain.expected_steps_for(2 * j, 0, AnglePolicy.GEOMETRIC, ResetPolicy(kind="sqrt_j")).start_state_value
         for j in js
-    ]
+    ])
     x = np.log(js)
     a = np.vstack([np.ones_like(x), x]).T
     coef, *_ = np.linalg.lstsq(a, steps, rcond=None)
     pred = a @ coef
     r2 = 1.0 - np.sum((steps - pred) ** 2) / np.sum((steps - np.mean(steps)) ** 2)
+    return r2, coef
+
+
+def test_log_growth_quick():
+    r2, coef = _log_fit([16, 32, 64, 128])
     assert r2 > 0.97
     assert coef[1] > 0
 
@@ -207,3 +212,97 @@ def test_spin_half_chain(two_mt):
     expected = np.zeros(2)
     expected[(1 - two_mt) // 2] = 1.0 / math.sin(theta / 2) ** 2
     assert report.expected_steps_from == pytest.approx(expected, rel=1e-12)
+
+
+def _rel_err(got, ref):
+    return np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0))
+
+
+@pytest.mark.parametrize(
+    "policy,two_j,two_mt,reset",
+    [
+        (policy, *case[:3])
+        for policy in (AnglePolicy.APPROX_MT0, AnglePolicy.GEOMETRIC, AnglePolicy.NUMERIC_OPTIMAL)
+        for case in _SOLVE_CASES
+        if policy != AnglePolicy.APPROX_MT0 or case[1] == 0
+    ]
+    + [(AnglePolicy.GEOMETRIC, two_j, two_j % 2, "sqrt_j") for two_j in (512, 2048, 2049)],
+)
+def test_entered_block_matches_dense_reference(policy, two_j, two_mt, reset):
+    cfg = _cfg(two_j, two_mt, policy, reset)
+    report = chain.expected_steps_for(two_j, two_mt, policy, cfg.reset_policy)
+    ref = _dense_expected_steps(chain.build_chain(cfg))
+    got = report.expected_steps_from
+    assert got[cfg.target_index] == 0.0
+    assert _rel_err(got, ref) < 1e-12
+    assert report.start_state_value == got[-1]
+
+
+def _perturbed_stacks(monkeypatch, rows_to_perturb):
+    original = wigner.transition_stacks
+
+    def perturbed(two_j, two_ms, thetas):
+        two_ms = np.asarray(two_ms)
+        for rows, probs in original(two_j, two_ms, thetas):
+            probs[rows_to_perturb(two_j, two_ms[rows])] *= 1.0 + 1e-6
+            yield rows, probs
+
+    monkeypatch.setattr(wigner, "transition_stacks", perturbed)
+
+
+def test_entered_block_row_sum_check(monkeypatch):
+    sqrt_j = ResetPolicy(kind="sqrt_j")
+    _perturbed_stacks(monkeypatch, lambda two_j, two_ms: two_ms == two_j)  # the start row, in S
+    with pytest.raises(SingularSystem):
+        chain.expected_steps_for(72, 0, AnglePolicy.GEOMETRIC, sqrt_j)
+    # a row outside S surfaces on the fill, not on the start value
+    monkeypatch.undo()
+    _perturbed_stacks(monkeypatch, lambda two_j, two_ms: two_ms == -two_j)
+    report = chain.expected_steps_for(72, 0, AnglePolicy.GEOMETRIC, sqrt_j)
+    assert np.isfinite(report.start_state_value)
+    with pytest.raises(SingularSystem):
+        report.expected_steps_from
+
+
+def _count_rows(monkeypatch):
+    counted = []
+    original = wigner._eigenvectors
+
+    def counting(two_j, two_ms, thetas):
+        counted.append(len(thetas))
+        return original(two_j, two_ms, thetas)
+
+    monkeypatch.setattr(wigner, "_eigenvectors", counting)
+    return counted
+
+
+def _entered_count(two_j, two_mt):
+    # transient states a sqrt_j reset keeps, plus the start state m = j
+    kept = [tm for tm in range(-two_j, two_j + 1, 2) if tm * tm <= 2 * two_j and tm != two_mt]
+    return len(kept) + (two_j * two_j > 2 * two_j and two_j != two_mt)
+
+
+def test_start_value_computes_only_entered_rows(monkeypatch):
+    counted = _count_rows(monkeypatch)
+    report = chain.expected_steps_for(16384, 0, AnglePolicy.GEOMETRIC, ResetPolicy(kind="sqrt_j"))
+    assert 0 < sum(counted) <= _entered_count(16384, 0)
+    assert 10.0 < report.start_state_value < 20.0
+
+
+def test_other_states_filled_on_first_access(monkeypatch):
+    counted = _count_rows(monkeypatch)
+    reset = ResetPolicy(kind="sqrt_j")
+    report = chain.expected_steps_for(400, 0, AnglePolicy.GEOMETRIC, reset)
+    assert sum(counted) == _entered_count(400, 0)
+    got = report.expected_steps_from
+    assert sum(counted) == 400  # every state but the target, each row once
+    assert report.expected_steps_from is got and sum(counted) == 400  # cached
+    ref = _dense_expected_steps(chain.build_chain(_cfg(400, 0, AnglePolicy.GEOMETRIC, reset)))
+    assert _rel_err(got, ref) < 1e-12
+
+
+def test_log_growth_to_large_j():
+    # the geometric sqrt_j fit of acceptance criterion 04, carried to j = 32768
+    r2, coef = _log_fit([2**k for k in range(4, 16)])
+    assert r2 >= 0.98
+    assert coef[1] > 0

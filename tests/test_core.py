@@ -101,6 +101,24 @@ def test_reset_policy_exact_threshold():
     assert sqrt_j.triggers(4, 4)        # |m| = 2 > sqrt(2)
 
 
+@pytest.mark.parametrize("two_j", [0, 1, 8, 9, 40, 41])
+@pytest.mark.parametrize(
+    "policy",
+    [
+        ResetPolicy(),
+        ResetPolicy(kind="sqrt_j"),
+        ResetPolicy(kind="custom", threshold=2.0),  # on the grid m = 2 at integer j
+        ResetPolicy(kind="custom", threshold=1.5),  # on the grid m = 3/2 at half-integer j
+        ResetPolicy(kind="custom", threshold=0.0),
+    ],
+)
+def test_reset_mask_equals_triggers(two_j, policy):
+    mask = policy.mask(two_j)
+    assert mask.dtype == bool and mask.shape == (two_j + 1,)
+    expected = [policy.triggers(two_j, two_m) for two_m in range(-two_j, two_j + 1, 2)]
+    assert mask.tolist() == expected
+
+
 def test_reset_policy_custom():
     custom = ResetPolicy(kind="custom", threshold=2.5)
     assert custom.triggers(20, 6) and not custom.triggers(20, 4)
