@@ -16,13 +16,16 @@ state when there is no reset.  A routed row puts all of its mass in S and
 the target, so S is closed: only S's rows are computed and only the S x S
 block is stored.  Every other transient state r follows from its own row,
 t_r = 1 + P[r, S] t_S, filled when the report's expected_steps_from is
-first read.  build_chain and expected_steps keep the dense n x n matrix for
+first read.  Rows stay on their windows (wigner.transition_windows), so
+routing a row, its part in the S block and its fill cost O(window), not
+O(n).  build_chain and expected_steps keep the dense n x n matrix for
 callers that want the matrix itself.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator
@@ -98,33 +101,46 @@ def _rerouted(config: ProtocolConfig) -> np.ndarray:
 
 def _routed_rows(
     config: ProtocolConfig, theta: np.ndarray, rerouted: np.ndarray, states: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """The outcome rows of the source states (grid indices), one stack at a
-    time, with the mass measured at rerouted states moved to the start state
-    m = j.  Each routed row is checked to sum to 1 within 1e-9.
+) -> Iterator[tuple[slice, wigner.Windows, np.ndarray]]:
+    """The outcome rows of the source states (grid indices) on their
+    windows, one stack at a time, with the mass measured at rerouted states
+    zeroed.  Yields (rows, stack, moved): moved[k] is row k's rerouted mass,
+    which goes to the start state m = j.  Each row is checked to sum to 1
+    within 1e-9.  Every step costs O(window), not O(n).
     """
     two_j = config.two_j
-    for rows, probs in wigner.transition_stacks(two_j, 2 * states - two_j, theta[states]):
-        if rerouted.any():
-            moved = probs[:, rerouted].sum(axis=1)
-            probs[:, rerouted] = 0.0
-            probs[:, -1] += moved
-        row_dev = np.max(np.abs(probs.sum(axis=1) - 1.0))
+    for rows, stack in wigner.transition_windows(two_j, 2 * states - two_j, theta[states]):
+        row_dev = np.max(np.abs(np.add.reduceat(stack.values, stack.starts) - 1.0))
         if row_dev > _ROW_SUM_TOL:
             raise SingularSystem(f"row sums deviate from 1 by {row_dev:.3e}")
-        yield rows, probs
+        moved = np.zeros(len(stack.lo))
+        if rerouted.any():
+            at = rerouted[stack.columns]
+            moved = np.add.reduceat(np.where(at, stack.values, 0.0), stack.starts)
+            stack.values[at] = 0.0
+        yield rows, stack, moved
 
 
 def _solve(q: np.ndarray) -> np.ndarray:
-    """t with (I - q) t = 1; q is overwritten."""
+    """t with (I - q) t = 1; q is overwritten.
+
+    Raises SingularSystem when (I - q) is singular to working precision
+    (LAPACK's reciprocal condition estimate below eps) or when t is not an
+    expected-steps vector: every transient state takes at least one step,
+    so each entry must be finite and at least 1 (within 1e-9).
+    """
     np.negative(q, out=q)
     q[np.diag_indices_from(q)] += 1.0
     try:
-        t = scipy.linalg.solve(q, np.ones(len(q)), overwrite_a=True, overwrite_b=True)
-    except scipy.linalg.LinAlgError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            t = scipy.linalg.solve(q, np.ones(len(q)), overwrite_a=True, overwrite_b=True)
+    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
         raise SingularSystem(f"(I - Q) is numerically singular: {exc}") from exc
     if not np.all(np.isfinite(t)):
         raise SingularSystem("(I - Q) solve produced non-finite expected steps")
+    if len(t) and t.min() < 1.0 - 1e-9:
+        raise SingularSystem(f"(I - Q) solve produced expected steps {t.min():.6g} < 1")
     return t
 
 
@@ -142,9 +158,10 @@ def build_chain(config: ProtocolConfig) -> TransitionChain:
     i_t = config.target_index
     theta = angles_mod.policy_angles(two_j, config.target_two_mt, config.angle_policy)
 
-    matrix = np.empty((n, n))
-    for rows, probs in _routed_rows(config, theta, _rerouted(config), np.arange(n)):
-        matrix[rows] = probs
+    matrix = np.zeros((n, n))
+    for rows, stack, moved in _routed_rows(config, theta, _rerouted(config), np.arange(n)):
+        matrix[rows].ravel()[stack.flat_index(n)] = stack.values
+        matrix[rows, -1] += moved
     matrix[i_t] = 0.0
     matrix[i_t, i_t] = 1.0
     return TransitionChain(config=config, matrix=matrix, absorbing_index=i_t, angles=theta)
@@ -187,7 +204,7 @@ def expected_steps_for(
     routed in stacks, the S x S block is solved, and the other transient
     states are filled from their own rows on the first read of
     expected_steps_from (see the module docstring).  The sqrt_j reset keeps
-    S to O(sqrt(j)) states.
+    S to O(sqrt(j)) states, each row to an O(sqrt(j)) window.
     """
     config = ProtocolConfig(
         two_j=two_j,
@@ -202,17 +219,25 @@ def expected_steps_for(
     entered = transient & ~rerouted
     entered[n - 1] = transient[n - 1]  # the reset destination, unless it is the target
     s = np.flatnonzero(entered)
-    q = np.empty((len(s), len(s)))
-    for rows, probs in _routed_rows(config, theta, rerouted, s):
-        q[rows] = probs[:, s]
+    place = np.full(n, -1)  # each state's column in the S block
+    place[s] = np.arange(len(s))
+    q = np.zeros((len(s), len(s)))
+    for rows, stack, moved in _routed_rows(config, theta, rerouted, s):
+        at = place[stack.columns]
+        kept = at >= 0  # the other columns are the target and the rerouted states, zero here
+        q[rows].ravel()[stack.flat_index(len(s), at)[kept]] = stack.values[kept]
+        if entered[n - 1]:  # m = j is S's last state; else it is the target
+            q[rows, -1] += moved
     t = _solve(q)
 
     def fill() -> np.ndarray:
-        out = np.zeros(n)
-        out[s] = t
+        t_all = np.zeros(n)  # t on S; the rows' other entries (target, rerouted) are zero
+        t_all[s] = t
+        out = t_all.copy()
         rest = np.flatnonzero(transient & ~entered)
-        for rows, probs in _routed_rows(config, theta, rerouted, rest):
-            out[rest[rows]] = 1.0 + probs[:, s] @ t
+        for rows, stack, moved in _routed_rows(config, theta, rerouted, rest):
+            ahead = np.add.reduceat(stack.values * t_all[stack.columns], stack.starts)
+            out[rest[rows]] = 1.0 + ahead + moved * t_all[-1]
         return out
 
     start = float(t[-1]) if entered[n - 1] else 0.0  # m = j is S's last state

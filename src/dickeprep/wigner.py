@@ -14,15 +14,27 @@ over m' = -j..j (index i maps to two_m' = 2i - two_j).  Two column backends:
   iteration recovers it in O(j) to machine precision; the global sign is
   then fixed from the closed-form edge elements d^j_{+-j,m}(theta).
 
-  Many rows of one j are solved as a stack (``_eigenvectors``): K shifted
-  tridiagonals become the diagonal blocks of one block-diagonal system,
-  factored by one LAPACK gttrf call and solved by two gttrs calls.  The
-  couplings between blocks are zero, so the blocks cannot interact:
-  dgttrf's partial-pivoting test |d| >= |dl| = 0 always holds at a block
-  boundary (no row interchange crosses it), and the fill it adds there is
-  0 * du = 0.  Each block's factors and solves are therefore the ones it
-  gets alone, bit for bit.  A row that fails its first attempt is redone
-  alone; a single row is the stack of one.
+  Each row is solved only on its window [lo, hi) of the m' grid: the
+  classically allowed band m cos(theta) +- r_m |sin(theta)| padded past
+  each turning point by its Airy tail (``_band``).  Almost all of a row's
+  mass lies in the band, so under the sqrt_j reset an entered row costs
+  O(sqrt j), not O(j).  The prediction sets only the cost: a row whose
+  clipped edge entry is not negligible is widened and solved again, up to
+  the full range, and entries outside the returned window are zero.  A
+  full-range window is the same code with lo = 0, hi = 2j + 1, and gives
+  the full-range solve's bits.
+
+  Many rows of one j are solved as a stack (``_eigenvectors``): their
+  windows, of any widths, become the diagonal blocks of one ragged
+  block-diagonal system, factored by one LAPACK gttrf call and solved by
+  two gttrs calls.  The couplings between blocks are zero, so the blocks
+  cannot interact: dgttrf's partial-pivoting test |d| >= |dl| = 0 always
+  holds at a block boundary (no row interchange crosses it), and the fill
+  it adds there is 0 * du = 0.  Each block's factors and solves are
+  therefore the ones it gets alone, bit for bit: a row in a stack equals
+  the same row solved alone (a single row is a contiguous slice, the
+  stack of one).  A full-range row that fails its first attempt is redone
+  alone.
 
 ``rotate_state`` applies exp(-i theta J_y) to a general real vector by a
 Chebyshev expansion of the exponential (Bessel-function coefficients,
@@ -33,7 +45,8 @@ ladder operators, J_+|j,m> = sqrt(j(j+1)-m(m+1))|j,m+1>.  Tests pin signs
 against a dense matrix exponential of that generator, not external tables.
 
 ``transition_probabilities`` squares the same eigenvector, so chain rows
-never need the sign step.
+never need the sign step.  ``transition_windows`` yields chain rows still
+on their windows (``Windows``); the dense APIs scatter them into zeros.
 """
 
 from __future__ import annotations
@@ -341,12 +354,81 @@ def outcome_distribution(spec: SpinSpec, angle, backend: str = BACKEND_EIGENVECT
 
 # ---------------------------------------------------------------------------
 # backend b: the rotated column as an eigenvector, by stacked inverse iteration
+# on each row's classically allowed window
 
 _START_KEY = 0x5D1C_E000  # fixed Philox key base: deterministic start vectors
 _START_CACHE_SIZE = 64  # (n, attempt) start vectors kept; a chain reuses one n
 _RESOLVED = 1e-8  # entries above this fraction of the largest have a trustworthy sign
-_STACK_ENTRIES = 2**14  # entries per stacked solve; 2**16 raised peak RSS by 3-6 MB
+# window entries per stacked solve.  Each stack's flat float64 and index
+# arrays (96 KiB) then stay under glibc's default 128 KiB mmap/trim
+# threshold and are reused from the heap: at 2**14 a fig2d sweep at
+# two_j = 200 took about 40 000 minor page faults and ran 17% slower.
+_STACK_ENTRIES = 3 * 2**12
+_EDGE = 1e-10  # a unit row whose clipped window edge exceeds this is widened
+# window pad past each turning point: entries there lie below ~1e-12 on every
+# row sampled at two_j <= 65536, two orders under _EDGE, so widening is rare
+_AIRY_PAD = 13.0  # Airy lengths
+_LATTICE_PAD = 6  # entries, for rows whose Airy length is below one entry
 _EPS = np.finfo(np.float64).eps
+
+
+class Windows:
+    """K rows over the m grid of length n, each kept on its window: row k's
+    grid entries lo[k] .. hi[k] - 1 are values[starts[k]:stops[k]], and its
+    entries outside the window are zero.  The kernel returns a clipped
+    window only once that edge entry is negligible (below _EDGE on a unit
+    row).  values is set when the rows are solved.
+    """
+
+    __slots__ = ("n", "lo", "hi", "values", "widths", "starts", "stops", "_columns")
+
+    def __init__(self, n: int, lo: np.ndarray, hi: np.ndarray, values: np.ndarray | None = None):
+        self.n, self.lo, self.hi, self.values = n, lo, hi, values
+        self.widths = hi - lo
+        self.stops = np.cumsum(self.widths) if len(lo) > 1 else self.widths
+        self.starts = self.stops - self.widths
+        self._columns = None
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The grid index of every stored entry."""
+        if self._columns is None:
+            self._columns = np.arange(int(self.widths.sum())) + self.spread(self.lo - self.starts)
+        return self._columns
+
+    def spread(self, per_row: np.ndarray) -> np.ndarray:
+        """One value per row as one value per stored entry (broadcastable)."""
+        return per_row if len(self.lo) == 1 else np.repeat(per_row, self.widths)
+
+    def take(self, rows: np.ndarray) -> Windows:
+        """The given rows, in that order."""
+        out = Windows(self.n, self.lo[rows], self.hi[rows])
+        out.values = self.values[out.columns + np.repeat(self.starts[rows] - self.lo[rows], out.widths)]
+        return out
+
+    def flat_index(self, width: int, columns: np.ndarray | None = None) -> np.ndarray:
+        """Every stored entry's index in a row-major array of K rows, each
+        width long: at its grid column, or at the given per-entry columns."""
+        cols = self.columns if columns is None else columns
+        return self.spread(np.arange(len(self.lo)) * width) + cols
+
+    def dense(self) -> np.ndarray:
+        """The (K, n) rows with zeros outside the windows."""
+        out = np.zeros((len(self.lo), self.n))
+        out.ravel()[self.flat_index(self.n)] = self.values
+        return out
+
+
+def _merge(n: int, count: int, parts: list[tuple[np.ndarray, Windows]]) -> Windows:
+    """One Windows of count rows from parts (rows, windows) that cover them."""
+    lo, hi = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+    for rows, part in parts:
+        lo[rows], hi[rows] = part.lo, part.hi
+    out = Windows(n, lo, hi, np.empty(int((hi - lo).sum())))
+    for rows, part in parts:
+        if len(rows):
+            out.values[part.columns + np.repeat(out.starts[rows] - part.lo, part.widths)] = part.values
+    return out
 
 
 @functools.lru_cache(maxsize=_START_CACHE_SIZE)
@@ -360,134 +442,240 @@ def _start_vector(n: int, attempt: int = 0) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_START_CACHE_SIZE)
 def _operators(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal of J_z and the ladder strengths, read-only."""
+    """The diagonal of J_z and the ladder strengths with a trailing zero
+    (one per grid entry), read-only."""
     m_grid = np.arange(two_j + 1) - two_j / 2.0
-    ladder = ladder_strengths(two_j)
+    ladder = np.append(ladder_strengths(two_j), 0.0)
     m_grid.setflags(write=False)
     ladder.setflags(write=False)
     return m_grid, ladder
 
 
-def _factor(two_j: int, two_ms: np.ndarray, thetas: np.ndarray):
-    """LU factors of the K shifted tridiagonals H_k - m_k, placed as blocks
-    along the diagonal of one (K n) x (K n) system with zero couplings
-    between blocks, from one gttrf call.
+def _band(two_j: int, m, cos, sin):
+    """The grid edges (low, high), unclipped, of the window predicted for
+    the eigenvector of H - m; plain arithmetic and numpy ufuncs, so Python
+    floats (the one-row path) and arrays (stacks) give the same bits.
 
-    Returns (diag, off, lu): the (K, n) diagonals and (K, n - 1) couplings
-    for the residual check, and the gttrs factor arguments.  Zero pivots
-    from the exact shift are floored at eps*j, the device LAPACK's stein
-    uses.
+    The classical band is m cos(theta) +- r_m |sin(theta)| with
+    r_m^2 = j(j+1) - m^2: there |H_ii - m| < 2 b_i for the coupling
+    b_i = |sin(theta)| a_i / 2.  Past a turning point m'_t the entries
+    decay like exp(-(2/3) (x/l)^(3/2)) with the Airy length l = (b/F)^(1/3),
+    F the slope of |H_ii - m| - 2 b_i there:
+        l^3 = |sin(theta)| (j(j+1) - m'_t^2) / (2 r_m),
+    about (j/2)^(1/3) |sin(theta)| cos(theta)^(2/3) for m = 0 and about
+    sqrt(j) |sin(theta)| for the near-coherent rows m = +-j.  Each side is
+    padded by _AIRY_PAD of its Airy lengths plus _LATTICE_PAD entries.  The
+    prediction sets only the cost: _solve_windows widens any row whose
+    clipped edge is not negligible.
+    """
+    j = two_j / 2.0
+    r0_sq = j * (j + 1.0)
+    s = abs(sin)
+    r = np.sqrt(r0_sq - m * m)
+    centre, half = m * cos, r * s
+    scale = s / (2.0 * r + (two_j == 0))  # r = 0 only at j = 0
+    low, high = centre - half, centre + half
+    low_pad = _AIRY_PAD * np.cbrt(scale * abs(r0_sq - low * low)) + _LATTICE_PAD
+    high_pad = _AIRY_PAD * np.cbrt(scale * abs(r0_sq - high * high)) + _LATTICE_PAD
+    return low - low_pad + j, high + high_pad + j
+
+
+def _windows(
+    two_j: int, two_ms: np.ndarray, cos: np.ndarray, sin: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The predicted windows [lo, hi) of _band, clipped to the grid."""
+    low, high = _band(two_j, two_ms / 2.0, cos, sin)
+    lo = np.maximum(np.floor(low), 0.0).astype(np.int64)
+    hi = np.minimum(np.floor(high) + 1.0, two_j + 1.0).astype(np.int64)
+    return lo, hi
+
+
+def _factor(two_j: int, two_ms: np.ndarray, cos: np.ndarray, sin: np.ndarray, rows: Windows):
+    """LU factors of the K shifted tridiagonals H_k - m_k, each restricted
+    to its window, placed as blocks along the diagonal of one system with
+    zero couplings between blocks, from one gttrf call.
+
+    Returns (diag, off, lu): the flat diagonal and couplings for the
+    residual check, and the gttrs factor arguments.  Zero pivots from the
+    exact shift are floored at eps*j, the device LAPACK's stein uses.
     """
     m_grid, ladder = _operators(two_j)
-    diag = np.multiply.outer(np.cos(thetas), m_grid)
-    diag -= two_ms[:, None] / 2.0
-    coupling = np.zeros((len(thetas), two_j + 1))
-    off = coupling[:, :-1]
-    np.multiply.outer(np.sin(thetas), ladder, out=off)
-    off /= 2.0
-    flat = coupling.ravel()[:-1]  # entry k n - 1 couples block k to block k + 1: zero
-    dlf, df, duf, du2, ipiv, info = _gttrf(flat, diag.ravel(), flat)
+    at = slice(int(rows.lo[0]), int(rows.hi[0])) if len(cos) == 1 else rows.columns
+    diag = rows.spread(cos) * m_grid[at]
+    diag -= rows.spread(two_ms / 2.0)
+    coupling = rows.spread(sin) * ladder[at]
+    coupling /= 2.0
+    coupling[rows.stops - 1] = 0.0  # a block's last entry couples to the next block: zero
+    off = coupling[:-1]
+    dlf, df, duf, du2, ipiv, info = _gttrf(off, diag, off)
     if info < 0:
         raise OutOfRange(f"gttrf failed with info={info}")
     floor = _EPS * max(1.0, two_j / 2.0)
     tiny = np.abs(df) < floor
-    if tiny.any():
+    if np.count_nonzero(tiny):
         df = np.where(tiny, np.where(df < 0.0, -floor, floor), df)
     return diag, off, (dlf, df, duf, du2, ipiv)
 
 
-def _solve(lu, v: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """One stacked solve with the rows of v as right-hand sides, each row
-    then normalised.  Non-finite rows are flagged in bad and zeroed: at the
-    zero couplings 0 * nan = nan, so they would reach the neighbouring
-    blocks on the next solve.
+def _sum_squares(x: np.ndarray, rows: Windows) -> np.ndarray:
+    """Per row, the sum of squares of its entries: on a full-range window
+    the bits of the v.dot(v) in np.linalg.norm, as the full-range kernel
+    had them (tested); on a clipped window numpy's pairwise sum.  Either
+    depends only on the row's own entries, so a row gets the same bits
+    alone and in any stack.
     """
-    x, info = _gttrs(*lu, v.ravel())
-    x = x.reshape(v.shape)
-    sq = np.vecdot(x, x)  # per row, the bits of the v.dot(v) in np.linalg.norm (tested)
+    count, n = len(rows.lo), rows.n
+    full = rows.widths == n
+    clipped = count - np.count_nonzero(full)
+    if not clipped:
+        return np.vecdot(x.reshape(count, n), x.reshape(count, n))
+    sq = np.add.reduceat(x * x, rows.starts)
+    if clipped < count:
+        at = rows.starts[full, None] + np.arange(n)
+        sq[full] = np.vecdot(x[at], x[at])
+    return sq
+
+
+def _solve(lu, v: np.ndarray, bad: np.ndarray, rows: Windows) -> np.ndarray:
+    """One stacked solve with the rows' entries of v as right-hand sides,
+    each row then normalised.  Non-finite rows are flagged in bad and
+    zeroed: at the zero couplings 0 * nan = nan, so they would reach the
+    neighbouring blocks on the next solve.
+    """
+    x, info = _gttrs(*lu, v)
+    sq = _sum_squares(x, rows)
     bad |= ~np.isfinite(sq)
     if info != 0:
         bad[:] = True
-    if bad.any():
-        x[bad] = 0.0
+    if np.count_nonzero(bad):
+        x[np.repeat(bad, rows.widths)] = 0.0
         sq[bad] = 1.0
-    x /= np.sqrt(sq)[:, None]
+    x /= rows.spread(np.sqrt(sq))
     return x
 
 
-def _residuals(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """max |(H_k - m_k) v_k| per row."""
+def _residuals(diag: np.ndarray, off: np.ndarray, v: np.ndarray, rows: Windows) -> np.ndarray:
+    """max |(H_k - m_k) v_k| per row, on its window."""
     r = diag * v
-    r[:, :-1] += off * v[:, 1:]
-    r[:, 1:] += off * v[:, :-1]
-    return np.abs(r).max(axis=1)
+    r[:-1] += off * v[1:]
+    r[1:] += off * v[:-1]
+    return np.maximum.reduceat(np.abs(r), rows.starts)
 
 
-def _eigenvectors(two_j: int, two_ms, thetas) -> np.ndarray:
+def _eigenvectors(two_j: int, two_ms, thetas) -> Windows:
     """Unit eigenvectors, up to sign, of H_k = cos(theta_k) J_z +
-    sin(theta_k) J_x for the eigenvalues m_k: row k of the (K, n) result.
-
-    The eigenvalues of H are the integers/half-integers -j..j with unit
-    spacing, so inverse iteration with the exact shift converges in one or
-    two solves.  All K rows go into one gttrf and two gttrs calls as the
-    blocks of one block-diagonal system (transition_stacks keeps K n near
-    _STACK_ENTRIES).  The blocks cannot interact: the couplings between
-    them are zero, so dgttrf's pivot test |d| >= |dl| = 0 always holds at
-    a block boundary and its fill there is 0 * du = 0; each block's
-    factors and solves are the ones it gets alone, bit for bit.  A row
-    that fails its first attempt (non-finite, or residual above
-    tolerance) is redone alone by _retry.  theta = 0, spin 0 and spin 1/2
-    have closed forms.
+    sin(theta_k) J_x for the eigenvalues m_k, each on its window: row k of
+    the result.  theta = 0, spin 0 and spin 1/2 have closed forms; the
+    other rows go to _solve_windows on the windows _windows predicts.
     """
     two_ms = np.asarray(two_ms, dtype=np.int64)
     thetas = np.asarray(thetas, dtype=np.float64)
     n, count = two_j + 1, len(thetas)
-    if n <= 2 or not thetas.all():
-        out = np.zeros((count, n))
+    if n <= 2 or np.count_nonzero(thetas) < count:
         basis = (thetas == 0.0) | (n == 1)
-        out[basis, (two_ms[basis] + two_j) // 2] = 1.0
+        at = (two_ms[basis] + two_j) // 2
+        parts = [(np.flatnonzero(basis), Windows(n, at, at + 1, np.ones(len(at))))]
         rest = np.flatnonzero(~basis)
         if n == 2:  # the banded LU needs n >= 3
             c, s = np.cos(0.5 * thetas[rest]), np.sin(0.5 * thetas[rest])
             up = (two_ms[rest] > 0)[:, None]
-            out[rest] = np.where(up, np.stack([s, c], axis=1), np.stack([c, -s], axis=1))
+            values = np.where(up, np.stack([s, c], axis=1), np.stack([c, -s], axis=1))
+            full = Windows(n, np.zeros(len(rest), dtype=np.int64), np.full(len(rest), 2), values.ravel())
+            parts.append((rest, full))
         elif len(rest):
-            out[rest] = _eigenvectors(two_j, two_ms[rest], thetas[rest])
-        return out
-    diag, off, lu = _factor(two_j, two_ms, thetas)
+            parts.append((rest, _eigenvectors(two_j, two_ms[rest], thetas[rest])))
+        return _merge(n, count, parts)
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    if count == 1:  # one contiguous slice; Python floats keep _band cheap
+        low, high = _band(two_j, int(two_ms[0]) / 2.0, float(cos[0]), float(sin[0]))
+        lo, hi = np.array([max(math.floor(low), 0)]), np.array([min(math.floor(high) + 1, n)])
+    else:
+        lo, hi = _windows(two_j, two_ms, cos, sin)
+    return _solve_windows(two_j, two_ms, thetas, cos, sin, lo, hi)
+
+
+def _solve_windows(
+    two_j: int,
+    two_ms: np.ndarray,
+    thetas: np.ndarray,
+    cos: np.ndarray,
+    sin: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> Windows:
+    """Inverse iteration for every row on its window [lo, hi).
+
+    The eigenvalues of H are the integers/half-integers -j..j with unit
+    spacing, so inverse iteration with the exact shift converges in one or
+    two solves.  All K windows go into one gttrf and two gttrs calls as the
+    blocks of one block-diagonal system.  The blocks cannot interact: the
+    couplings between them are zero, so dgttrf's pivot test |d| >= |dl| = 0
+    always holds at a block boundary and its fill there is 0 * du = 0; each
+    block's factors and solves are the ones it gets alone, bit for bit.
+
+    A clipped row whose edge entry is not negligible, or that fails its
+    first attempt (non-finite, or residual above tolerance), is solved
+    again with each such side widened by its width, up to the full range.
+    A full-range row that fails is redone alone by _retry.
+    """
+    n, count = two_j + 1, len(thetas)
+    rows = Windows(n, lo, hi)
+    diag, off, lu = _factor(two_j, two_ms, cos, sin, rows)
     bad = np.zeros(count, dtype=bool)
-    v = np.tile(_start_vector(n), (count, 1))
+    start = _start_vector(n)
+    v = start[lo[0]:hi[0]] if count == 1 else start[rows.columns]
     for _ in range(2):
-        v = _solve(lu, v, bad)
+        v = _solve(lu, v, bad, rows)
     tol = 1e-10 * max(1.0, two_j / 2.0)
-    for k in np.flatnonzero(bad | ~(_residuals(diag, off, v) <= tol)):
-        v[k] = _retry(two_j, int(two_ms[k]), float(thetas[k]), tol)
-    return v
+    failed = bad | ~(_residuals(diag, off, v, rows) <= tol)
+    rows.values = v
+    if count == 1 and not failed[0]:  # the one-row case, settled in scalars when it is done
+        if (lo[0] == 0 or abs(v[0]) <= _EDGE) and (hi[0] == n or abs(v[-1]) <= _EDGE):
+            return rows
+    wide_lo = (lo > 0) & (failed | (np.abs(v[rows.starts]) > _EDGE))
+    wide_hi = (hi < n) & (failed | (np.abs(v[rows.stops - 1]) > _EDGE))
+    if np.count_nonzero(failed):
+        for k in np.flatnonzero(failed & ~wide_lo & ~wide_hi):  # the full-range rows
+            v[rows.starts[k]:rows.stops[k]] = _retry(two_j, int(two_ms[k]), float(thetas[k]), tol)
+    widen = wide_lo | wide_hi
+    if not np.count_nonzero(widen):
+        return rows
+    redo, keep = np.flatnonzero(widen), np.flatnonzero(~widen)
+    width = rows.widths[redo]
+    redone = _solve_windows(
+        two_j, two_ms[redo], thetas[redo], cos[redo], sin[redo],
+        np.where(wide_lo[redo], np.maximum(lo[redo] - width, 0), lo[redo]),
+        np.where(wide_hi[redo], np.minimum(hi[redo] + width, n), hi[redo]),
+    )
+    return _merge(n, count, [(keep, rows.take(keep)), (redo, redone)])
 
 
 def _retry(two_j: int, two_m: int, theta: float, tol: float) -> np.ndarray:
-    """One row alone, through up to three start vectors: two solves each,
-    plus a third when the residual check fails.  Raises NormDrift naming
-    the row when no attempt passes.
+    """One full-range row alone, through up to three start vectors: two
+    solves each, plus a third when the residual check fails.  Raises
+    NormDrift naming the row when no attempt passes.
     """
-    diag, off, lu = _factor(two_j, np.array([two_m]), np.array([theta]))
+    n = two_j + 1
+    rows = Windows(n, np.zeros(1, dtype=np.int64), np.full(1, n))
+    theta_ = np.array([theta])
+    diag, off, lu = _factor(two_j, np.array([two_m]), np.cos(theta_), np.sin(theta_), rows)
     best = np.inf
     for attempt in range(3):
         bad = np.zeros(1, dtype=bool)
-        v = _start_vector(two_j + 1, attempt)[None, :]
+        v = _start_vector(n, attempt)
         for _ in range(2):
-            v = _solve(lu, v, bad)
+            v = _solve(lu, v, bad, rows)
         if bad[0]:
             continue
-        res = _residuals(diag, off, v)[0]
+        res = _residuals(diag, off, v, rows)[0]
         if res <= tol:
-            return v[0]
+            return v
         best = min(best, res)
-        v = _solve(lu, v, bad)
+        v = _solve(lu, v, bad, rows)
         if not bad[0]:
-            res = _residuals(diag, off, v)[0]
+            res = _residuals(diag, off, v, rows)[0]
             if res <= tol:
-                return v[0]
+                return v
             best = min(best, res)
     raise NormDrift(
         f"inverse iteration found no eigenvector (two_j={two_j}, two_m={two_m}, "
@@ -495,9 +683,10 @@ def _retry(two_j: int, two_m: int, theta: float, tol: float) -> np.ndarray:
     )
 
 
-def _eigenvector(two_j: int, two_m: int, theta: float) -> np.ndarray:
-    """The one-row case of _eigenvectors."""
-    return _eigenvectors(two_j, (two_m,), (theta,))[0]
+def _eigenvector(two_j: int, two_m: int, theta: float) -> tuple[int, np.ndarray]:
+    """The one-row case of _eigenvectors: (lo, the row on its window)."""
+    rows = _eigenvectors(two_j, (two_m,), (theta,))
+    return int(rows.lo[0]), rows.values
 
 
 def _column_eigenvector(spec: SpinSpec, theta: float) -> np.ndarray:
@@ -509,61 +698,84 @@ def _column_eigenvector(spec: SpinSpec, theta: float) -> np.ndarray:
         d_{-j,m} =            sqrt(C(2j, j+m)) c^(j-m) s^(j+m).
     The binomials are equal, so the top edge is the larger iff
     m (|c| - |s|) >= 0.  Its sign is carried to the first well-resolved
-    entry: across the classically forbidden stretch in between, each
+    entry k: across the classically forbidden stretch in between, each
     neighbour ratio has the sign of -sin(theta) (H - m) at the entry
-    nearer the edge.
+    nearer the edge.  The stretch is counted from that closed-form
+    diagonal over the whole grid, so entries outside the window are never
+    read.
     """
     two_j, two_m = spec.two_j, spec.two_m
-    v = _eigenvector(two_j, two_m, theta)
-    if theta == 0.0:  # the identity; both edge formulas may vanish there
-        return v
-    jpm, jmm = (two_j + two_m) // 2, (two_j - two_m) // 2
-    c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    c_neg, s_neg = int(c < 0.0), int(s < 0.0)
-    top = two_m * (abs(c) - abs(s)) >= 0.0
-    mag = np.abs(v)
-    resolved = np.flatnonzero(mag >= _RESOLVED * mag.max())
-    shifted = np.cos(theta) * m_values(two_j) - two_m / 2.0
-    if top:
-        negative = jmm + c_neg * jpm + s_neg * jmm
-        k = resolved[-1]
-        stretch = shifted[k + 1:]
-    else:
-        negative = c_neg * jmm + s_neg * jpm
-        k = resolved[0]
-        stretch = shifted[:k]
-    negative += np.count_nonzero(np.sin(theta) * stretch > 0.0)
-    if (v[k] < 0.0) != bool(negative % 2):
-        v = -v
-    return v
+    lo, v = _eigenvector(two_j, two_m, theta)
+    out = np.zeros(two_j + 1)
+    if theta != 0.0:  # at theta = 0, the identity, both edge formulas may vanish
+        jpm, jmm = (two_j + two_m) // 2, (two_j - two_m) // 2
+        c, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
+        c_neg, s_neg = int(c < 0.0), int(s < 0.0)
+        top = two_m * (abs(c) - abs(s)) >= 0.0
+        mag = np.abs(v)
+        resolved = np.flatnonzero(mag >= _RESOLVED * mag.max())
+        shifted = np.cos(theta) * m_values(two_j) - two_m / 2.0
+        if top:
+            negative = jmm + c_neg * jpm + s_neg * jmm
+            k = resolved[-1]
+            stretch = shifted[lo + k + 1:]
+        else:
+            negative = c_neg * jmm + s_neg * jpm
+            k = resolved[0]
+            stretch = shifted[:lo + k]
+        negative += np.count_nonzero(np.sin(theta) * stretch > 0.0)
+        if (v[k] < 0.0) != bool(negative % 2):
+            v = -v
+    out[lo:lo + len(v)] = v
+    return out
 
 
 def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:
     """|d^j_{m',m}(theta)|^2 over m' in O(j) time: the squared backend-b
-    eigenvector, with no sign step.  Raises NormDrift if inverse iteration
-    fails its residual check.
+    eigenvector on its window, zero outside it, with no sign step.  Raises
+    NormDrift if inverse iteration fails its residual check.
     """
-    v = _eigenvector(spec.two_j, spec.two_m, _as_radians(angle))
-    return v * v
+    lo, v = _eigenvector(spec.two_j, spec.two_m, _as_radians(angle))
+    out = np.zeros(spec.two_j + 1)
+    out[lo:lo + len(v)] = v * v
+    return out
 
 
-def transition_stacks(two_j: int, two_ms, angles) -> Iterator[tuple[slice, np.ndarray]]:
+def transition_windows(two_j: int, two_ms, angles) -> Iterator[tuple[slice, Windows]]:
     """transition_probabilities for many (two_m, angle) pairs of one two_j,
-    one stacked solve at a time.
+    kept on their windows, one stacked solve at a time.
 
-    Yields (rows, probabilities): a slice of the inputs and the array whose
-    row k is transition_probabilities(SpinSpec(two_j, two_ms[rows][k]),
+    Yields (rows, stack): a slice of the inputs and the Windows whose row k,
+    scattered into zeros (stack.dense()), is
+    transition_probabilities(SpinSpec(two_j, two_ms[rows][k]),
     angles[rows][k]), bit for bit.  A stack holds about _STACK_ENTRIES
-    entries, so memory stays flat however many rows are asked for.
+    predicted window entries (at least one row), so memory stays flat
+    however many rows are asked for.
     """
     two_ms = np.asarray(two_ms, dtype=np.int64)
     thetas = np.asarray(angles, dtype=np.float64)
-    step = max(1, _STACK_ENTRIES // (two_j + 1))
-    for first in range(0, len(thetas), step):
-        rows = slice(first, first + step)
-        v = _eigenvectors(two_j, two_ms[rows], thetas[rows])
-        v *= v
-        yield rows, v
+    lo, hi = _windows(two_j, two_ms, np.cos(thetas), np.sin(thetas))
+    ends = np.cumsum(hi - lo)
+    first = 0
+    while first < len(thetas):
+        done = ends[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, done + _STACK_ENTRIES, side="right")))
+        rows = slice(first, last)
+        stack = _eigenvectors(two_j, two_ms[rows], thetas[rows])
+        stack.values *= stack.values
+        yield rows, stack
+        first = last
+
+
+def transition_stacks(two_j: int, two_ms, angles) -> Iterator[tuple[slice, np.ndarray]]:
+    """transition_windows with each stack scattered into a dense (K, n)
+    array of zeros: row k is transition_probabilities(SpinSpec(two_j,
+    two_ms[rows][k]), angles[rows][k]), bit for bit.  That holds within a
+    stack versus one row, which share the window; versus a full-range
+    solve it holds only where the window is the full range.
+    """
+    for rows, stack in transition_windows(two_j, two_ms, angles):
+        yield rows, stack.dense()
 
 
 def row_derivatives(two_j: int, two_m_target: int, angle, i: int) -> tuple[float, float, float]:
@@ -576,7 +788,8 @@ def row_derivatives(two_j: int, two_m_target: int, angle, i: int) -> tuple[float
         f' = 2 r_i (rA)_i,   f'' = 2 [(rA)_i^2 + r_i (rA^2)_i].
     Every term is bilinear in r, so the unsigned eigenvector serves.
     """
-    u = _eigenvector(two_j, two_m_target, -_as_radians(angle))
+    lo, u = _eigenvector(two_j, two_m_target, -_as_radians(angle))
+    hi = lo + len(u)
     j = two_j / 2.0
 
     def a(k: int) -> float:
@@ -584,7 +797,7 @@ def row_derivatives(two_j: int, two_m_target: int, angle, i: int) -> tuple[float
         return math.sqrt(j * (j + 1.0) - m * (m + 1.0)) if 0 <= k < two_j else 0.0
 
     def r(k: int) -> float:
-        return float(u[k]) if 0 <= k <= two_j else 0.0
+        return float(u[k - lo]) if lo <= k < hi else 0.0  # zero outside the window
 
     def r_a(k: int) -> float:
         return 0.5 * (a(k - 1) * r(k - 1) - a(k) * r(k + 1))
@@ -605,9 +818,12 @@ def row_probabilities(two_j: int, two_m_target: int, angle) -> np.ndarray:
 
 
 def row_stacks(two_j: int, two_m_target: int, angles) -> Iterator[tuple[slice, np.ndarray]]:
-    """row_probabilities for many angles at one target, in the stacks of
-    transition_stacks: row k of a stack is
+    """row_probabilities for many angles at one target, in the dense stacks
+    of transition_stacks: row k of a stack is
     row_probabilities(two_j, two_m_target, angles[rows][k]), bit for bit.
+    Both are solved on the same window, so this holds within a stack
+    versus one row; versus a full-range solve it holds only where the
+    window is the full range (elsewhere entries agree to about 1e-16).
     """
     SpinSpec(two_j, two_m_target)  # validates now, not at the first stack
     thetas = np.asarray(angles, dtype=np.float64)

@@ -7,7 +7,7 @@ around.
 """
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, get_lapack_funcs
 
 
 def jy_dense(two_j: int) -> np.ndarray:
@@ -61,3 +61,49 @@ def bessel_series(order: int, x: float, terms: int = 80) -> float:
         log_mag -= math.lgamma(s + 1) + math.lgamma(s + order + 1)
         total += (-1.0) ** s * np.exp(log_mag)
     return sign * total
+
+
+def greedy_stacks(widths, entries: int) -> list[int]:
+    """Rows per stack when consecutive rows are stacked while their window
+    widths fit in entries, with at least one row per stack."""
+    sizes, total, count = [], 0, 0
+    for w in widths:
+        if count and total + w > entries:
+            sizes.append(count)
+            total, count = 0, 0
+        total, count = total + w, count + 1
+    return sizes + [count]
+
+
+def full_range_row(two_j: int, two_m: int, theta: float) -> np.ndarray:
+    """|d^j_{m',m}(theta)|^2 over the whole m' grid by plain inverse
+    iteration on the full tridiagonal cos(theta) J_z + sin(theta) J_x - m:
+    LAPACK gttrf with the exact shift (zero pivots floored at eps j), three
+    gttrs solves from a fixed random start, residual checked.
+
+    The eigenvector itself is only as accurate as eps ||H|| / gap (about
+    1e-13 at j = 4096, whichever solver), so windowed rows are gated
+    against this same full-range arithmetic, not against another solver.
+    """
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0),))
+    n = two_j + 1
+    j = two_j / 2.0
+    m = np.arange(n) - j
+    off = np.sin(theta) * np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0)) / 2.0
+    diag = np.cos(theta) * m - two_m / 2.0
+    if n <= 2:  # LAPACK's gttrf wants n >= 3: a dense eigensolver here
+        values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        return vectors[:, np.argmin(np.abs(values))] ** 2
+    dl, d, du, du2, ipiv, info = gttrf(off, diag, off)
+    assert info >= 0
+    floor = np.finfo(np.float64).eps * max(1.0, j)
+    d = np.where(np.abs(d) < floor, np.where(d < 0.0, -floor, floor), d)
+    v = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    for _ in range(3):
+        v, info = gttrs(dl, d, du, du2, ipiv, v)
+        v /= np.linalg.norm(v)
+    r = diag * v
+    r[:-1] += off * v[1:]
+    r[1:] += off * v[:-1]
+    assert np.max(np.abs(r)) <= 1e-10 * max(1.0, j)
+    return v * v

@@ -6,6 +6,8 @@ import pytest
 from dickeprep.core import AnglePolicy, DomainError, OutOfRange
 from dickeprep import angles, wigner
 
+from oracles import greedy_stacks
+
 
 def test_geometric_angle_at_target_is_zero():
     for two_j, two_mt in [(8, 4), (11, -3), (40, 0)]:
@@ -200,8 +202,9 @@ def test_refinement_evaluations_per_state(monkeypatch):
     monkeypatch.setattr(wigner, "_eigenvector", counting)
     angles.optimal_angles_for_target(two_j, 0)
     refined = two_j // 2  # the m > 0 sources; m < 0 come from the mirror
-    # beyond the shared grid scan: Newton steps plus one geometric candidate per state
-    assert calls[0] - len(angles._coarse_grid(two_j)) <= 8 * refined
+    # the grid scan and the geometric candidates come in stacks: one-row
+    # evaluations are the Newton steps alone, about four per state
+    assert refined < calls[0] <= 4 * refined
 
 
 def _scalar_geometric(two_j, two_mt, two_m):
@@ -286,29 +289,36 @@ def test_overlap_probabilities_equal_row_entries(two_j, two_mt):
 
 def test_optimizer_rows_come_in_stacks(monkeypatch):
     # the grid scan and the geometric candidates are stacked; only the
-    # Newton steps go one row at a time
+    # Newton steps go one row at a time.  Each factorization gets exactly
+    # the predicted window entries of its rows: no row is widened.
     two_j = 256
-    rows = [0]
+    calls = []  # (rows, predicted window entries) per _eigenvectors call
     original = wigner._eigenvectors
 
     def counting(two_j, two_ms, thetas):
-        rows[0] += len(thetas)
+        lo, hi = wigner._windows(two_j, np.asarray(two_ms), np.cos(thetas), np.sin(thetas))
+        calls.append((len(thetas), int((hi - lo).sum())))
         return original(two_j, two_ms, thetas)
 
-    factorizations = [0]
+    factorizations = []
     real_gttrf = wigner._gttrf
 
-    def counting_gttrf(*args):
-        factorizations[0] += 1
-        return real_gttrf(*args)
+    def counting_gttrf(dl, d, du):
+        factorizations.append(len(d))
+        return real_gttrf(dl, d, du)
 
     monkeypatch.setattr(wigner, "_eigenvectors", counting)
     monkeypatch.setattr(wigner, "_gttrf", counting_gttrf)
     angles.optimal_angles_for_target(two_j, 0)
+    assert factorizations == [entries for _, entries in calls]
     refined = two_j // 2
-    grid = len(angles._coarse_grid(two_j))
-    newton = rows[0] - grid - refined
-    assert newton <= 8 * refined
-    per_stack = wigner._STACK_ENTRIES // (two_j + 1)
-    stacks = math.ceil(grid / per_stack) + math.ceil(refined / per_stack)
-    assert factorizations[0] == stacks + newton
+    grid = -angles._coarse_grid(two_j)  # rows are columns of the inverse rotation
+    geo = -angles._geometric_angles(two_j, 0, wigner.m_values(two_j)[two_j // 2 + 1:])
+    stacks = []
+    for t in (grid, geo):
+        lo, hi = wigner._windows(two_j, np.zeros(len(t), dtype=np.int64), np.cos(t), np.sin(t))
+        stacks += greedy_stacks(hi - lo, wigner._STACK_ENTRIES)
+    stacked = [rows for rows, _ in calls if rows > 1]
+    assert stacked == stacks
+    newton = len(calls) - len(stacked)
+    assert refined < newton <= 4 * refined

@@ -153,6 +153,27 @@ def test_singular_system_detected():
         chain.expected_steps(broken)
 
 
+@pytest.mark.parametrize("two_j", [100, 200])
+def test_unreachable_target_raises(two_j):
+    # with the sqrt_j reset the walk almost never measures m = -j: (I - Q) is
+    # singular to working precision, and the solve used to return 2^53 at
+    # two_j = 100 and -4.5e15 at two_j = 200 (t >= 1 holds for every state)
+    sqrt_j = ResetPolicy(kind="sqrt_j")
+    with pytest.raises(SingularSystem):
+        chain.expected_steps_for(two_j, -two_j, AnglePolicy.GEOMETRIC, sqrt_j)
+    with pytest.raises(SingularSystem):
+        chain.expected_steps(chain.build_chain(_cfg(two_j, -two_j, AnglePolicy.GEOMETRIC, sqrt_j)))
+
+
+def test_expected_steps_below_one_raise():
+    # a well-conditioned (I - Q) can still give no expected-steps vector:
+    # the negative entry of this Q puts t below 1
+    q = np.array([[0.0, 0.0], [-0.5, 0.0]])
+    with pytest.raises(SingularSystem, match="< 1"):
+        chain._solve(q)
+    assert chain._solve(np.array([[0.0, 0.0], [0.5, 0.0]])).tolist() == [1.0, 1.5]
+
+
 def test_half_integer_spin_chain():
     report = chain.expected_steps_for(5, 1, AnglePolicy.GEOMETRIC)
     assert np.isfinite(report.start_state_value)
@@ -239,15 +260,15 @@ def test_entered_block_matches_dense_reference(policy, two_j, two_mt, reset):
 
 
 def _perturbed_stacks(monkeypatch, rows_to_perturb):
-    original = wigner.transition_stacks
+    original = wigner.transition_windows
 
     def perturbed(two_j, two_ms, thetas):
         two_ms = np.asarray(two_ms)
-        for rows, probs in original(two_j, two_ms, thetas):
-            probs[rows_to_perturb(two_j, two_ms[rows])] *= 1.0 + 1e-6
-            yield rows, probs
+        for rows, stack in original(two_j, two_ms, thetas):
+            stack.values[np.repeat(rows_to_perturb(two_j, two_ms[rows]), stack.widths)] *= 1.0 + 1e-6
+            yield rows, stack
 
-    monkeypatch.setattr(wigner, "transition_stacks", perturbed)
+    monkeypatch.setattr(wigner, "transition_windows", perturbed)
 
 
 def test_entered_block_row_sum_check(monkeypatch):
@@ -302,7 +323,25 @@ def test_other_states_filled_on_first_access(monkeypatch):
 
 
 def test_log_growth_to_large_j():
-    # the geometric sqrt_j fit of acceptance criterion 04, carried to j = 32768
-    r2, coef = _log_fit([2**k for k in range(4, 16)])
+    # the geometric sqrt_j fit of acceptance criterion 04, carried to j = 2^19:
+    # the paper's logarithmic-runtime claim two decades past j = 4096
+    r2, coef = _log_fit([2**k for k in range(4, 20)])
     assert r2 >= 0.98
     assert coef[1] > 0
+
+
+def test_start_value_solves_windows_at_two_j_2_20(monkeypatch):
+    # the entered rows have O(sqrt j) windows: the kernel factors under 1% of
+    # the |S| x n entries that full-range rows would take
+    two_j = 2**20
+    entries = [0]
+    real = wigner._gttrf
+
+    def counting(dl, d, du):
+        entries[0] += len(d)
+        return real(dl, d, du)
+
+    monkeypatch.setattr(wigner, "_gttrf", counting)
+    report = chain.expected_steps_for(two_j, 0, AnglePolicy.GEOMETRIC, ResetPolicy(kind="sqrt_j"))
+    assert 0 < entries[0] < 0.01 * _entered_count(two_j, 0) * (two_j + 1)
+    assert 15.0 < report.start_state_value < 25.0

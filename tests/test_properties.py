@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from dickeprep.core import SpinSpec  # noqa: E402
 from dickeprep import wigner  # noqa: E402
 
+from oracles import full_range_row  # noqa: E402
+
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 special_angles = st.sampled_from(
@@ -46,6 +48,20 @@ def test_rows_sum_to_one(stack):
     two_j, two_ms, thetas = stack
     for _, probs in wigner.transition_stacks(two_j, two_ms, thetas):
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(stacks(max_two_j=600))
+def test_windowed_rows_match_full_range(stack):
+    # each row on its window against full-range inverse iteration: every
+    # entry within 1e-15, dropped mass below 1e-15
+    two_j, two_ms, thetas = stack
+    for rows, windows in wigner.transition_windows(two_j, two_ms, thetas):
+        dense = windows.dense()
+        for k, row in enumerate(dense):
+            ref = full_range_row(two_j, two_ms[rows][k], thetas[rows][k])
+            assert np.max(np.abs(row - ref)) <= 1e-15
+            assert ref[row == 0.0].sum() < 1e-15
 
 
 @PROPERTY_SETTINGS

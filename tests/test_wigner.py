@@ -7,7 +7,7 @@ from scipy.linalg import get_lapack_funcs
 from dickeprep.core import NormDrift, OutOfRange, SpinSpec
 from dickeprep import wigner
 
-from oracles import rotation_oracle
+from oracles import full_range_row, greedy_stacks, rotation_oracle
 
 THETAS = [-2.8, -1.0, -0.2, 0.4, np.pi / 4, 1.3, np.pi / 2, 2.2, 3.0]
 
@@ -258,13 +258,15 @@ STACK_THETAS = [
 
 def _assert_rows_equal_single(two_j, two_ms, thetas):
     stacked = wigner._eigenvectors(two_j, two_ms, thetas)
-    assert stacked.shape == (len(thetas), two_j + 1)
+    assert len(stacked.lo) == len(thetas)
     for k, (two_m, theta) in enumerate(zip(two_ms, thetas)):
-        single = wigner._eigenvector(two_j, two_m, theta)
+        lo, single = wigner._eigenvector(two_j, two_m, theta)
+        row = stacked.values[stacked.starts[k]:stacked.stops[k]]
+        assert (stacked.lo[k], stacked.hi[k]) == (lo, lo + len(single))
         # squared rows bit for bit; signed entries equal as numbers (an
         # underflowed entry may carry either sign of zero at a block edge)
-        assert (stacked[k] * stacked[k]).tobytes() == (single * single).tobytes()
-        assert np.array_equal(stacked[k], single)
+        assert (row * row).tobytes() == (single * single).tobytes()
+        assert np.array_equal(row, single)
 
 
 @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 32, 33, 200, 201, 2048])
@@ -279,6 +281,12 @@ def test_stacked_zero_pivot_row():
     _assert_rows_equal_single(32, [24, 24, -8, 24], thetas)
 
 
+def _predicted_widths(two_j, two_ms, thetas):
+    thetas = np.asarray(thetas, dtype=np.float64)
+    lo, hi = wigner._windows(two_j, np.asarray(two_ms), np.cos(thetas), np.sin(thetas))
+    return hi - lo
+
+
 @pytest.mark.parametrize("entries", [1, 33 * 3 + 1, 33 * 5 - 1, 2**14])
 def test_stack_sizes_that_do_not_divide_the_rows(monkeypatch, entries):
     monkeypatch.setattr(wigner, "_STACK_ENTRIES", entries)
@@ -288,8 +296,8 @@ def test_stack_sizes_that_do_not_divide_the_rows(monkeypatch, entries):
     two_ms = 2 * rng.integers(0, 33, len(thetas)) - 32
     _assert_rows_equal_single(32, two_ms, thetas)
     stacks = list(wigner.transition_stacks(32, two_ms, thetas))
-    step = max(1, entries // 33)
-    assert [s.stop - s.start for s, _ in stacks][:-1] == [step] * (len(stacks) - 1)
+    sizes = [s.stop - s.start for s, _ in stacks]
+    assert sizes == greedy_stacks(_predicted_widths(32, two_ms, thetas), entries)
     for rows, probs in stacks:
         for k, p in zip(range(rows.start, rows.stop), probs):
             single = wigner.transition_probabilities(SpinSpec(32, int(two_ms[k])), thetas[k])
@@ -321,37 +329,59 @@ def test_stacked_rows_equal_per_row_reference(two_j):
     thetas = [t for t in STACK_THETAS if t != 0.0]
     two_ms = 2 * rng.integers(0, two_j + 1, len(thetas)) - two_j
     stacked = wigner._eigenvectors(two_j, two_ms, thetas)
-    checked = 0
+    dense = stacked.dense()
+    checked = clipped = 0
     for k, (two_m, theta) in enumerate(zip(two_ms, thetas)):
         ref, passed = _first_attempt_reference(two_j, int(two_m), theta)
-        if passed:  # a row that fails its first attempt is redone alone
-            assert (stacked[k] * stacked[k]).tobytes() == (ref * ref).tobytes()
+        if stacked.hi[k] - stacked.lo[k] < two_j + 1:  # a window: the 1e-15 gate
+            assert np.max(np.abs(dense[k] ** 2 - ref**2)) <= 1e-15
+            clipped += 1
+        elif passed:  # the full range: bit for bit (a failed first attempt is redone alone)
+            assert (dense[k] * dense[k]).tobytes() == (ref * ref).tobytes()
             checked += 1
-    assert checked >= len(thetas) - 2
+    assert checked + clipped >= len(thetas) - 2
+    assert clipped > 0 if two_j >= 32 else clipped == 0  # both cases are exercised
 
 
 def test_row_norms_match_linalg_norm():
-    # the stacked normalisation relies on np.vecdot(V, V) giving, per row,
-    # the bits of the v.dot(v) inside np.linalg.norm
+    # the stacked normalisation relies on np.vecdot(V, V) giving, per
+    # full-range row, the bits of np.linalg.norm; a clipped window's sum
+    # depends only on its own entries, so it is the same alone and stacked
     rng = np.random.default_rng(5)
     for n in (3, 33, 65, 201, 2049, 4097):
         rows = rng.standard_normal((9, n)) * np.logspace(-150, 150, 9)[:, None]
-        rows = np.vstack([rows, wigner._eigenvectors(n - 1, [n - 3] * 3, [0.3, 1.7, -2.9])])
-        got = np.sqrt(np.vecdot(rows, rows))
-        assert got.tobytes() == np.array([np.linalg.norm(v) for v in rows]).tobytes()
+        rows = np.vstack([rows, wigner._eigenvectors(n - 1, [n - 3] * 3, [0.3, 1.7, -2.9]).dense()])
+        norms = np.array([np.linalg.norm(v) for v in rows])
+        assert np.sqrt(np.vecdot(rows, rows)).tobytes() == norms.tobytes()
+        full = wigner.Windows(n, np.zeros(len(rows), dtype=np.int64), np.full(len(rows), n))
+        assert np.sqrt(wigner._sum_squares(rows.ravel(), full)).tobytes() == norms.tobytes()
+        lo = rng.integers(0, n // 2, len(rows))
+        hi = rng.integers(n // 2 + 1, n + 1, len(rows))
+        lo[::3], hi[::3] = 0, n  # full-range windows mixed in
+        flat = np.concatenate([v[a:b] for v, a, b in zip(rows, lo, hi)])
+        got = wigner._sum_squares(flat, wigner.Windows(n, lo, hi))
+        for k, (v, a, b) in enumerate(zip(rows, lo, hi)):
+            alone = wigner._sum_squares(v[a:b].copy(), wigner.Windows(n, lo[k:k + 1], hi[k:k + 1]))
+            assert got[k] == alone[0]
+            assert got[k] == pytest.approx(math.fsum(v[a:b] ** 2), rel=1e-15)
+            if b - a == n:
+                assert np.sqrt(got[k]) == norms[k]
 
 
 def test_chain_rows_take_few_factorizations(monkeypatch):
-    calls = [0]
+    entries = []
     real = wigner._gttrf
 
-    def counting(*args):
-        calls[0] += 1
-        return real(*args)
+    def counting(dl, d, du):
+        entries.append(len(d))
+        return real(dl, d, du)
 
     monkeypatch.setattr(wigner, "_gttrf", counting)
-    list(wigner.transition_stacks(200, wigner.two_m_values(200), np.full(201, 0.7)))
-    assert calls[0] == math.ceil(201 / (wigner._STACK_ENTRIES // 201))
+    two_ms, thetas = wigner.two_m_values(200), np.full(201, 0.7)
+    list(wigner.transition_stacks(200, two_ms, thetas))
+    widths = _predicted_widths(200, two_ms, thetas)
+    assert len(entries) == len(greedy_stacks(widths, wigner._STACK_ENTRIES))
+    assert sum(entries) == widths.sum() < 201 * 201  # no row widened; windows below full range
 
 
 @pytest.mark.parametrize("poison", [np.nan, np.inf])
@@ -360,6 +390,9 @@ def test_poisoned_block_stays_in_its_block(monkeypatch, poison):
     two_ms = [40, 4, -12, 0, 38]
     thetas = [0.3, 0.9, -2.0, 1.4, 2.9]
     expected = [wigner._eigenvector(two_j, m, t) for m, t in zip(two_ms, thetas)]
+    widths = _predicted_widths(two_j, two_ms, thetas)
+    assert widths[2] == n  # the poisoned row is on the full range, so it is retried, not widened
+    third = slice(int(widths[:2].sum()), int(widths[:3].sum()))  # the third row's block
     real_gttrs, real_retry = wigner._gttrs, wigner._retry
     retried = []
     alone_too = [False]
@@ -367,8 +400,8 @@ def test_poisoned_block_stays_in_its_block(monkeypatch, poison):
     def poisoned(dl, d, du, du2, ipiv, b):
         x, info = real_gttrs(dl, d, du, du2, ipiv, b)
         x = x.copy()
-        if len(b) > n:
-            x[2 * n:3 * n] = poison  # the third row's block
+        if len(b) == widths.sum():
+            x[third] = poison
         elif alone_too[0]:
             x[:] = poison
         return x, info
@@ -382,10 +415,91 @@ def test_poisoned_block_stays_in_its_block(monkeypatch, poison):
     got = wigner._eigenvectors(two_j, two_ms, thetas)
     assert retried == [(-12, -2.0)]
     for k in range(len(thetas)):
-        assert got[k].tobytes() == expected[k].tobytes()
+        assert got.lo[k] == expected[k][0]
+        assert got.values[got.starts[k]:got.stops[k]].tobytes() == expected[k][1].tobytes()
 
     retried.clear()
     alone_too[0] = True
     with pytest.raises(NormDrift, match=r"two_j=40, two_m=-12, theta=-2\.0\)"):
         wigner._eigenvectors(two_j, two_ms, thetas)
     assert retried == [(-12, -2.0)]
+
+
+# ---------------------------------------------------------------------------
+# windows: each row solved on its classically allowed window
+
+WINDOW_THETAS = [
+    1e-7, 1e-3, -0.02,  # near 0
+    0.5, -2.5,
+    math.pi / 2 - 1e-3, math.pi / 2, -math.pi / 2,  # near pi/2
+    math.pi - 1e-3, math.pi - 1e-7, -math.pi + 1e-4,  # near pi
+]
+
+
+def _assert_window_matches_full_range(two_j, two_m, theta):
+    """The row on its window against full-range inverse iteration: every
+    entry within 1e-15 and the dropped mass below 1e-15.  True if the
+    window is clipped."""
+    lo, v = wigner._eigenvector(two_j, two_m, theta)
+    hi = lo + len(v)
+    ref = full_range_row(two_j, two_m, theta)
+    got = np.zeros(two_j + 1)
+    got[lo:hi] = v * v
+    assert np.max(np.abs(got - ref)) <= 1e-15
+    assert ref[:lo].sum() + ref[hi:].sum() < 1e-15
+    return hi - lo < two_j + 1
+
+
+@pytest.mark.parametrize("two_j", [1001, 2048, 8193, 65536])
+def test_windowed_rows_match_full_range(two_j):
+    near_edge = [two_j, two_j - 2, -two_j, -two_j + 6]
+    near_zero = [two_j % 2, -(two_j % 2) - 34]
+    clipped = [
+        _assert_window_matches_full_range(two_j, two_m, theta)
+        for two_m in near_edge + near_zero
+        for theta in WINDOW_THETAS
+    ]
+    assert sum(clipped) >= len(clipped) // 2
+
+
+def test_full_range_windows_keep_their_bits():
+    # at two_j = 40 every row of these angles spans the whole grid; there the
+    # windowed kernel is the full-range one and gives its bits
+    rng = np.random.default_rng(40)
+    two_ms = 2 * rng.integers(0, 41, 12) - 40
+    thetas = rng.uniform(0.6, 2.5, 12)
+    stack = wigner._eigenvectors(40, two_ms, thetas)
+    assert (stack.lo == 0).all() and (stack.hi == 41).all()
+    for k, (two_m, theta) in enumerate(zip(two_ms, thetas)):
+        ref, passed = _first_attempt_reference(40, int(two_m), theta)
+        assert passed
+        assert stack.values[41 * k:41 * (k + 1)].tobytes() == ref.tobytes()
+
+
+def test_too_narrow_prediction_is_widened(monkeypatch):
+    # a predictor that returns three entries around the band centre: every
+    # clipped row must be widened until its edges are negligible, and still
+    # match the full-range row, alone and stacked
+    def narrow(two_j, m, cos, sin):
+        centre = m * cos + two_j / 2.0
+        return centre - 1.0, centre + 1.0
+
+    solves = []
+    real_solve = wigner._solve_windows
+
+    def spying(two_j, two_ms, *args):
+        solves.append(len(two_ms))
+        return real_solve(two_j, two_ms, *args)
+
+    monkeypatch.setattr(wigner, "_band", narrow)
+    monkeypatch.setattr(wigner, "_solve_windows", spying)
+    cases = [
+        (2048, 2048, 0.5), (2048, 0, math.pi / 2 - 1e-3), (8193, -8193, 3.0), (8193, 1, 1e-3), (101, 33, -2.2),
+    ]
+    for case in cases:
+        _assert_window_matches_full_range(*case)
+    assert len(solves) > 2 * len(cases)  # each row needed at least two widenings
+    for two_j in (2048, 8193):
+        picked = [c for c in cases if c[0] == two_j]
+        two_ms, thetas = [c[1] for c in picked], [c[2] for c in picked]
+        _assert_rows_equal_single(two_j, two_ms, thetas)
