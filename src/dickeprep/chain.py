@@ -92,13 +92,6 @@ def _report(config: ProtocolConfig, start: float, fill: Callable[[], np.ndarray]
     )
 
 
-def _rerouted(config: ProtocolConfig) -> np.ndarray:
-    """The states whose measurement fires a reset; absorption wins over reset."""
-    rerouted = config.reset_policy.mask(config.two_j)
-    rerouted[config.target_index] = False
-    return rerouted
-
-
 def _routed_rows(
     config: ProtocolConfig, theta: np.ndarray, rerouted: np.ndarray, states: np.ndarray
 ) -> Iterator[tuple[slice, wigner.Windows, np.ndarray]]:
@@ -159,7 +152,7 @@ def build_chain(config: ProtocolConfig) -> TransitionChain:
     theta = angles_mod.policy_angles(two_j, config.target_two_mt, config.angle_policy)
 
     matrix = np.zeros((n, n))
-    for rows, stack, moved in _routed_rows(config, theta, _rerouted(config), np.arange(n)):
+    for rows, stack, moved in _routed_rows(config, theta, config.rerouted(), np.arange(n)):
         matrix[rows].ravel()[stack.flat_index(n)] = stack.values
         matrix[rows, -1] += moved
     matrix[i_t] = 0.0
@@ -214,7 +207,7 @@ def expected_steps_for(
     )
     n = two_j + 1
     theta = angles_mod.policy_angles(two_j, target_two_mt, config.angle_policy)
-    rerouted = _rerouted(config)
+    rerouted = config.rerouted()
     transient = np.arange(n) != config.target_index
     entered = transient & ~rerouted
     entered[n - 1] = transient[n - 1]  # the reset destination, unless it is the target

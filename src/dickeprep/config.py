@@ -48,7 +48,10 @@ def _parse_reset(value) -> ResetPolicy:
     if isinstance(value, dict):
         if set(value.keys()) != {"custom"}:
             raise ParseError(f"reset_policy object must be {{\"custom\": t}}, got {value!r}")
-        return ResetPolicy(kind=ResetPolicy.CUSTOM, threshold=float(value["custom"]))
+        threshold = value["custom"]
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise ParseError(f"reset_policy: custom threshold must be a number, got {threshold!r}")
+        return ResetPolicy(kind=ResetPolicy.CUSTOM, threshold=float(threshold))
     raise ParseError(f"reset_policy must be a string or {{\"custom\": t}}, got {value!r}")
 
 

@@ -209,6 +209,10 @@ def _as_radians(angle) -> float:
     return float(angle)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Full configuration of one preparation protocol run.
@@ -234,10 +238,19 @@ class ProtocolConfig:
             raise ValidationError("approx_mt0 angle policy requires target_two_mt = 0")
         if self.max_iterations is None:
             object.__setattr__(self, "max_iterations", default_max_iterations(self.two_j))
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if not isinstance(self.seed, int):
-            raise ValidationError("seed must be an integer")
+        if not _is_int(self.max_iterations) or self.max_iterations < 1:
+            raise ValidationError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
+            )
+        if not _is_int(self.seed):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+
+    def rerouted(self) -> np.ndarray:
+        """The states whose measurement fires a reset, as a mask over the m
+        grid; absorption wins over reset, so the target is never rerouted."""
+        rerouted = self.reset_policy.mask(self.two_j)
+        rerouted[self.target_index] = False
+        return rerouted
 
     @property
     def spin(self) -> SpinSpec:

@@ -1,14 +1,20 @@
 """Monte Carlo sampling of the measurement-feedback protocol.
 
-Two engines cross-validate the Markov-chain abstraction:
+The measured m performs one Markov walk: the outcome m' is drawn by
+inverse CDF from the current state's cumulative outcome distribution, the
+target absorbs, and an outcome the reset policy reroutes returns the
+register to m = j within the same step.  The walk is written once, as a
+recording one-run walk (run_trajectory, run_statevector) and as a batched
+sampler (sample_iterations), parameterised only by its cumulative source:
+the chain engine reads the chain's outcome rows; the statevector engine
+rotates the basis state by the policy angle and samples the squares of the
+norm-checked rotated column before collapsing.  Both sources come from one
+O(j) kernel and agree bit for bit, so the engines do not check each other;
+the independent check is the chain's exact absorption-time law
+Pr[T = k] = e_start Q^(k-1) r (Kemeny & Snell, 1960), held against both
+engines' histograms in the tests.
 
-* the chain engine samples measurement outcomes directly from the cached
-  per-state outcome distributions (the chain's rows);
-* the statevector engine maintains the full symmetric-subspace state,
-  applies the orthogonal rotation to it, and samples from the squared
-  amplitudes before collapsing.
-
-Both engines consume per-trajectory Philox streams keyed by
+Every run consumes a per-trajectory Philox stream keyed by
 (base_seed, trajectory_index), so results are reproducible and independent
 of batching or worker count.  Within a trajectory, the k-th step consumes
 the k-th draw of its stream.
@@ -21,11 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    NormDrift,
-    ProtocolConfig,
-    SpinSpec,
-)
+from .core import NormDrift, ProtocolConfig, SpinSpec
 from . import angles as angles_mod
 from . import wigner
 
@@ -94,8 +96,9 @@ class SymmetricState:
 
 
 class PolicyTables:
-    """Per-config cache: rotation angle, outcome row and its cumulative,
-    per source state.  Write-once per state, safe for concurrent reads."""
+    """Per-config cache: rotation angle and rerouted states, and the
+    cumulative outcome distribution of each source state, built on first
+    use.  Write-once per state, safe for concurrent reads."""
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
@@ -103,52 +106,48 @@ class PolicyTables:
         self.angles = angles_mod.policy_angles(
             config.two_j, config.target_two_mt, config.angle_policy
         )
-        self._rows: dict[int, np.ndarray] = {}
+        self.rerouted = config.rerouted()
         self._cums: dict[int, np.ndarray] = {}
-        self._columns: dict[int, np.ndarray] = {}
         self._column_cums: dict[int, np.ndarray] = {}
 
     def row(self, i_m: int) -> np.ndarray:
-        cached = self._rows.get(i_m)
-        if cached is None:
-            spec = SpinSpec(self.two_j, 2 * i_m - self.two_j)
-            cached = wigner.transition_probabilities(spec, self.angles[i_m])
-            self._rows[i_m] = cached
-        return cached
+        """Outcome distribution of source state i_m (a chain row)."""
+        spec = SpinSpec(self.two_j, 2 * i_m - self.two_j)
+        return wigner.transition_probabilities(spec, self.angles[i_m])
 
     def cumulative(self, i_m: int) -> np.ndarray:
+        """Cumulative of row(i_m): the chain engine's outcome source."""
         cached = self._cums.get(i_m)
         if cached is None:
-            cached = _normalized_cumulative(self.row(i_m))
-            self._cums[i_m] = cached
+            cached = self._cums[i_m] = _normalized_cumulative(self.row(i_m))
         return cached
 
     def column(self, i_m: int) -> np.ndarray:
         """Rotated basis column (signed amplitudes) for the statevector engine.
 
-        Built once per state: its norm is checked (NormDrift beyond 1e-8,
-        then SymmetricState's 1e-9) and the cumulative of its squares is
-        stored with it.
+        Its norm is checked: NormDrift beyond 1e-8, then SymmetricState's
+        1e-9.
         """
-        cached = self._columns.get(i_m)
-        if cached is None:
-            spec = SpinSpec(self.two_j, 2 * i_m - self.two_j)
-            cached = wigner.d_column(spec, self.angles[i_m]).amplitudes
-            norm_dev = abs(float(cached @ cached) - 1.0)
-            if norm_dev > 1e-8:
-                raise NormDrift(f"statevector norm drifted by {norm_dev:.3e}")
-            SymmetricState(two_j=self.two_j, amplitudes=cached)
-            self._column_cums[i_m] = _normalized_cumulative(cached**2)
-            self._columns[i_m] = cached
-        return cached
+        spec = SpinSpec(self.two_j, 2 * i_m - self.two_j)
+        column = wigner.d_column(spec, self.angles[i_m]).amplitudes
+        norm_dev = abs(float(column @ column) - 1.0)
+        if norm_dev > 1e-8:
+            raise NormDrift(f"statevector norm drifted by {norm_dev:.3e}")
+        SymmetricState(two_j=self.two_j, amplitudes=column)
+        return column
 
     def column_cumulative(self, i_m: int) -> np.ndarray:
-        """Cumulative outcome distribution of column(i_m)."""
+        """Cumulative of the squares of column(i_m), built once per state:
+        the statevector engine's outcome source."""
         cached = self._column_cums.get(i_m)
         if cached is None:
-            self.column(i_m)
-            cached = self._column_cums[i_m]
+            cached = self._column_cums[i_m] = _normalized_cumulative(self.column(i_m) ** 2)
         return cached
+
+
+# the PolicyTables method each engine draws its outcomes from, looked up on
+# the instance at call time so that a method replaced on the class is used
+_SOURCES = {"chain": "cumulative", "statevector": "column_cumulative"}
 
 
 def _normalized_cumulative(row: np.ndarray) -> np.ndarray:
@@ -158,18 +157,17 @@ def _normalized_cumulative(row: np.ndarray) -> np.ndarray:
     return cum.astype(np.float64)
 
 
-def _draw(cum: np.ndarray, u: float) -> int:
-    idx = int(np.searchsorted(cum, u, side="left"))
-    return min(idx, len(cum) - 1)
-
-
-def run_trajectory(
-    config: ProtocolConfig,
-    rng: np.random.Generator,
-    tables: PolicyTables | None = None,
+def _walk(
+    config: ProtocolConfig, rng: np.random.Generator, tables: PolicyTables | None, engine: str
 ) -> TrajectoryRecord:
-    """Sample one protocol run; terminates at the target or max_iterations."""
+    """One recorded run from m = j; terminates at the target or max_iterations.
+
+    Each step draws u from rng, takes the outcome by searchsorted in the
+    current state's cumulative from the engine's source, and returns to
+    m = j within the same step if the outcome is rerouted (never the target).
+    """
     tables = tables if tables is not None else PolicyTables(config)
+    cumulative = getattr(tables, _SOURCES[engine])
     two_j = config.two_j
     i_t = config.target_index
     i_cur = two_j  # start from m = j
@@ -177,25 +175,25 @@ def run_trajectory(
     succeeded = i_cur == i_t
     while not succeeded and len(steps) < config.max_iterations:
         u = float(rng.random())
-        i_next = _draw(tables.cumulative(i_cur), u)
-        two_m_next = 2 * i_next - two_j
-        reset = False
-        if i_next == i_t:
-            succeeded = True
-        elif config.reset_policy.triggers(two_j, two_m_next):
-            reset = True
-        steps.append(
-            TrajectoryStep(
-                two_m_before=2 * i_cur - two_j,
-                angle=float(tables.angles[i_cur]),
-                two_m_after=two_m_next,
-                reset=reset,
-            )
-        )
+        i_next = min(int(np.searchsorted(cumulative(i_cur), u, side="left")), two_j)
+        reset = bool(tables.rerouted[i_next])
+        angle = float(tables.angles[i_cur])
+        steps.append(TrajectoryStep(2 * i_cur - two_j, angle, 2 * i_next - two_j, reset))
+        succeeded = i_next == i_t
         i_cur = two_j if reset else i_next
     return TrajectoryRecord(
         config=config, steps=tuple(steps), iterations=len(steps), succeeded=succeeded
     )
+
+
+def run_trajectory(
+    config: ProtocolConfig,
+    rng: np.random.Generator,
+    tables: PolicyTables | None = None,
+) -> TrajectoryRecord:
+    """Sample one protocol run from the chain's outcome rows; terminates at
+    the target or max_iterations."""
+    return _walk(config, rng, tables, "chain")
 
 
 def run_statevector(
@@ -203,43 +201,17 @@ def run_statevector(
     rng: np.random.Generator,
     tables: PolicyTables | None = None,
 ) -> TrajectoryRecord:
-    """Sample one run while maintaining the full symmetric-subspace state.
+    """Sample one run by rotating and measuring the symmetric-subspace state.
 
-    Each iteration rotates the current state by the policy angle (an
-    orthogonal map; PolicyTables checks each rotated column's norm when it
-    first builds it) and projectively measures J_z,
-    collapsing to a basis vector; the visited-m process has the same law
-    as run_trajectory's.
+    Each iteration rotates the current basis state |j, m> by the policy
+    angle (an orthogonal map; PolicyTables checks each rotated column's
+    norm when it first builds it), projectively measures J_z by sampling
+    the column's squared amplitudes, and collapses to the outcome |j, m'>
+    (then to |j, j> on a reset).  The walk is run_trajectory's; only the
+    cumulative it draws from differs, and since the squared columns equal
+    the chain rows bit for bit, so do the records.
     """
-    tables = tables if tables is not None else PolicyTables(config)
-    two_j = config.two_j
-    i_t = config.target_index
-    i_cur = two_j
-    steps: list[TrajectoryStep] = []
-    succeeded = i_cur == i_t
-    while not succeeded and len(steps) < config.max_iterations:
-        # pre-measurement state: the rotated basis vector, sampled by its squares
-        u = float(rng.random())
-        i_next = _draw(tables.column_cumulative(i_cur), u)
-        two_m_next = 2 * i_next - two_j
-        reset = False
-        if i_next == i_t:
-            succeeded = True
-        elif config.reset_policy.triggers(two_j, two_m_next):
-            reset = True
-        steps.append(
-            TrajectoryStep(
-                two_m_before=2 * i_cur - two_j,
-                angle=float(tables.angles[i_cur]),
-                two_m_after=two_m_next,
-                reset=reset,
-            )
-        )
-        # post-measurement collapse to |j, m'> (then optional reset to |j, j>)
-        i_cur = two_j if reset else i_next
-    return TrajectoryRecord(
-        config=config, steps=tuple(steps), iterations=len(steps), succeeded=succeeded
-    )
+    return _walk(config, rng, tables, "statevector")
 
 
 # ---------------------------------------------------------------------------
@@ -253,34 +225,24 @@ def sample_iterations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iteration counts and success flags for n_runs independent runs.
 
-    The chain engine is vectorized in chunks; trajectory i always consumes
+    Both engines are vectorized in chunks; trajectory i always consumes
     draws from rng_stream(config.seed, i) in step order, so the result is
-    identical to looping run_trajectory over i (tested), and independent of
-    chunking.  Each step groups the active trajectories by state and draws
-    with the same searchsorted rule as run_trajectory, so a cumulative row
-    is fetched only for a state some trajectory stands on.
+    identical to looping run_trajectory (or run_statevector) over i
+    (tested), and independent of chunking.  Each step groups the active
+    trajectories by state and draws with the same searchsorted rule as the
+    one-run walk, so a state's cumulative is fetched only once some
+    trajectory stands on it.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if engine == "statevector":
-        tables = PolicyTables(config)
-        its = np.empty(n_runs, dtype=np.int64)
-        ok = np.empty(n_runs, dtype=bool)
-        for i in range(n_runs):
-            rec = run_statevector(config, rng_stream(config.seed, i), tables)
-            its[i] = rec.iterations
-            ok[i] = rec.succeeded
-        return its, ok
-    if engine != "chain":
+    if engine not in _SOURCES:
         raise ValueError(f"unknown engine {engine!r}")
-
     tables = PolicyTables(config)
+    cumulative = getattr(tables, _SOURCES[engine])
     two_j = config.two_j
     i_t = config.target_index
     max_iters = config.max_iterations
-    reset_to_start = config.reset_policy.mask(two_j)
-    reset_to_start[i_t] = False  # absorption wins over reset
-    cums: dict[int, np.ndarray] = {}  # rows of the states some trajectory stood on
+    cums: dict[int, np.ndarray] = {}  # cumulatives of the states some trajectory stood on
     streams = _BlockReader(config.seed)
 
     iterations = np.zeros(n_runs, dtype=np.int64)
@@ -289,10 +251,8 @@ def sample_iterations(
         hi = min(lo + _CHUNK, n_runs)
         size = hi - lo
         cur = np.full(size, two_j, dtype=np.int64)
-        done = np.zeros(size, dtype=bool)
+        done = np.full(size, i_t == two_j)
         iters = np.zeros(size, dtype=np.int64)
-        if i_t == two_j:
-            done[:] = True
         step = 0
         while not done.all() and step < max_iters:
             if step % _BLOCK == 0:
@@ -302,19 +262,18 @@ def sample_iterations(
             idx_active = np.flatnonzero(~done)
             u = block[idx_active, step % _BLOCK]
             src = cur[idx_active]
-            # group the active trajectories by state; draw each group from its row
+            # group the active trajectories by state; draw each group from its cumulative
             order = np.argsort(src, kind="stable")
             states, starts = np.unique(src[order], return_index=True)
             nxt = np.empty_like(src)
             for s, group in zip(states.tolist(), np.split(order, starts[1:])):
                 cum = cums.get(s)
                 if cum is None:
-                    cum = cums[s] = tables.cumulative(s)
+                    cum = cums[s] = cumulative(s)
                 nxt[group] = np.searchsorted(cum, u[group], side="left")
             np.clip(nxt, 0, two_j, out=nxt)
             hit = nxt == i_t
-            resetting = reset_to_start[nxt] & ~hit
-            nxt[resetting] = two_j
+            nxt[tables.rerouted[nxt]] = two_j
             iters[idx_active] += 1
             cur[idx_active] = nxt
             done[idx_active[hit]] = True

@@ -107,3 +107,25 @@ def full_range_row(two_j: int, two_m: int, theta: float) -> np.ndarray:
     r[1:] += off * v[:-1]
     assert np.max(np.abs(r)) <= 1e-10 * max(1.0, j)
     return v * v
+
+
+def absorption_time_law(matrix: np.ndarray, absorbing: int, start: int, k_max: int) -> np.ndarray:
+    """Pr[T = k] for k = 0..k_max, T the number of steps from start until
+    the chain first enters the absorbing state: Pr[T = k] = e_start Q^(k-1) r
+    with Q the transient block of the dense row-stochastic matrix and r its
+    column into the absorbing state (Kemeny & Snell, Finite Markov Chains,
+    1960), by repeated vector-matrix products.  The mass beyond k_max is
+    1 - sum of the returned entries.
+    """
+    law = np.zeros(k_max + 1)
+    if start == absorbing:
+        law[0] = 1.0
+        return law
+    keep = np.arange(len(matrix)) != absorbing
+    q = matrix[np.ix_(keep, keep)]
+    r = matrix[keep, absorbing]
+    v = (np.arange(len(matrix)) == start)[keep].astype(float)
+    for k in range(1, k_max + 1):
+        law[k] = v @ r
+        v = v @ q
+    return law

@@ -59,6 +59,22 @@ def test_parse_config_reset_variants():
         parse_config({"two_j": 4, "reset_policy": {"custom": 1.5, "extra": 1}})
     with pytest.raises(ValidationError):
         parse_config({"two_j": 4, "reset_policy": "sometimes"})
+    assert parse_config({"two_j": 4, "reset_policy": {"custom": 2}}).reset_policy.threshold == 2.0
+
+
+@pytest.mark.parametrize("threshold", [None, "abc", [1], True, {"t": 1}])
+def test_parse_config_rejects_non_number_reset_threshold(tmp_path, capsys, threshold):
+    data = {"two_j": 4, "reset_policy": {"custom": threshold}}
+    with pytest.raises(ParseError, match="reset_policy"):
+        parse_config(data)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    rc = cli.main(["--no-timestamp", "simulate", "--config", str(path), "--runs", "1",
+                   "--out", str(tmp_path / "stats.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "reset_policy" in err
+    assert not (tmp_path / "stats.json").exists()
 
 
 def test_config_round_trip(tmp_path):

@@ -82,6 +82,13 @@ def test_protocol_config_validation():
         ProtocolConfig(two_j=4, target_two_mt=2, angle_policy=AnglePolicy.APPROX_MT0)
     with pytest.raises(ParityMismatch):
         ProtocolConfig(two_j=4, target_two_mt=1)
+    # the same rejections as parse_config: a non-bool int, and a cap >= 1
+    for bad in (2.5, True, 0, "10"):
+        with pytest.raises(ValidationError, match="max_iterations"):
+            ProtocolConfig(two_j=4, max_iterations=bad)
+    for bad in (True, 1.0, "7", None):
+        with pytest.raises(ValidationError, match="seed"):
+            ProtocolConfig(two_j=4, seed=bad)
 
 
 def test_default_max_iterations_formula():

@@ -1,4 +1,5 @@
-"""Property tests of the rotation kernel's invariants (Hypothesis)."""
+"""Property tests of the rotation kernel's and the Monte Carlo walk's
+invariants (Hypothesis)."""
 
 import math
 
@@ -8,8 +9,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dickeprep.core import SpinSpec  # noqa: E402
-from dickeprep import wigner  # noqa: E402
+from dickeprep.core import AnglePolicy, ProtocolConfig, ResetPolicy, SpinSpec  # noqa: E402
+from dickeprep import simulate, wigner  # noqa: E402
 
 from oracles import full_range_row  # noqa: E402
 
@@ -74,3 +75,36 @@ def test_transpose_is_the_inverse_rotation(two_j, theta):
         )
 
     assert np.max(np.abs(matrix(theta).T - matrix(-theta))) <= 1e-12
+
+
+@st.composite
+def protocol_configs(draw, max_two_j=24):
+    """Small ProtocolConfigs: any target, policy, reset and seed."""
+    two_j = draw(st.integers(0, max_two_j))
+    two_mt = 2 * draw(st.integers(0, two_j)) - two_j
+    policies = [AnglePolicy.GEOMETRIC, AnglePolicy.NUMERIC_OPTIMAL]
+    if two_mt == 0:
+        policies.append(AnglePolicy.APPROX_MT0)
+    reset = draw(
+        st.sampled_from([ResetPolicy(), ResetPolicy(kind="sqrt_j")])
+        | st.builds(ResetPolicy, st.just("custom"), st.floats(0.0, max_two_j / 2.0))
+    )
+    return ProtocolConfig(
+        two_j=two_j,
+        target_two_mt=two_mt,
+        angle_policy=draw(st.sampled_from(policies)),
+        reset_policy=reset,
+        seed=draw(st.integers(-(2**63), 2**64 - 1)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(protocol_configs(), st.sampled_from(["chain", "statevector"]))
+def test_batched_walk_equals_looped_walk(config, engine):
+    runs = 40
+    its, ok = simulate.sample_iterations(config, runs, engine=engine)
+    walk = simulate.run_statevector if engine == "statevector" else simulate.run_trajectory
+    tables = simulate.PolicyTables(config)
+    for i in range(runs):
+        rec = walk(config, simulate.rng_stream(config.seed, i), tables)
+        assert (its[i], ok[i]) == (rec.iterations, rec.succeeded)

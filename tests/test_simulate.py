@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
 from dickeprep.core import AnglePolicy, ProtocolConfig, ResetPolicy
 from dickeprep import chain, simulate, wigner
 
-from oracles import rotation_oracle
+from oracles import absorption_time_law, rotation_oracle
 
 
 def _cfg(two_j, two_mt=0, policy=AnglePolicy.APPROX_MT0, reset="none", seed=42, **kw):
@@ -51,32 +51,38 @@ def test_first_step_angle_is_half_pi():
     assert rec.steps[0].angle == pytest.approx(math.pi / 2)
 
 
+WALK_CONFIGS = [
+    _cfg(10, reset="none", seed=9),
+    _cfg(10, reset="sqrt_j", seed=9),
+    _cfg(200, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=4),
+    ProtocolConfig(two_j=60, target_two_mt=4, reset_policy=ResetPolicy(kind="custom", threshold=4.0), seed=5),
+    _cfg(41, 1, AnglePolicy.GEOMETRIC, seed=6),  # half-integer j, no reset
+]
+# each engine's batched sampler against its one-run walk
+WALKS = {"chain": simulate.run_trajectory, "statevector": simulate.run_statevector}
+
+
 def test_batch_equals_sequential_runs():
-    configs = [
-        _cfg(10, reset="none", seed=9),
-        _cfg(10, reset="sqrt_j", seed=9),
-        _cfg(200, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=4),
-        ProtocolConfig(two_j=60, target_two_mt=4, reset_policy=ResetPolicy(kind="custom", threshold=4.0), seed=5),
-        _cfg(41, 1, AnglePolicy.GEOMETRIC, seed=6),  # half-integer j, no reset
-    ]
-    for cfg in configs:
-        its, ok = simulate.sample_iterations(cfg, 300)
-        tables = simulate.PolicyTables(cfg)
-        for i in range(300):
-            rec = simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables)
-            assert its[i] == rec.iterations
-            assert ok[i] == rec.succeeded
+    for cfg in WALK_CONFIGS:
+        for engine, walk in WALKS.items():
+            its, ok = simulate.sample_iterations(cfg, 300, engine=engine)
+            tables = simulate.PolicyTables(cfg)
+            for i in range(300):
+                rec = walk(cfg, simulate.rng_stream(cfg.seed, i), tables)
+                assert its[i] == rec.iterations
+                assert ok[i] == rec.succeeded
 
 
 def test_batch_equals_sequential_runs_across_draw_blocks():
     # runs longer than one 32-draw block read later blocks of their stream
     cfg = _cfg(100, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=3)
-    its, ok = simulate.sample_iterations(cfg, 300)
-    assert its.max() > 32
-    tables = simulate.PolicyTables(cfg)
-    for i in range(300):
-        rec = simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables)
-        assert (its[i], ok[i]) == (rec.iterations, rec.succeeded)
+    for engine, walk in WALKS.items():
+        its, ok = simulate.sample_iterations(cfg, 300, engine=engine)
+        assert its.max() > 32
+        tables = simulate.PolicyTables(cfg)
+        for i in range(300):
+            rec = walk(cfg, simulate.rng_stream(cfg.seed, i), tables)
+            assert (its[i], ok[i]) == (rec.iterations, rec.succeeded)
 
 
 def test_block_reader_matches_streams():
@@ -197,7 +203,7 @@ def test_statevector_builds_each_column_cumulative_once(monkeypatch):
     steps = 0
     for i in range(40):
         steps += simulate.run_statevector(cfg, simulate.rng_stream(cfg.seed, i), tables).iterations
-    assert len(built) == len(tables._columns) < steps
+    assert len(built) == len(tables._column_cums) < steps
     for i_m, cum in tables._column_cums.items():
         assert np.array_equal(cum, original(tables.row(i_m)))
 
@@ -270,9 +276,80 @@ def test_monte_carlo_summary_multiple_configs():
     assert single[0] == out[0]
 
 
-def test_summary_independent_of_chunking(monkeypatch):
+@pytest.mark.parametrize("engine", ["chain", "statevector"])
+def test_summary_independent_of_chunking(monkeypatch, engine):
     cfg = _cfg(14, seed=31)
-    baseline = simulate.summarize(cfg, 2_000)
+    baseline = simulate.summarize(cfg, 2_000, engine=engine)
     monkeypatch.setattr(simulate, "_CHUNK", 137)
-    chunked = simulate.summarize(cfg, 2_000)
+    chunked = simulate.summarize(cfg, 2_000, engine=engine)
     assert baseline == chunked
+
+
+def test_statevector_records_equal_trajectory_records():
+    for cfg in WALK_CONFIGS:
+        tables = simulate.PolicyTables(cfg)
+        for i in range(60):
+            rec = simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables)
+            assert simulate.run_statevector(cfg, simulate.rng_stream(cfg.seed, i), tables) == rec
+
+
+def test_unknown_engine_is_rejected():
+    with pytest.raises(ValueError, match="engine"):
+        simulate.sample_iterations(_cfg(4), 10, engine="dense")
+
+
+# ---------------------------------------------------------------------------
+# the exact absorption-time law as the independent check of both engines
+
+LAW_ALPHA = 1e-3  # chi-square significance, fixed before any run
+LAW_RUNS = 20_000
+
+
+def _merge_sparse(observed, expected, floor=5.0):
+    """Pool consecutive bins until each pooled bin expects at least floor
+    counts; a short remainder joins the last pooled bin."""
+    obs, exp, o, e = [], [], 0, 0.0
+    for ob, ex in zip(observed, expected):
+        o, e = o + ob, e + ex
+        if e >= floor:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    return np.array(obs), np.array(exp)
+
+
+def test_exact_law_oracle_is_consistent():
+    # j = 1 under arcsin(m/j): every step rotates m = +-1 by pi/2 and lands
+    # on m = 0 with probability 1/2
+    built = chain.build_chain(_cfg(2))
+    law = absorption_time_law(built.matrix, built.absorbing_index, built.size - 1, 40)
+    assert np.allclose(law[1:], 0.5 ** np.arange(1, 41), rtol=0, atol=1e-15)
+    for two_j, reset in ((16, "none"), (100, "sqrt_j")):
+        built = chain.build_chain(_cfg(two_j, policy=AnglePolicy.GEOMETRIC, reset=reset))
+        law = absorption_time_law(built.matrix, built.absorbing_index, built.size - 1, 4000)
+        assert 1.0 - law.sum() < 1e-12
+        mean = float(np.arange(len(law)) @ law)
+        assert mean == pytest.approx(chain.expected_steps(built).start_state_value, rel=1e-9)
+
+
+@pytest.mark.parametrize("engine", ["chain", "statevector"])
+@pytest.mark.parametrize("reset", ["none", "sqrt_j"])
+@pytest.mark.parametrize("two_j", [2, 16, 100])
+def test_engine_histograms_follow_exact_law(two_j, reset, engine):
+    cfg = _cfg(two_j, policy=AnglePolicy.GEOMETRIC, reset=reset, seed=1000 + two_j)
+    built = chain.build_chain(cfg)
+    cap = cfg.max_iterations
+    law = absorption_time_law(built.matrix, built.absorbing_index, built.size - 1, cap)
+    its, ok = simulate.sample_iterations(cfg, LAW_RUNS, engine=engine)
+    # bins T = 1..cap, then "not absorbed within the cap"
+    observed = np.append(np.bincount(its[ok], minlength=cap + 1)[1:], np.count_nonzero(~ok))
+    expected = LAW_RUNS * np.append(law[1:], 1.0 - law.sum())
+    obs, exp = _merge_sparse(observed, expected)
+    assert len(obs) >= 2
+    assert chisquare(obs, exp).pvalue > LAW_ALPHA
+    exact_mean = chain.expected_steps(built).start_state_value
+    std_error = its.std(ddof=1) / math.sqrt(LAW_RUNS)
+    assert ok.all()
+    assert abs(its.mean() - exact_mean) < 4 * std_error
