@@ -12,6 +12,12 @@ for |j,m_t>:
   safeguarded Newton refinement on the analytic theta-derivatives of the
   overlap, wigner.row_derivatives, to 1e-10 rad).
 
+optimal_angles_for_target does the same for every source state at once:
+the grid rows, the geometric candidates and each Newton round come as
+stacked solves, a round holding every state still refining, about four
+rounds per state.  optimal_angle is the one-state case of the same code,
+so the two agree bit for bit.
+
 Angle signs: for m < m_t the same formulas produce negative angles; the
 optimizer mirrors through (m_t, m) -> (-m_t, -m), which leaves the overlap
 invariant.
@@ -119,15 +125,15 @@ def _grid_scan(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, best_idx
 
 
-def _cell(grid: np.ndarray, b: int) -> tuple[float, float, float]:
-    """(lo, hi, start): the one-cell bracket around grid point b, and b.
+def _cells(grid: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, start, hi) per state: the one-cell bracket around its best grid
+    point, and that point.
 
-    The last cell ends at pi itself: for m = -m_t the maximum is
-    d^j_{-m,m}(pi)^2 = 1 there.
+    The first cell starts at grid[0] / 2 and the last ends at pi itself:
+    for m = -m_t the maximum is d^j_{-m,m}(pi)^2 = 1 there.
     """
-    lo = grid[b - 1] if b > 0 else grid[0] / 2.0
-    hi = grid[b + 1] if b + 1 < len(grid) else math.pi
-    return lo, hi, grid[b]
+    edges = np.concatenate(([grid[0] / 2.0], grid, [math.pi]))
+    return edges[best], edges[best + 1], edges[best + 2]
 
 
 def overlap_probabilities(two_j: int, two_mt: int, states, thetas) -> np.ndarray:
@@ -142,50 +148,46 @@ def overlap_probabilities(two_j: int, two_mt: int, states, thetas) -> np.ndarray
     return out
 
 
-def _refine(
-    two_j: int,
-    two_mt: int,
-    i: int,
-    lo: float,
-    hi: float,
-    start: float,
-    candidate: tuple[float, float] | None = None,
-) -> AnglePolicyResult:
-    """Maximize f(theta) = |d^j_{m_t,m}(theta)|^2 (m at index i) in [lo, hi].
+def _refine(two_j: int, two_mt: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize f(theta) = |d^j_{m_t,m}(theta)|^2 for every source index in
+    states; returns (angles, overlaps, fell_back), one entry per state.
 
-    Safeguarded Newton on the analytic derivatives: each evaluation shrinks
-    the bracket to the side where f' says the maximum lies, takes the step
-    -f'/f'' when f'' < 0 and it lands strictly inside the bracket, and
-    bisects otherwise.  It stops once |f'/f''| < 1e-10 rad (or the bracket
-    is that narrow) and returns the last evaluated theta with its f.  The
-    geometric angle is then compared as a candidate (fell_back=True when it
-    wins); candidate = (angle, overlap) passes it in precomputed.
+    One coarse scan (_grid_scan) gives each state its one-cell bracket.
+    Then safeguarded Newton on the analytic derivatives runs for all states
+    in lockstep: each round evaluates f, f' and f'' at every live state's
+    theta from one stacked solve (wigner.row_derivatives).  Per state, the
+    bracket shrinks to the side where f' says the maximum lies; the step
+    -f'/f'' is taken when f'' < 0 and it lands strictly inside the bracket,
+    and the bracket is bisected otherwise.  A state stops once
+    |f'/f''| < 1e-10 rad (or its bracket is that narrow) and keeps its last
+    evaluated theta with its f; the others go on to the next round.  A
+    stacked row has the bits of the same row solved alone, so each state
+    takes the steps it would take alone.  Its geometric angle, evaluated in
+    one stack beforehand, is then compared as a candidate (fell_back where
+    it wins).
     """
-    theta = start
-    while True:
-        f, df, d2f = wigner.row_derivatives(two_j, two_mt, theta, i)
-        if d2f < 0.0 and abs(df) < _NEWTON_TOL * -d2f:
-            break
-        if df > 0.0:
-            lo = theta
-        else:
-            hi = theta
-        if hi - lo < _NEWTON_TOL:
-            break
-        newton = d2f < 0.0 and lo < theta - df / d2f < hi
-        theta = theta - df / d2f if newton else 0.5 * (lo + hi)
-
-    if candidate is None:
-        theta_geo = geometric_angle(two_j, two_mt, 2 * i - two_j).radians
-        candidate = theta_geo, float(wigner.row_probabilities(two_j, two_mt, theta_geo)[i])
-    theta_geo, overlap_geo = candidate
+    grid, best_idx = _grid_scan(two_j, two_mt)
+    lo, theta, hi = _cells(grid, best_idx[states])
+    theta_geo = _geometric_angles(two_j, two_mt, wigner.m_values(two_j)[states])
+    overlap_geo = overlap_probabilities(two_j, two_mt, states, theta_geo)
+    f = np.empty(len(states))
+    live = np.arange(len(states))
+    while len(live):
+        at = theta[live]
+        f[live], df, d2f = wigner.row_derivatives(two_j, two_mt, at, states[live])
+        peak = d2f < 0.0
+        done = peak & (np.abs(df) < _NEWTON_TOL * -d2f)
+        up = df > 0.0
+        low, high = np.where(up, at, lo[live]), np.where(up, hi[live], at)
+        lo[live], hi[live] = low, high
+        done |= high - low < _NEWTON_TOL
+        with np.errstate(divide="ignore", invalid="ignore"):  # d2f = 0 takes no Newton step
+            newton = at - df / d2f
+        step = np.where(peak & (low < newton) & (newton < high), newton, 0.5 * (low + high))
+        theta[live[~done]] = step[~done]
+        live = live[~done]
     fell_back = f < overlap_geo
-    return AnglePolicyResult(
-        angle=Angle(theta_geo if fell_back else theta),
-        overlap_probability=overlap_geo if fell_back else f,
-        policy=AnglePolicy.NUMERIC_OPTIMAL,
-        fell_back=fell_back,
-    )
+    return np.where(fell_back, theta_geo, theta), np.where(fell_back, overlap_geo, f), fell_back
 
 
 def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
@@ -210,30 +212,23 @@ def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
             policy=AnglePolicy.NUMERIC_OPTIMAL,
             fell_back=mirrored.fell_back,
         )
-    grid, best_idx = _grid_scan(two_j, two_mt)
-    i = (two_m + two_j) // 2
-    return _refine(two_j, two_mt, i, *_cell(grid, int(best_idx[i])))
+    angle, overlap, fell_back = _refine(two_j, two_mt, np.array([(two_m + two_j) // 2]))
+    return AnglePolicyResult(
+        angle=Angle(float(angle[0])),
+        overlap_probability=float(overlap[0]),
+        policy=AnglePolicy.NUMERIC_OPTIMAL,
+        fell_back=bool(fell_back[0]),
+    )
 
 
 def _optimal_above_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal (angle, overlap) per source state, filled only for m > m_t.
-
-    One coarse scan is shared across all m, and the geometric candidates
-    come from one stacked evaluation; then every m is refined in its own
-    one-cell bracket by the same _refine as optimal_angle.
-    """
+    """Optimal (angle, overlap) per source state, filled only for m > m_t,
+    by one _refine over all of them, as optimal_angle refines one."""
     n = two_j + 1
-    grid, best_idx = _grid_scan(two_j, two_mt)
     above = np.arange((two_mt + two_j) // 2 + 1, n)
-    theta_geo = _geometric_angles(two_j, two_mt, wigner.m_values(two_j)[above])
-    overlap_geo = overlap_probabilities(two_j, two_mt, above, theta_geo)
     angles = np.zeros(n)
     overlaps = np.ones(n)
-    candidates = zip(theta_geo.tolist(), overlap_geo.tolist())
-    for i, candidate in zip(above.tolist(), candidates):
-        res = _refine(two_j, two_mt, i, *_cell(grid, int(best_idx[i])), candidate)
-        angles[i] = res.angle.radians
-        overlaps[i] = res.overlap_probability
+    angles[above], overlaps[above], _ = _refine(two_j, two_mt, above)
     return angles, overlaps
 
 

@@ -51,7 +51,11 @@ def _parse_reset(value) -> ResetPolicy:
         threshold = value["custom"]
         if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
             raise ParseError(f"reset_policy: custom threshold must be a number, got {threshold!r}")
-        return ResetPolicy(kind=ResetPolicy.CUSTOM, threshold=float(threshold))
+        try:
+            threshold = float(threshold)
+        except OverflowError:  # a JSON integer beyond float range
+            raise ParseError("reset_policy: custom threshold is beyond float range") from None
+        return ResetPolicy(kind=ResetPolicy.CUSTOM, threshold=threshold)
     raise ParseError(f"reset_policy must be a string or {{\"custom\": t}}, got {value!r}")
 
 

@@ -55,6 +55,10 @@ class ValidationError(DickePrepError, ValueError):
     """A parsed configuration violates invariants; lists offending keys."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpinSpec:
     """A (j, m) pair stored as doubled integers.
@@ -67,8 +71,8 @@ class SpinSpec:
     two_m: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.two_j, int) or not isinstance(self.two_m, int):
-            raise OutOfRange("two_j and two_m must be integers")
+        if not _is_int(self.two_j) or not _is_int(self.two_m):
+            raise OutOfRange("two_j and two_m must be integers, not bools")
         if self.two_j < 0:
             raise OutOfRange(f"two_j must be >= 0, got {self.two_j}")
         if (self.two_m - self.two_j) % 2 != 0:
@@ -207,10 +211,6 @@ class Angle:
 def _as_radians(angle) -> float:
     """Accept an Angle or a plain number wherever an angle is expected."""
     return float(angle)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,8 @@ against a dense matrix exponential of that generator, not external tables.
 ``transition_probabilities`` squares the same eigenvector, so chain rows
 never need the sign step.  ``transition_windows`` yields chain rows still
 on their windows (``Windows``); the dense APIs scatter them into zeros.
+``row_derivatives`` reads its derivative stencil from the same stacks
+before they are squared (``_eigenvector_windows``).
 """
 
 from __future__ import annotations
@@ -741,19 +743,18 @@ def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:
     return out
 
 
-def transition_windows(two_j: int, two_ms, angles) -> Iterator[tuple[slice, Windows]]:
-    """transition_probabilities for many (two_m, angle) pairs of one two_j,
-    kept on their windows, one stacked solve at a time.
+def _eigenvector_windows(two_j: int, two_ms, thetas) -> Iterator[tuple[slice, Windows]]:
+    """_eigenvectors for many (two_m, theta) pairs of one two_j, one stacked
+    solve at a time: the unit eigenvectors, up to sign, on their windows.
 
-    Yields (rows, stack): a slice of the inputs and the Windows whose row k,
-    scattered into zeros (stack.dense()), is
-    transition_probabilities(SpinSpec(two_j, two_ms[rows][k]),
-    angles[rows][k]), bit for bit.  A stack holds about _STACK_ENTRIES
+    Yields (rows, stack): a slice of the inputs and the Windows whose row k
+    is the eigenvector for (two_ms[rows][k], thetas[rows][k]), bit for bit
+    the one _eigenvector gives alone.  A stack holds about _STACK_ENTRIES
     predicted window entries (at least one row), so memory stays flat
     however many rows are asked for.
     """
     two_ms = np.asarray(two_ms, dtype=np.int64)
-    thetas = np.asarray(angles, dtype=np.float64)
+    thetas = np.asarray(thetas, dtype=np.float64)
     lo, hi = _windows(two_j, two_ms, np.cos(thetas), np.sin(thetas))
     ends = np.cumsum(hi - lo)
     first = 0
@@ -761,10 +762,22 @@ def transition_windows(two_j: int, two_ms, angles) -> Iterator[tuple[slice, Wind
         done = ends[first - 1] if first else 0
         last = max(first + 1, int(np.searchsorted(ends, done + _STACK_ENTRIES, side="right")))
         rows = slice(first, last)
-        stack = _eigenvectors(two_j, two_ms[rows], thetas[rows])
+        yield rows, _eigenvectors(two_j, two_ms[rows], thetas[rows])
+        first = last
+
+
+def transition_windows(two_j: int, two_ms, angles) -> Iterator[tuple[slice, Windows]]:
+    """transition_probabilities for many (two_m, angle) pairs of one two_j,
+    kept on their windows: the stacks of _eigenvector_windows, squared.
+
+    Yields (rows, stack): a slice of the inputs and the Windows whose row k,
+    scattered into zeros (stack.dense()), is
+    transition_probabilities(SpinSpec(two_j, two_ms[rows][k]),
+    angles[rows][k]), bit for bit.
+    """
+    for rows, stack in _eigenvector_windows(two_j, two_ms, angles):
         stack.values *= stack.values
         yield rows, stack
-        first = last
 
 
 def transition_stacks(two_j: int, two_ms, angles) -> Iterator[tuple[slice, np.ndarray]]:
@@ -778,33 +791,38 @@ def transition_stacks(two_j: int, two_ms, angles) -> Iterator[tuple[slice, np.nd
         yield rows, stack.dense()
 
 
-def row_derivatives(two_j: int, two_m_target: int, angle, i: int) -> tuple[float, float, float]:
-    """f = row_probabilities(two_j, two_m_target, angle)[i] and its first
-    and second theta-derivatives, from the same O(j) eigenvector.
+def row_derivatives(
+    two_j: int, two_m_target: int, angles, indices
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each k, f = row_probabilities(two_j, two_m_target, angles[k])[indices[k]]
+    and its first and second theta-derivatives, as three arrays, from the
+    unsquared eigenvector stacks of _eigenvector_windows.
 
     The row r(theta) = d^j_{m_t,.}(theta) obeys r' = r A with the real
     antisymmetric A = -i J_y = (J_- - J_+)/2, so with a = ladder_strengths
         (rA)_k = (a_{k-1} r_{k-1} - a_k r_{k+1}) / 2,
-        f' = 2 r_i (rA)_i,   f'' = 2 [(rA)_i^2 + r_i (rA^2)_i].
-    Every term is bilinear in r, so the unsigned eigenvector serves.
+        f' = 2 r_i (rA)_i,   f'' = 2 [(rA)_i^2 + r_i (rA^2)_i],
+    a stencil of the three entries (rA)_{i-1..i+1}, read from r_{i-2..i+2}
+    (zero outside the window).  Every term is bilinear in r, so the
+    unsigned eigenvector serves.
     """
-    lo, u = _eigenvector(two_j, two_m_target, -_as_radians(angle))
-    hi = lo + len(u)
-    j = two_j / 2.0
-
-    def a(k: int) -> float:
-        m = k - j
-        return math.sqrt(j * (j + 1.0) - m * (m + 1.0)) if 0 <= k < two_j else 0.0
-
-    def r(k: int) -> float:
-        return float(u[k - lo]) if lo <= k < hi else 0.0  # zero outside the window
-
-    def r_a(k: int) -> float:
-        return 0.5 * (a(k - 1) * r(k - 1) - a(k) * r(k + 1))
-
-    r_i, ra_i = r(i), r_a(i)
-    ra2_i = 0.5 * (a(i - 1) * r_a(i - 1) - a(i) * r_a(i + 1))
-    return r_i * r_i, 2.0 * r_i * ra_i, 2.0 * (ra_i * ra_i + r_i * ra2_i)
+    SpinSpec(two_j, two_m_target)
+    thetas = np.asarray(angles, dtype=np.float64)
+    indices = np.asarray(indices, dtype=np.int64)
+    # a_k at k + 2, zero for k < 0 and k >= two_j
+    ladder = np.concatenate(([0.0, 0.0], _operators(two_j)[1], [0.0]))
+    out = np.empty((3, len(thetas)))
+    for rows, stack in _eigenvector_windows(two_j, np.full(len(thetas), two_m_target), -thetas):
+        k = indices[rows, None] + np.arange(-2, 3)  # grid columns i-2 .. i+2
+        lo = stack.lo[:, None]
+        inside = (lo <= k) & (k < stack.hi[:, None])
+        r = np.where(inside, stack.values[np.where(inside, stack.starts[:, None] + k - lo, 0)], 0.0)
+        a = ladder[k[:, :4] + 2]  # a_{i-2} .. a_{i+1}
+        ra = 0.5 * (a[:, :3] * r[:, :3] - a[:, 1:] * r[:, 2:])  # (rA)_{i-1}, (rA)_i, (rA)_{i+1}
+        r_i, ra_i = r[:, 2], ra[:, 1]
+        ra2_i = 0.5 * (a[:, 1] * ra[:, 0] - a[:, 2] * ra[:, 2])
+        out[:, rows] = r_i * r_i, 2.0 * r_i * ra_i, 2.0 * (ra_i * ra_i + r_i * ra2_i)
+    return out[0], out[1], out[2]
 
 
 def row_probabilities(two_j: int, two_m_target: int, angle) -> np.ndarray:

@@ -6,6 +6,8 @@ summation.  The production code must match these, never the other way
 around.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
 
@@ -129,3 +131,83 @@ def absorption_time_law(matrix: np.ndarray, absorbing: int, start: int, k_max: i
         law[k] = v @ r
         v = v @ q
     return law
+
+
+def scalar_row_derivatives(two_j: int, two_mt: int, theta: float, i: int) -> tuple[float, float, float]:
+    """f = |d^j_{m_t,m}(theta)|^2 (m at index i) and its first and second
+    theta-derivatives from one row solved alone (the package's one-row
+    eigenvector), in scalar arithmetic: with a = ladder strengths,
+        (rA)_k = (a_{k-1} r_{k-1} - a_k r_{k+1}) / 2,
+        f' = 2 r_i (rA)_i,   f'' = 2 [(rA)_i^2 + r_i (rA^2)_i].
+    """
+    from dickeprep import wigner
+
+    lo, u = wigner._eigenvector(two_j, two_mt, -theta)
+    hi = lo + len(u)
+    j = two_j / 2.0
+
+    def a(k: int) -> float:
+        m = k - j
+        return math.sqrt(j * (j + 1.0) - m * (m + 1.0)) if 0 <= k < two_j else 0.0
+
+    def r(k: int) -> float:
+        return float(u[k - lo]) if lo <= k < hi else 0.0  # zero outside the window
+
+    def r_a(k: int) -> float:
+        return 0.5 * (a(k - 1) * r(k - 1) - a(k) * r(k + 1))
+
+    r_i, ra_i = r(i), r_a(i)
+    ra2_i = 0.5 * (a(i - 1) * r_a(i - 1) - a(i) * r_a(i + 1))
+    return r_i * r_i, 2.0 * r_i * ra_i, 2.0 * (ra_i * ra_i + r_i * ra2_i)
+
+
+def scalar_newton(two_j: int, two_mt: int, i: int, lo: float, hi: float, start: float, tol: float = 1e-10):
+    """One state's safeguarded Newton maximization of f in [lo, hi], one
+    row per step: shrink the bracket to the side f' points to, step by
+    -f'/f'' when f'' < 0 and the step lands strictly inside, else bisect;
+    stop once |f'/f''| < tol or the bracket is narrower than tol.  Returns
+    the last evaluated (theta, f).
+    """
+    theta = start
+    while True:
+        f, df, d2f = scalar_row_derivatives(two_j, two_mt, theta, i)
+        if d2f < 0.0 and abs(df) < tol * -d2f:
+            break
+        if df > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        if hi - lo < tol:
+            break
+        newton = d2f < 0.0 and lo < theta - df / d2f < hi
+        theta = theta - df / d2f if newton else 0.5 * (lo + hi)
+    return theta, f
+
+
+def _scalar_above_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
+    from dickeprep import angles, wigner
+
+    n = two_j + 1
+    out_angles, out_overlaps = np.zeros(n), np.ones(n)
+    grid, best_idx = angles._grid_scan(two_j, two_mt)
+    lo, start, hi = angles._cells(grid, best_idx)
+    for i in range((two_mt + two_j) // 2 + 1, n):
+        theta, f = scalar_newton(two_j, two_mt, i, float(lo[i]), float(hi[i]), float(start[i]))
+        theta_geo = angles.geometric_angle(two_j, two_mt, 2 * i - two_j).radians
+        overlap_geo = float(wigner.row_probabilities(two_j, two_mt, theta_geo)[i])
+        out_angles[i], out_overlaps[i] = (theta_geo, overlap_geo) if f < overlap_geo else (theta, f)
+    return out_angles, out_overlaps
+
+
+def scalar_optimal_table(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
+    """optimal_angles_for_target with every state above the target refined
+    on its own by scalar_newton, then compared with its geometric angle
+    one row at a time; the states below the target come through the mirror
+    (m_t, m) -> (-m_t, -m).
+    """
+    n = two_j + 1
+    out_angles, out_overlaps = _scalar_above_target(two_j, two_mt)
+    below_angles, below_overlaps = _scalar_above_target(two_j, -two_mt) if two_mt else (out_angles, out_overlaps)
+    for i in range((two_mt + two_j) // 2):
+        out_angles[i], out_overlaps[i] = -below_angles[n - 1 - i], below_overlaps[n - 1 - i]
+    return out_angles, out_overlaps

@@ -6,7 +6,7 @@ import pytest
 from dickeprep.core import AnglePolicy, DomainError, OutOfRange
 from dickeprep import angles, wigner
 
-from oracles import greedy_stacks
+from oracles import greedy_stacks, scalar_optimal_table
 
 
 def test_geometric_angle_at_target_is_zero():
@@ -156,13 +156,26 @@ def test_newton_refinement_matches_golden_section(two_j, two_mt):
     # every state the batched optimizer refines, for each target it mirrors through
     for target in sorted({two_mt, -two_mt}):
         grid, best_idx = angles._grid_scan(two_j, target)
-        for i in range((target + two_j) // 2 + 1, two_j + 1):
-            lo, hi, start = angles._cell(grid, int(best_idx[i]))
-            res = angles._refine(two_j, target, i, lo, hi, start)
-            assert not res.fell_back
+        states = np.arange((target + two_j) // 2 + 1, two_j + 1)
+        lo, _, hi = angles._cells(grid, best_idx[states])
+        _, overlaps, fell_back = angles._refine(two_j, target, states)
+        assert not fell_back.any()
+        for k, i in enumerate(states):
             overlap = lambda th: float(wigner.row_probabilities(two_j, target, th)[i])
-            _, ref = _golden_max(overlap, lo, hi)
-            assert res.overlap_probability >= ref * (1.0 - 1e-14), (target, i)
+            _, ref = _golden_max(overlap, lo[k], hi[k])
+            assert overlaps[k] >= ref * (1.0 - 1e-14), (target, i)
+
+
+_SCALAR_CASES = [(64, 0), (128, 0), (256, 0), (512, 0), (2048, 0), (200, 2), (201, 1), (64, 10), (41, -3)]
+
+
+@pytest.mark.parametrize("two_j,two_mt", _SCALAR_CASES)
+def test_lockstep_newton_equals_scalar_loop(two_j, two_mt):
+    # each state takes, in the stacked rounds, the steps it takes alone
+    got_angles, got_overlaps = angles.optimal_angles_for_target(two_j, two_mt)
+    ref_angles, ref_overlaps = scalar_optimal_table(two_j, two_mt)
+    assert got_angles.tobytes() == ref_angles.tobytes()
+    assert got_overlaps.tobytes() == ref_overlaps.tobytes()
 
 
 def test_optimal_angle_reaches_pi_for_mirror_state():
@@ -180,8 +193,9 @@ def test_optimal_angle_reaches_pi_for_mirror_state():
 def test_row_derivatives_match_finite_differences(two_j, two_mt, i):
     overlap = lambda th: float(wigner.row_probabilities(two_j, two_mt, th)[i])
     h = 1e-4
-    for theta in (0.3, 1.1, 2.6, -0.8):
-        f, df, d2f = wigner.row_derivatives(two_j, two_mt, theta, i)
+    thetas = (0.3, 1.1, 2.6, -0.8)
+    fs, dfs, d2fs = wigner.row_derivatives(two_j, two_mt, thetas, np.full(len(thetas), i))
+    for theta, f, df, d2f in zip(thetas, fs, dfs, d2fs):
         assert f == overlap(theta)
         near = [overlap(theta + k * h) for k in (-2, -1, 1, 2)]
         fd1 = (near[0] - 8.0 * near[1] + 8.0 * near[2] - near[3]) / (12.0 * h)
@@ -192,19 +206,24 @@ def test_row_derivatives_match_finite_differences(two_j, two_mt, i):
 
 def test_refinement_evaluations_per_state(monkeypatch):
     two_j = 256
-    calls = [0]
-    original = wigner._eigenvector
+    one_row, newton_rows = [0], [0]
+    original, original_derivatives = wigner._eigenvector, wigner.row_derivatives
 
     def counting(*args):
-        calls[0] += 1
+        one_row[0] += 1
         return original(*args)
 
+    def counting_derivatives(two_j, two_mt, thetas, indices):
+        newton_rows[0] += len(thetas)
+        return original_derivatives(two_j, two_mt, thetas, indices)
+
     monkeypatch.setattr(wigner, "_eigenvector", counting)
+    monkeypatch.setattr(wigner, "row_derivatives", counting_derivatives)
     angles.optimal_angles_for_target(two_j, 0)
     refined = two_j // 2  # the m > 0 sources; m < 0 come from the mirror
-    # the grid scan and the geometric candidates come in stacks: one-row
-    # evaluations are the Newton steps alone, about four per state
-    assert refined < calls[0] <= 4 * refined
+    # every row comes in a stack, the Newton steps too: about four per state
+    assert one_row[0] == 0
+    assert refined < newton_rows[0] <= 4 * refined
 
 
 def _scalar_geometric(two_j, two_mt, two_m):
@@ -288,12 +307,18 @@ def test_overlap_probabilities_equal_row_entries(two_j, two_mt):
 
 
 def test_optimizer_rows_come_in_stacks(monkeypatch):
-    # the grid scan and the geometric candidates are stacked; only the
-    # Newton steps go one row at a time.  Each factorization gets exactly
-    # the predicted window entries of its rows: no row is widened.
+    # the grid scan, the geometric candidates and each Newton round are
+    # stacked.  Each factorization gets exactly the predicted window
+    # entries of its rows: no row is widened.
     two_j = 256
     calls = []  # (rows, predicted window entries) per _eigenvectors call
+    rounds = []  # the thetas of each Newton round
     original = wigner._eigenvectors
+    original_derivatives = wigner.row_derivatives
+
+    def counting_derivatives(two_j, two_mt, thetas, indices):
+        rounds.append(np.array(thetas))
+        return original_derivatives(two_j, two_mt, thetas, indices)
 
     def counting(two_j, two_ms, thetas):
         lo, hi = wigner._windows(two_j, np.asarray(two_ms), np.cos(thetas), np.sin(thetas))
@@ -309,16 +334,17 @@ def test_optimizer_rows_come_in_stacks(monkeypatch):
 
     monkeypatch.setattr(wigner, "_eigenvectors", counting)
     monkeypatch.setattr(wigner, "_gttrf", counting_gttrf)
+    monkeypatch.setattr(wigner, "row_derivatives", counting_derivatives)
     angles.optimal_angles_for_target(two_j, 0)
     assert factorizations == [entries for _, entries in calls]
     refined = two_j // 2
     grid = -angles._coarse_grid(two_j)  # rows are columns of the inverse rotation
     geo = -angles._geometric_angles(two_j, 0, wigner.m_values(two_j)[two_j // 2 + 1:])
     stacks = []
-    for t in (grid, geo):
+    for t in [grid, geo] + [-r for r in rounds]:
         lo, hi = wigner._windows(two_j, np.zeros(len(t), dtype=np.int64), np.cos(t), np.sin(t))
         stacks += greedy_stacks(hi - lo, wigner._STACK_ENTRIES)
-    stacked = [rows for rows, _ in calls if rows > 1]
-    assert stacked == stacks
-    newton = len(calls) - len(stacked)
+    assert [rows for rows, _ in calls] == stacks
+    newton = sum(len(r) for r in rounds)
     assert refined < newton <= 4 * refined
+    assert len(rounds) < newton / 10  # a round holds many states

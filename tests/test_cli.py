@@ -62,7 +62,7 @@ def test_parse_config_reset_variants():
     assert parse_config({"two_j": 4, "reset_policy": {"custom": 2}}).reset_policy.threshold == 2.0
 
 
-@pytest.mark.parametrize("threshold", [None, "abc", [1], True, {"t": 1}])
+@pytest.mark.parametrize("threshold", [None, "abc", [1], True, {"t": 1}, 10**400])
 def test_parse_config_rejects_non_number_reset_threshold(tmp_path, capsys, threshold):
     data = {"two_j": 4, "reset_policy": {"custom": threshold}}
     with pytest.raises(ParseError, match="reset_policy"):

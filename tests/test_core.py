@@ -34,6 +34,12 @@ def test_validate_spin_out_of_range():
         validate_spin(4, 6)
     with pytest.raises(OutOfRange):
         validate_spin(-2, 0)
+    # bools are not quantum numbers, as parse_config already holds
+    for two_j, two_m in [(True, True), (2, False), (False, 0), (1.0, 1)]:
+        with pytest.raises(OutOfRange):
+            SpinSpec(two_j, two_m)
+    with pytest.raises(OutOfRange):
+        ProtocolConfig(two_j=True, target_two_mt=True)
 
 
 def test_weight_round_trip():

@@ -10,9 +10,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dickeprep.core import AnglePolicy, ProtocolConfig, ResetPolicy, SpinSpec  # noqa: E402
-from dickeprep import simulate, wigner  # noqa: E402
+from dickeprep import angles as angle_policies, simulate, wigner  # noqa: E402
 
-from oracles import full_range_row  # noqa: E402
+from oracles import full_range_row, scalar_optimal_table  # noqa: E402
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -75,6 +75,18 @@ def test_transpose_is_the_inverse_rotation(two_j, theta):
         )
 
     assert np.max(np.abs(matrix(theta).T - matrix(-theta))) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 300), st.data())
+def test_lockstep_newton_equals_scalar_loop(two_j, data):
+    # any target: the stacked rounds give every state the angle and
+    # overlap its own one-row Newton loop gives, bit for bit
+    two_mt = 2 * data.draw(st.integers(0, two_j)) - two_j
+    got_angles, got_overlaps = angle_policies.optimal_angles_for_target(two_j, two_mt)
+    ref_angles, ref_overlaps = scalar_optimal_table(two_j, two_mt)
+    assert got_angles.tobytes() == ref_angles.tobytes()
+    assert got_overlaps.tobytes() == ref_overlaps.tobytes()
 
 
 @st.composite
