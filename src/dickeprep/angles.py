@@ -223,12 +223,14 @@ def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
 
 def _optimal_above_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
     """Optimal (angle, overlap) per source state, filled only for m > m_t,
-    by one _refine over all of them, as optimal_angle refines one."""
+    by one _refine over all of them, as optimal_angle refines one; with no
+    state above the target there is nothing to scan."""
     n = two_j + 1
     above = np.arange((two_mt + two_j) // 2 + 1, n)
     angles = np.zeros(n)
     overlaps = np.ones(n)
-    angles[above], overlaps[above], _ = _refine(two_j, two_mt, above)
+    if len(above):
+        angles[above], overlaps[above], _ = _refine(two_j, two_mt, above)
     return angles, overlaps
 
 

@@ -163,8 +163,23 @@ def _emit_matrix(path: Path, chain_obj, no_timestamp: bool, extra_meta: dict | N
     return _write_csv(path, meta, columns, rows, no_timestamp)
 
 
+def _expected_steps_rows(js: list[int]) -> list[tuple]:
+    """(j, geometric, numeric_optimal, naive) expected steps from m = j to
+    m_t = 0 under the sqrt_j reset, one row per j."""
+    from .core import AnglePolicy, ResetPolicy
+    from . import chain as chain_mod
+
+    reset = ResetPolicy(kind=ResetPolicy.SQRT_J)
+    rows = []
+    for j in js:
+        two_j = 2 * j
+        geo = chain_mod.expected_steps_for(two_j, 0, AnglePolicy.GEOMETRIC, reset).start_state_value
+        opt = chain_mod.expected_steps_for(two_j, 0, AnglePolicy.NUMERIC_OPTIMAL, reset).start_state_value
+        rows.append((j, geo, opt, chain_mod.naive_expected_steps(two_j)))
+    return rows
+
+
 def _cmd_chain(args) -> int:
-    from .core import AnglePolicy, ProtocolConfig, ResetPolicy
     from . import chain as chain_mod
     from .config import load_config
 
@@ -187,18 +202,7 @@ def _cmd_chain(args) -> int:
             )
             print(f"expected steps from m=j: {report.start_state_value!r}")
     if args.expected_steps:
-        js = [int(x) for x in args.j_list.split(",") if x]
-        reset = ResetPolicy(kind=ResetPolicy.SQRT_J)
-        rows = []
-        for j in js:
-            two_j = 2 * j
-            geo = chain_mod.expected_steps_for(
-                two_j, 0, AnglePolicy.GEOMETRIC, reset
-            ).start_state_value
-            opt = chain_mod.expected_steps_for(
-                two_j, 0, AnglePolicy.NUMERIC_OPTIMAL, reset
-            ).start_state_value
-            rows.append((j, geo, opt, chain_mod.naive_expected_steps(two_j)))
+        rows = _expected_steps_rows([int(x) for x in args.j_list.split(",") if x])
         meta = {"j_list": args.j_list, "reset_policy": "sqrt_j", "target_two_mt": 0}
         wrote.append(
             _write_csv(
@@ -386,19 +390,30 @@ def _cmd_geometry(args) -> int:
     return 0
 
 
+def _spectrum_rows(kappa: float, chi: float, weights: list[int], points: int) -> list[tuple]:
+    """(weight, offset, transmission) over points probe offsets in
+    [-4 kappa, 4 kappa] from the bare cavity, for each Hamming weight w
+    (dispersive shift chi * w)."""
+    import numpy as np
+
+    from . import cavity as cav
+
+    params = cav.CavityParams(kappa=kappa, chi=chi)
+    offsets = np.linspace(-4.0 * kappa, 4.0 * kappa, points)
+    return [
+        (w, float(off), cav.transmission(params, params.omega_c + off, chi * w))
+        for w in weights
+        for off in offsets
+    ]
+
+
 def _cmd_cavity(args) -> int:
     import numpy as np
 
     from . import cavity as cav
 
     if args.mode == "spectrum":
-        params = cav.CavityParams(kappa=args.kappa, chi=args.chi)
-        offsets = np.linspace(-4.0 * args.kappa, 4.0 * args.kappa, args.points)
-        rows = []
-        for w in (int(x) for x in args.weights.split(",")):
-            delta = args.chi * w
-            for off in offsets:
-                rows.append((w, float(off), cav.transmission(params, params.omega_c + off, delta)))
+        rows = _spectrum_rows(args.kappa, args.chi, [int(x) for x in args.weights.split(",")], args.points)
         meta = {"kappa": repr(args.kappa), "chi": repr(args.chi), "weights": args.weights}
         columns = ["weight", "omega_offset", "transmission"]
         name = "cavity_spectrum.csv"
@@ -486,7 +501,7 @@ def run_figure_job(job: FigureJob, no_timestamp: bool = False, seed: int | None 
     Figure data is deterministic (no Monte Carlo sampling); the seed is
     recorded in the output metadata so the rerun contract stays visible.
     """
-    from .core import AnglePolicy, ProtocolConfig, ResetPolicy
+    from .core import AnglePolicy, ProtocolConfig
     from . import chain as chain_mod
 
     out_dir = Path(job.out_dir)
@@ -514,13 +529,7 @@ def run_figure_job(job: FigureJob, no_timestamp: bool = False, seed: int | None 
         wrote.append(_emit_matrix(out_dir / "fig2b_matrix.csv", built, no_timestamp, extra_meta))
     elif job.figure_id == "fig2c":
         js = [int(x) for x in str(p.get("j_list", "16,32,64,128,256")).split(",") if x]
-        reset = ResetPolicy(kind=ResetPolicy.SQRT_J)
-        rows = []
-        for j in js:
-            two_j = 2 * j
-            geo = chain_mod.expected_steps_for(two_j, 0, AnglePolicy.GEOMETRIC, reset).start_state_value
-            opt = chain_mod.expected_steps_for(two_j, 0, AnglePolicy.NUMERIC_OPTIMAL, reset).start_state_value
-            rows.append((j, geo, opt, chain_mod.naive_expected_steps(two_j)))
+        rows = _expected_steps_rows(js)
         meta = {"j_list": ",".join(str(j) for j in js), "figure": "fig2c", "reset_policy": "sqrt_j", **extra_meta}
         wrote.append(
             _write_csv(
@@ -564,22 +573,10 @@ def run_figure_job(job: FigureJob, no_timestamp: bool = False, seed: int | None 
             )
         )
     else:  # cavity-spectrum
-        import numpy as np
-
-        from . import cavity as cav
-
         kappa = float(p.get("kappa", 1.0))
         chi = float(p.get("chi", 0.01))
         weights = [int(x) for x in str(p.get("weights", "0,5,10")).split(",")]
-        points = int(p.get("points", 201))
-        params = cav.CavityParams(kappa=kappa, chi=chi)
-        offsets = np.linspace(-4.0 * kappa, 4.0 * kappa, points)
-        rows = []
-        for w in weights:
-            for off in offsets:
-                rows.append(
-                    (w, float(off), cav.transmission(params, params.omega_c + off, chi * w))
-                )
+        rows = _spectrum_rows(kappa, chi, weights, int(p.get("points", 201)))
         meta = {"kappa": repr(kappa), "chi": repr(chi), "weights": ",".join(map(str, weights)), "figure": "cavity-spectrum", **extra_meta}
         wrote.append(
             _write_csv(
@@ -625,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-j", type=int, required=True)
     p.add_argument("--two-m", type=int, required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--backend", choices=["a", "b"], default="b")
+    p.add_argument("--backend", choices=["b"], default="b")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_dmatrix)
 

@@ -21,14 +21,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import (
-    AnglePolicy,
-    ParseError,
-    ProtocolConfig,
-    ResetPolicy,
-    ValidationError,
-    default_max_iterations,
-)
+from .core import ParseError, ProtocolConfig, ResetPolicy, ValidationError, _config_problems
 
 _ALLOWED_KEYS = {
     "two_j",
@@ -66,60 +59,16 @@ def parse_config(data: dict) -> ProtocolConfig:
     unknown = sorted(set(data.keys()) - _ALLOWED_KEYS)
     if unknown:
         raise ParseError(f"unknown configuration keys: {', '.join(unknown)}")
-
-    problems: list[str] = []
-
-    two_j = data.get("two_j")
-    if not isinstance(two_j, int) or isinstance(two_j, bool) or two_j < 0:
-        problems.append(f"two_j: need a non-negative integer, got {two_j!r}")
-        two_j = 0
-
-    target = data.get("target_two_mt", 0)
-    if not isinstance(target, int) or isinstance(target, bool):
-        problems.append(f"target_two_mt: need an integer, got {target!r}")
-        target = 0
-    else:
-        if (target - two_j) % 2 != 0:
-            problems.append(
-                f"target_two_mt: parity of {target} does not match two_j={two_j}"
-            )
-        if abs(target) > two_j:
-            problems.append(f"target_two_mt: |{target}| exceeds two_j={two_j}")
-
-    policy = data.get("angle_policy", AnglePolicy.GEOMETRIC)
-    if policy not in AnglePolicy.ALL:
-        problems.append(f"angle_policy: must be one of {AnglePolicy.ALL}, got {policy!r}")
-        policy = AnglePolicy.GEOMETRIC
-    elif policy == AnglePolicy.APPROX_MT0 and target != 0:
-        problems.append("angle_policy: approx_mt0 requires target_two_mt = 0")
-
-    reset = ResetPolicy()
+    values = dict(data)
     if "reset_policy" in data:
         try:
-            reset = _parse_reset(data["reset_policy"])
+            values["reset_policy"] = _parse_reset(data["reset_policy"])
         except ValidationError as exc:
-            problems.append(str(exc))
-
-    max_iters = data.get("max_iterations", default_max_iterations(max(two_j, 0)))
-    if not isinstance(max_iters, int) or isinstance(max_iters, bool) or max_iters < 1:
-        problems.append(f"max_iterations: need a positive integer, got {max_iters!r}")
-        max_iters = 1
-
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        problems.append(f"seed: need an integer, got {seed!r}")
-        seed = 0
-
+            values["reset_policy"] = exc  # listed in its place among the problems
+    problems = _config_problems(values)
     if problems:
-        raise ValidationError("; ".join(problems))
-    return ProtocolConfig(
-        two_j=two_j,
-        target_two_mt=target,
-        angle_policy=policy,
-        reset_policy=reset,
-        max_iterations=max_iters,
-        seed=seed,
-    )
+        raise ValidationError("; ".join(message for _, message in problems))
+    return ProtocolConfig(**values)
 
 
 def load_config(path: str | Path) -> ProtocolConfig:

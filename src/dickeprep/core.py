@@ -10,7 +10,7 @@ Dicke state is ``w = (two_j - two_m) / 2``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,11 +32,14 @@ class DomainError(DickePrepError, ValueError):
 
 
 class BackendOverflow(DickePrepError, ArithmeticError):
-    """The log-sum d-matrix backend lost too much precision to cancellation."""
+    """The log-gamma k-sum test oracle (tests/oracles.py) lost too much
+    precision to cancellation: its column's norm is off."""
 
 
 class NormDrift(DickePrepError, ArithmeticError):
-    """A propagated state's norm drifted beyond tolerance (stability bug)."""
+    """A numerical check failed (a stability bug, never renormalized away):
+    inverse iteration found no eigenvector within its residual tolerance,
+    or an outcome distribution or a statevector is off unit norm."""
 
 
 class SingularSystem(DickePrepError, ArithmeticError):
@@ -213,12 +216,69 @@ def _as_radians(angle) -> float:
     return float(angle)
 
 
+def _config_problems(values: dict) -> list[tuple[type[DickePrepError], str]]:
+    """Every problem of a protocol configuration, as (error class, message)
+    pairs in the JSON key order; each message names its key.
+
+    values maps ProtocolConfig field names to values; a missing key takes
+    its default (max_iterations: default_max_iterations, always valid).
+    Spin problems are OutOfRange or ParityMismatch, as validate_spin raises
+    them; the rest are ValidationError.  reset_policy may also be the
+    ValidationError that parsing it raised (parse_config), listed in its
+    place.  An invalid two_j or target reads as 0 in the later checks.
+    """
+    problems: list[tuple[type[DickePrepError], str]] = []
+
+    two_j = values.get("two_j")
+    if not _is_int(two_j) or two_j < 0:
+        problems.append((OutOfRange, f"two_j: need a non-negative integer, got {two_j!r}"))
+        two_j = 0
+
+    target = values.get("target_two_mt", 0)
+    if not _is_int(target):
+        problems.append((OutOfRange, f"target_two_mt: need an integer, got {target!r}"))
+        target = 0
+    else:
+        if (target - two_j) % 2 != 0:
+            problems.append(
+                (ParityMismatch, f"target_two_mt: parity of {target} does not match two_j={two_j}")
+            )
+        if abs(target) > two_j:
+            problems.append((OutOfRange, f"target_two_mt: |{target}| exceeds two_j={two_j}"))
+
+    policy = values.get("angle_policy", AnglePolicy.GEOMETRIC)
+    if policy not in AnglePolicy.ALL:
+        problems.append(
+            (ValidationError, f"angle_policy: must be one of {AnglePolicy.ALL}, got {policy!r}")
+        )
+    elif policy == AnglePolicy.APPROX_MT0 and target != 0:
+        problems.append((ValidationError, "angle_policy: approx_mt0 requires target_two_mt = 0"))
+
+    reset = values.get("reset_policy", ResetPolicy())
+    if isinstance(reset, ValidationError):
+        problems.append((ValidationError, str(reset)))
+    elif not isinstance(reset, ResetPolicy):
+        problems.append((ValidationError, f"reset_policy: need a ResetPolicy, got {reset!r}"))
+
+    max_iters = values.get("max_iterations", 1)
+    if not _is_int(max_iters) or max_iters < 1:
+        problems.append((ValidationError, f"max_iterations: need a positive integer, got {max_iters!r}"))
+
+    seed = values.get("seed", 0)
+    if not _is_int(seed):
+        problems.append((ValidationError, f"seed: need an integer, got {seed!r}"))
+    return problems
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Full configuration of one preparation protocol run.
 
     Mirrors the JSON configuration schema: keys two_j, target_two_mt,
-    angle_policy, reset_policy, max_iterations, seed.
+    angle_policy, reset_policy, max_iterations, seed.  max_iterations None
+    (the default) means default_max_iterations(two_j).  An invalid
+    configuration raises the error class of its first problem, with every
+    problem in the message.
     """
 
     two_j: int
@@ -229,21 +289,14 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        validate_spin(self.two_j, self.target_two_mt)
-        if self.angle_policy not in AnglePolicy.ALL:
-            raise ValidationError(
-                f"angle_policy must be one of {AnglePolicy.ALL}, got {self.angle_policy!r}"
-            )
-        if self.angle_policy == AnglePolicy.APPROX_MT0 and self.target_two_mt != 0:
-            raise ValidationError("approx_mt0 angle policy requires target_two_mt = 0")
+        given = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.max_iterations is None:  # a missing key: the default, set once the rest is valid
+            del given["max_iterations"]
+        problems = _config_problems(given)
+        if problems:
+            raise problems[0][0]("; ".join(message for _, message in problems))
         if self.max_iterations is None:
             object.__setattr__(self, "max_iterations", default_max_iterations(self.two_j))
-        if not _is_int(self.max_iterations) or self.max_iterations < 1:
-            raise ValidationError(
-                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}"
-            )
-        if not _is_int(self.seed):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
 
     def rerouted(self) -> np.ndarray:
         """The states whose measurement fires a reset, as a mask over the m

@@ -1,40 +1,35 @@
 """Wigner d-matrix numerics: the probability kernel of the whole protocol.
 
 A column d^j_{.,m}(theta) holds the real amplitudes <j,m'|exp(-i theta J_y)|j,m>
-over m' = -j..j (index i maps to two_m' = 2i - two_j).  Two column backends:
+over m' = -j..j (index i maps to two_m' = 2i - two_j).  One kernel computes
+every column and row: the rotated column is the eigenvector of the real
+symmetric tridiagonal H = cos(theta) J_z + sin(theta) J_x with the known
+eigenvalue m.  One banded LU factorization plus inverse iteration recovers
+it in O(j) to machine precision; ``d_column`` then fixes the global sign
+from the closed-form edge elements d^j_{+-j,m}(theta).  The protocol needs
+only the squares |d^j_{m',m}(theta)|^2, which skip the sign step.
 
-* ``a`` (LogSum): the classical finite sum over k with factorials evaluated
-  through log-gamma and sign-tracked compensated summation.  Cheap and simple,
-  but the alternating sum cancels catastrophically for large j, so it is
-  restricted to two_j <= 600 and self-checks its norm.
+Each row is solved only on its window [lo, hi) of the m' grid: the
+classically allowed band m cos(theta) +- r_m |sin(theta)| padded past each
+turning point by its Airy tail (``_band``).  Almost all of a row's mass
+lies in the band, so under the sqrt_j reset an entered row costs
+O(sqrt j), not O(j).  The prediction sets only the cost: a row whose
+clipped edge entry is not negligible is widened and solved again, up to
+the full range, and entries outside the returned window are zero.  A
+full-range window is the same code with lo = 0, hi = 2j + 1, and gives the
+full-range solve's bits.
 
-* ``b`` (Eigenvector, the default): the rotated column is the eigenvector of
-  the real symmetric tridiagonal H = cos(theta) J_z + sin(theta) J_x with
-  the known eigenvalue m.  One banded LU factorization plus inverse
-  iteration recovers it in O(j) to machine precision; the global sign is
-  then fixed from the closed-form edge elements d^j_{+-j,m}(theta).
-
-  Each row is solved only on its window [lo, hi) of the m' grid: the
-  classically allowed band m cos(theta) +- r_m |sin(theta)| padded past
-  each turning point by its Airy tail (``_band``).  Almost all of a row's
-  mass lies in the band, so under the sqrt_j reset an entered row costs
-  O(sqrt j), not O(j).  The prediction sets only the cost: a row whose
-  clipped edge entry is not negligible is widened and solved again, up to
-  the full range, and entries outside the returned window are zero.  A
-  full-range window is the same code with lo = 0, hi = 2j + 1, and gives
-  the full-range solve's bits.
-
-  Many rows of one j are solved as a stack (``_eigenvectors``): their
-  windows, of any widths, become the diagonal blocks of one ragged
-  block-diagonal system, factored by one LAPACK gttrf call and solved by
-  two gttrs calls.  The couplings between blocks are zero, so the blocks
-  cannot interact: dgttrf's partial-pivoting test |d| >= |dl| = 0 always
-  holds at a block boundary (no row interchange crosses it), and the fill
-  it adds there is 0 * du = 0.  Each block's factors and solves are
-  therefore the ones it gets alone, bit for bit: a row in a stack equals
-  the same row solved alone (a single row is a contiguous slice, the
-  stack of one).  A full-range row that fails its first attempt is redone
-  alone.
+Many rows of one j are solved as a stack (``_eigenvectors``): their
+windows, of any widths, become the diagonal blocks of one ragged
+block-diagonal system, factored by one LAPACK gttrf call and solved by two
+gttrs calls.  The couplings between blocks are zero, so the blocks cannot
+interact: dgttrf's partial-pivoting test |d| >= |dl| = 0 always holds at a
+block boundary (no row interchange crosses it), and the fill it adds there
+is 0 * du = 0.  Each block's factors and solves are therefore the ones it
+gets alone, bit for bit: a row in a stack equals the same row solved alone
+(a single row is a contiguous slice, the stack of one).  A full-range row
+that fails its first attempt is redone alone, and raises NormDrift if no
+attempt passes the residual check.
 
 ``rotate_state`` applies exp(-i theta J_y) to a general real vector by a
 Chebyshev expansion of the exponential (Bessel-function coefficients,
@@ -44,11 +39,14 @@ Sign convention: fixed by the generator exp(-i theta J_y) with Condon-Shortley
 ladder operators, J_+|j,m> = sqrt(j(j+1)-m(m+1))|j,m+1>.  Tests pin signs
 against a dense matrix exponential of that generator, not external tables.
 
-``transition_probabilities`` squares the same eigenvector, so chain rows
-never need the sign step.  ``transition_windows`` yields chain rows still
-on their windows (``Windows``); the dense APIs scatter them into zeros.
+``transition_probabilities`` squares the eigenvector, so chain rows never
+need the sign step.  ``transition_windows`` yields chain rows still on
+their windows (``Windows``); the dense APIs scatter them into zeros.
 ``row_derivatives`` reads its derivative stencil from the same stacks
 before they are squared (``_eigenvector_windows``).
+
+The log-gamma k-sum that was once a second column backend ("a") is now
+only a test oracle (tests/oracles.py, ``logsum_column``).
 """
 
 from __future__ import annotations
@@ -60,23 +58,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.special import gammaln, jv
+from scipy.special import jv
 
-from .core import (
-    Angle,
-    BackendOverflow,
-    NormDrift,
-    OutOfRange,
-    SpinSpec,
-    _as_radians,
-)
+from .core import Angle, NormDrift, OutOfRange, SpinSpec, _as_radians
 
-BACKEND_LOGSUM = "a"
 BACKEND_EIGENVECTOR = "b"
-LOGSUM_MAX_TWO_J = 600
-
-# hard error threshold: norm drift signals a stability bug, not noise to hide
-NORM_TOLERANCE = 1e-8
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0, dtype=np.float64),))
 
@@ -177,177 +163,40 @@ def rotate_state(two_j: int, amplitudes: np.ndarray, angle) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# backend a: log-gamma finite sum
-
-# rerun an element at extended precision when its largest term would leave
-# double precision short of ~1e-11 absolute accuracy after cancellation;
-# the float path's term error is ~|log term| * eps relative, so the trigger
-# tightens as the log-gamma magnitudes grow
-def _logsum_mp_threshold(log_scale: float) -> float:
-    return min(1e4, 1e-11 / (max(log_scale, 1.0) * 1.1e-16))
-
-
-def _logsum_element_mp(
-    factorials: list[int],
-    jm: int,
-    jpm: int,
-    jp: int,
-    jmm: int,
-    dm: int,
-    theta: float,
-    digits: int,
-) -> float:
-    """One k-sum element in mpmath: exact integer factorials, incremental
-    term updates term_{k+1} = -term_k tan^2(t/2) (jm-k)(jpm-k)/((k+1)(k+1-dm)).
-    """
-    import mpmath as mp
-
-    k_lo = max(0, dm)
-    k_hi = min(jm, jpm)
-    with mp.workdps(digits):
-        half = mp.mpf(theta) / 2
-        c, s = mp.cos(half), mp.sin(half)
-        if c == 0 or s == 0:
-            # single surviving power; the float path is already exact here
-            raise ArithmeticError("degenerate trig point")
-        prefactor = mp.sqrt(
-            mp.mpf(factorials[jm]) * mp.mpf(factorials[jmm])
-            * mp.mpf(factorials[jp]) * mp.mpf(factorials[jpm])
-        )
-        den0 = (
-            factorials[jm - k_lo] * factorials[k_lo]
-            * factorials[jpm - k_lo] * factorials[k_lo - dm]
-        )
-        # powers: cos^(2j - 2k + m - m') = cos^(jm + jpm - 2k), sin^(2k - (m - m'))
-        term = c ** (jm + jpm - 2 * k_lo) * s ** (2 * k_lo - dm)
-        term = term / mp.mpf(den0)
-        if k_lo % 2:
-            term = -term
-        ratio = (s / c) ** 2
-        total = term
-        for k in range(k_lo, k_hi):
-            term = -term * ratio * ((jm - k) * (jpm - k))
-            term = term / ((k + 1) * (k + 1 - dm))
-            total += term
-        sign = -1.0 if dm % 2 else 1.0  # k-sum signs carry (-1)^(k - dm)
-        return float(sign * prefactor * total)
-
-
-def _column_logsum(spec: SpinSpec, theta: float) -> np.ndarray:
-    two_j, two_m = spec.two_j, spec.two_m
-    if two_j > LOGSUM_MAX_TWO_J:
-        raise OutOfRange(
-            f"logsum backend limited to two_j <= {LOGSUM_MAX_TWO_J} (cancellation risk); "
-            f"got {two_j}"
-        )
-    n = two_j + 1
-    half = 0.5 * theta
-    cos_h, sin_h = np.cos(half), np.sin(half)
-    log_cos = np.log(abs(cos_h)) if cos_h != 0.0 else -np.inf
-    log_sin = np.log(abs(sin_h)) if sin_h != 0.0 else -np.inf
-
-    jm = (two_j + two_m) // 2   # j + m
-    jmm = (two_j - two_m) // 2  # j - m
-    lg = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)  # lgamma(k+1), k=0..n
-    base = 0.5 * (lg[jm] + lg[jmm])
-    mp_threshold = _logsum_mp_threshold(float(lg[n]))
-    factorials: list[int] | None = None
-
-    out = np.empty(n)
-    for i in range(n):
-        two_mp = 2 * i - two_j
-        jp = (two_j + two_mp) // 2   # j + m'
-        jpm = (two_j - two_mp) // 2  # j - m'
-        dm = (two_m - two_mp) // 2   # m - m'
-        k_lo = max(0, dm)
-        k_hi = min(jm, jpm)
-        if k_hi < k_lo:
-            out[i] = 0.0
-            continue
-        k = np.arange(k_lo, k_hi + 1)
-        p_cos = two_j - 2 * k + dm   # powers of cos(theta/2)
-        p_sin = 2 * k - dm           # powers of sin(theta/2)
-        log_mag = (
-            base
-            + 0.5 * (lg[jp] + lg[jpm])
-            - (lg[jm - k] + lg[k] + lg[jpm - k] + lg[k - dm])
-        )
-        signs = np.where((k - dm) % 2 == 0, 1.0, -1.0)
-        with np.errstate(invalid="ignore"):
-            log_mag = log_mag + np.where(p_cos == 0, 0.0, p_cos * log_cos)
-            log_mag = log_mag + np.where(p_sin == 0, 0.0, p_sin * log_sin)
-        if cos_h < 0.0:
-            signs = signs * np.where(p_cos % 2 == 0, 1.0, -1.0)
-        if sin_h < 0.0:
-            signs = signs * np.where(p_sin % 2 == 0, 1.0, -1.0)
-        finite = np.isfinite(log_mag)
-        terms = np.where(finite, signs * np.exp(np.where(finite, log_mag, 0.0)), 0.0)
-        # compensated (Kahan) summation: the terms alternate and cancel
-        total = 0.0
-        comp = 0.0
-        for t in terms:
-            y = t - comp
-            acc = total + y
-            comp = (acc - total) - y
-            total = acc
-        max_term = float(np.max(np.abs(terms))) if len(terms) else 0.0
-        if max_term > mp_threshold and cos_h != 0.0 and sin_h != 0.0:
-            if factorials is None:
-                factorials = [1] * (n + 1)
-                for f_idx in range(2, n + 1):
-                    factorials[f_idx] = factorials[f_idx - 1] * f_idx
-            digits = 30 + int(np.ceil(np.log10(max_term)))
-            total = _logsum_element_mp(factorials, jm, jpm, jp, jmm, dm, theta, digits)
-        out[i] = total
-
-    norm_dev = abs(float(out @ out) - 1.0)
-    if norm_dev > NORM_TOLERANCE:
-        raise BackendOverflow(
-            f"logsum cancellation detected: column norm off by {norm_dev:.3e} "
-            f"(two_j={two_j}, two_m={two_m}, theta={theta!r})"
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # public column / element / distribution API
 
 
 def d_column(spec: SpinSpec, angle, backend: str = BACKEND_EIGENVECTOR) -> RotationColumn:
-    """Compute the rotation column d^j_{.,m}(theta).
+    """Compute the rotation column d^j_{.,m}(theta): the O(j) signed
+    eigenvector of cos(theta) J_z + sin(theta) J_x, exact at any j.
 
-    backend "a" = LogSum (two_j <= 600), "b" = the O(j) signed eigenvector
-    of cos(theta) J_z + sin(theta) J_x (default; exact at any j).
+    backend "b" is the only one; the log-gamma backend "a" was removed
+    (it lives on as the test oracle tests/oracles.py logsum_column).
     The rotation is evaluated at the angle as given; the stored Angle is
     its canonical [-pi, pi] representative (for half-integer j the two can
     differ by a global sign when |theta| > pi, since the rotation group is
     4 pi-periodic there -- probabilities never see it).
     """
+    if backend != BACKEND_EIGENVECTOR:
+        raise OutOfRange(f"unknown backend {backend!r}; use 'b' (the log-gamma backend 'a' was removed)")
     theta = _as_radians(angle)
-    if backend == BACKEND_LOGSUM:
-        amps = _column_logsum(spec, theta)
-    elif backend == BACKEND_EIGENVECTOR:
-        amps = _column_eigenvector(spec, theta)
-    else:
-        raise OutOfRange(f"unknown backend {backend!r}; use 'a' or 'b'")
+    amps = _column_eigenvector(spec, theta)
     amps.setflags(write=False)
     return RotationColumn(spec=spec, angle=Angle(theta), amplitudes=amps, backend=backend)
 
 
-def d_element(spec_m: SpinSpec, two_m_prime: int, angle, backend: str = BACKEND_EIGENVECTOR) -> float:
+def d_element(spec_m: SpinSpec, two_m_prime: int, angle) -> float:
     """Single element d^j_{m',m}(theta); equals d_column(...).amplitude(m')."""
-    col = d_column(spec_m, angle, backend=backend)
-    return col.amplitude(two_m_prime)
+    return d_column(spec_m, angle).amplitude(two_m_prime)
 
 
-def outcome_distribution(spec: SpinSpec, angle, backend: str = BACKEND_EIGENVECTOR) -> np.ndarray:
+def outcome_distribution(spec: SpinSpec, angle) -> np.ndarray:
     """Measurement outcome probabilities |d^j_{m',m}(theta)|^2 over m'.
 
     The squared column must sum to 1 within 1e-10 (checked, never silently
     renormalized).
     """
-    col = d_column(spec, angle, backend=backend)
-    probs = col.probabilities
+    probs = d_column(spec, angle).probabilities
     dev = abs(float(probs.sum()) - 1.0)
     if dev > 1e-10:
         raise NormDrift(f"outcome distribution sums to 1{dev:+.3e}")
@@ -355,8 +204,8 @@ def outcome_distribution(spec: SpinSpec, angle, backend: str = BACKEND_EIGENVECT
 
 
 # ---------------------------------------------------------------------------
-# backend b: the rotated column as an eigenvector, by stacked inverse iteration
-# on each row's classically allowed window
+# the rotated column as an eigenvector, by stacked inverse iteration on each
+# row's classically allowed window
 
 _START_KEY = 0x5D1C_E000  # fixed Philox key base: deterministic start vectors
 _START_CACHE_SIZE = 64  # (n, attempt) start vectors kept; a chain reuses one n
@@ -733,7 +582,7 @@ def _column_eigenvector(spec: SpinSpec, theta: float) -> np.ndarray:
 
 
 def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:
-    """|d^j_{m',m}(theta)|^2 over m' in O(j) time: the squared backend-b
+    """|d^j_{m',m}(theta)|^2 over m' in O(j) time: the squared
     eigenvector on its window, zero outside it, with no sign step.  Raises
     NormDrift if inverse iteration fails its residual check.
     """

@@ -10,6 +10,11 @@ import math
 
 import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
+from scipy.special import gammaln
+
+from dickeprep.core import BackendOverflow, OutOfRange, SpinSpec
+
+LOGSUM_MAX_TWO_J = 600
 
 
 def jy_dense(two_j: int) -> np.ndarray:
@@ -46,6 +51,139 @@ def rotation_oracle(two_j: int, theta: float) -> np.ndarray:
     u = expm(-1j * theta * jy_dense(two_j))
     assert np.max(np.abs(u.imag)) < 1e-10
     return u.real
+
+
+def _logsum_element_mp(
+    factorials: list[int],
+    jm: int,
+    jpm: int,
+    jp: int,
+    jmm: int,
+    dm: int,
+    theta: float,
+    digits: int,
+) -> float:
+    """One k-sum element in mpmath: exact integer factorials, incremental
+    term updates term_{k+1} = -term_k tan^2(t/2) (jm-k)(jpm-k)/((k+1)(k+1-dm)).
+    """
+    import mpmath as mp
+
+    k_lo = max(0, dm)
+    k_hi = min(jm, jpm)
+    with mp.workdps(digits):
+        half = mp.mpf(theta) / 2
+        c, s = mp.cos(half), mp.sin(half)
+        if c == 0 or s == 0:
+            # single surviving power; the float path is already exact here
+            raise ArithmeticError("degenerate trig point")
+        prefactor = mp.sqrt(
+            mp.mpf(factorials[jm]) * mp.mpf(factorials[jmm])
+            * mp.mpf(factorials[jp]) * mp.mpf(factorials[jpm])
+        )
+        den0 = (
+            factorials[jm - k_lo] * factorials[k_lo]
+            * factorials[jpm - k_lo] * factorials[k_lo - dm]
+        )
+        # powers: cos^(2j - 2k + m - m') = cos^(jm + jpm - 2k), sin^(2k - (m - m'))
+        term = c ** (jm + jpm - 2 * k_lo) * s ** (2 * k_lo - dm)
+        term = term / mp.mpf(den0)
+        if k_lo % 2:
+            term = -term
+        ratio = (s / c) ** 2
+        total = term
+        for k in range(k_lo, k_hi):
+            term = -term * ratio * ((jm - k) * (jpm - k))
+            term = term / ((k + 1) * (k + 1 - dm))
+            total += term
+        sign = -1.0 if dm % 2 else 1.0  # k-sum signs carry (-1)^(k - dm)
+        return float(sign * prefactor * total)
+
+
+def logsum_column(two_j: int, two_m: int, theta: float) -> np.ndarray:
+    """The column d^j_{.,m}(theta) from the classical finite sum over k,
+    with factorials through log-gamma and compensated summation.
+
+    The alternating sum cancels catastrophically for large j, so it is
+    capped at two_j <= 600 (OutOfRange beyond).  An element whose largest
+    term would leave double precision short of ~1e-11 absolute accuracy
+    after cancellation is rerun in mpmath with exact integer factorials;
+    the float path's term error is ~|log term| * eps relative, so that
+    trigger tightens as the log-gamma magnitudes grow.  A column whose norm
+    is off by more than 1e-8 raises BackendOverflow.
+    """
+    SpinSpec(two_j, two_m)
+    if two_j > LOGSUM_MAX_TWO_J:
+        raise OutOfRange(
+            f"logsum backend limited to two_j <= {LOGSUM_MAX_TWO_J} (cancellation risk); "
+            f"got {two_j}"
+        )
+    n = two_j + 1
+    half = 0.5 * theta
+    cos_h, sin_h = np.cos(half), np.sin(half)
+    log_cos = np.log(abs(cos_h)) if cos_h != 0.0 else -np.inf
+    log_sin = np.log(abs(sin_h)) if sin_h != 0.0 else -np.inf
+
+    jm = (two_j + two_m) // 2   # j + m
+    jmm = (two_j - two_m) // 2  # j - m
+    lg = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)  # lgamma(k+1), k=0..n
+    base = 0.5 * (lg[jm] + lg[jmm])
+    mp_threshold = min(1e4, 1e-11 / (max(float(lg[n]), 1.0) * 1.1e-16))
+    factorials: list[int] | None = None
+
+    out = np.empty(n)
+    for i in range(n):
+        two_mp = 2 * i - two_j
+        jp = (two_j + two_mp) // 2   # j + m'
+        jpm = (two_j - two_mp) // 2  # j - m'
+        dm = (two_m - two_mp) // 2   # m - m'
+        k_lo = max(0, dm)
+        k_hi = min(jm, jpm)
+        if k_hi < k_lo:
+            out[i] = 0.0
+            continue
+        k = np.arange(k_lo, k_hi + 1)
+        p_cos = two_j - 2 * k + dm   # powers of cos(theta/2)
+        p_sin = 2 * k - dm           # powers of sin(theta/2)
+        log_mag = (
+            base
+            + 0.5 * (lg[jp] + lg[jpm])
+            - (lg[jm - k] + lg[k] + lg[jpm - k] + lg[k - dm])
+        )
+        signs = np.where((k - dm) % 2 == 0, 1.0, -1.0)
+        with np.errstate(invalid="ignore"):
+            log_mag = log_mag + np.where(p_cos == 0, 0.0, p_cos * log_cos)
+            log_mag = log_mag + np.where(p_sin == 0, 0.0, p_sin * log_sin)
+        if cos_h < 0.0:
+            signs = signs * np.where(p_cos % 2 == 0, 1.0, -1.0)
+        if sin_h < 0.0:
+            signs = signs * np.where(p_sin % 2 == 0, 1.0, -1.0)
+        finite = np.isfinite(log_mag)
+        terms = np.where(finite, signs * np.exp(np.where(finite, log_mag, 0.0)), 0.0)
+        # compensated (Kahan) summation: the terms alternate and cancel
+        total = 0.0
+        comp = 0.0
+        for t in terms:
+            y = t - comp
+            acc = total + y
+            comp = (acc - total) - y
+            total = acc
+        max_term = float(np.max(np.abs(terms))) if len(terms) else 0.0
+        if max_term > mp_threshold and cos_h != 0.0 and sin_h != 0.0:
+            if factorials is None:
+                factorials = [1] * (n + 1)
+                for f_idx in range(2, n + 1):
+                    factorials[f_idx] = factorials[f_idx - 1] * f_idx
+            digits = 30 + int(np.ceil(np.log10(max_term)))
+            total = _logsum_element_mp(factorials, jm, jpm, jp, jmm, dm, theta, digits)
+        out[i] = total
+
+    norm_dev = abs(float(out @ out) - 1.0)
+    if norm_dev > 1e-8:
+        raise BackendOverflow(
+            f"logsum cancellation detected: column norm off by {norm_dev:.3e} "
+            f"(two_j={two_j}, two_m={two_m}, theta={theta!r})"
+        )
+    return out
 
 
 def bessel_series(order: int, x: float, terms: int = 80) -> float:

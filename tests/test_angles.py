@@ -178,6 +178,25 @@ def test_lockstep_newton_equals_scalar_loop(two_j, two_mt):
     assert got_overlaps.tobytes() == ref_overlaps.tobytes()
 
 
+def test_top_target_scans_the_grid_once(monkeypatch):
+    # m_t = j has no source above it, so only the mirrored table (m_t = -j)
+    # is refined: one grid scan, then its geometric candidates
+    two_j = 64
+    ref_angles, ref_overlaps = scalar_optimal_table(two_j, two_j)
+    calls = []  # the number of angles per row_stacks call
+    original = wigner.row_stacks
+
+    def counting(two_j, two_mt, thetas):
+        calls.append(len(thetas))
+        return original(two_j, two_mt, thetas)
+
+    monkeypatch.setattr(wigner, "row_stacks", counting)
+    got_angles, got_overlaps = angles.optimal_angles_for_target(two_j, two_j)
+    assert calls == [len(angles._coarse_grid(two_j)), two_j]
+    assert got_angles.tobytes() == ref_angles.tobytes()
+    assert got_overlaps.tobytes() == ref_overlaps.tobytes()
+
+
 def test_optimal_angle_reaches_pi_for_mirror_state():
     # d(pi) maps |m> to |-m>: the optimum for m = -m_t is pi with overlap 1
     res = angles.optimal_angle(16, 4, -4)

@@ -120,6 +120,14 @@ def test_cli_dmatrix(tmp_path):
     assert probs == pytest.approx([1 / 16, 4 / 16, 6 / 16, 4 / 16, 1 / 16], abs=1e-12)
 
 
+def test_cli_dmatrix_rejects_removed_backend(capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["--no-timestamp", "dmatrix", "--two-j", "4", "--two-m", "4",
+                  "--theta", "0.5", "--backend", "a"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'a'" in capsys.readouterr().err
+
+
 def test_cli_angles(tmp_path):
     out = tmp_path / "angles.csv"
     rc = cli.main(["--no-timestamp", "angles", "--two-j", "20", "--two-mt", "0", "--out", str(out)])
@@ -339,3 +347,28 @@ def test_threads_env_fallback_fills_only_unset_variables():
     )
     out = _run_python(code, OPENBLAS_NUM_THREADS="2", DICKE_PREP_THREADS="1")
     assert out.split() == ["2", "1"]
+
+
+def test_cli_runs_without_mpmath(tmp_path):
+    # mpmath is only a test dependency: block it and run the main commands
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"two_j": 16, "reset_policy": "sqrt_j", "seed": 3}))
+    commands = [
+        ["dmatrix", "--two-j", "100", "--two-m", "100", "--theta", "1.5708"],
+        ["chain", "--expected-steps", "--j-list", "4,8", "--out", str(tmp_path / "steps.csv")],
+        ["simulate", "--config", str(cfg), "--runs", "50", "--out", str(tmp_path / "stats.json")],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from dickeprep import cli\n"
+        f"codes = [cli.main(['--no-timestamp', *argv]) for argv in {commands!r}]\n"
+        "try:\n"
+        "    import mpmath\n"
+        "    blocked = False\n"
+        "except ImportError:\n"
+        "    blocked = True\n"
+        "print('RESULT', blocked, *codes)\n"
+    )
+    out = _run_python(code)
+    assert out.splitlines()[-1].split() == ["RESULT", "True", "0", "0", "0"]

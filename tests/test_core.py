@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dickeprep.config import parse_config
 from dickeprep.core import (
     Angle,
     AnglePolicy,
@@ -95,6 +96,61 @@ def test_protocol_config_validation():
     for bad in (True, 1.0, "7", None):
         with pytest.raises(ValidationError, match="seed"):
             ProtocolConfig(two_j=4, seed=bad)
+
+
+# (configuration, the error class ProtocolConfig raises); parse_config
+# raises ValidationError for each
+INVALID_CONFIGS = [
+    *[({"two_j": bad}, OutOfRange) for bad in (True, 4.0, "4", None, -2)],
+    *[({"two_j": 4, "target_two_mt": bad}, OutOfRange) for bad in (False, 2.0, "0", None)],
+    *[({"two_j": 4, "max_iterations": bad}, ValidationError) for bad in (True, 10.0, "10", 0)],
+    *[({"two_j": 4, "seed": bad}, ValidationError) for bad in (True, 1.5, "7", None)],
+    ({"two_j": 4, "target_two_mt": 1}, ParityMismatch),
+    ({"two_j": 4, "target_two_mt": 6}, OutOfRange),
+    ({"two_j": 4, "target_two_mt": -8}, OutOfRange),
+    ({"two_j": 4, "angle_policy": "bogus"}, ValidationError),
+    ({"two_j": 4, "target_two_mt": 2, "angle_policy": AnglePolicy.APPROX_MT0}, ValidationError),
+    ({"two_j": 5, "target_two_mt": 2, "angle_policy": "bogus", "seed": "x"}, ParityMismatch),
+    ({"two_j": -1, "target_two_mt": 2, "max_iterations": 1.0}, OutOfRange),
+]
+
+
+@pytest.mark.parametrize("values,error", INVALID_CONFIGS)
+def test_protocol_config_and_parse_config_share_one_validator(values, error):
+    with pytest.raises(error) as built:
+        ProtocolConfig(**values)
+    assert type(built.value) is error
+    with pytest.raises(ValidationError) as parsed:
+        parse_config(values)
+    assert type(parsed.value) is ValidationError
+    assert str(built.value) in str(parsed.value)
+
+
+def test_parse_config_messages_pinned():
+    cases = [
+        ({"two_j": True}, "two_j: need a non-negative integer, got True"),
+        ({"two_j": 4, "target_two_mt": 6}, "target_two_mt: |6| exceeds two_j=4"),
+        (
+            {"two_j": 5, "target_two_mt": 2, "angle_policy": "bogus", "seed": "x"},
+            "target_two_mt: parity of 2 does not match two_j=5; "
+            "angle_policy: must be one of ('geometric', 'approx_mt0', 'numeric_optimal'), got 'bogus'; "
+            "seed: need an integer, got 'x'",
+        ),
+    ]
+    for values, message in cases:
+        with pytest.raises(ValidationError) as parsed:
+            parse_config(values)
+        assert str(parsed.value) == message
+
+
+def test_missing_max_iterations_takes_the_default():
+    # None is the dataclass's stand-in for a missing key; JSON null is a value
+    assert ProtocolConfig(two_j=4, max_iterations=None).max_iterations == default_max_iterations(4)
+    assert parse_config({"two_j": 4}).max_iterations == default_max_iterations(4)
+    with pytest.raises(ValidationError, match="max_iterations: need a positive integer, got None"):
+        parse_config({"two_j": 4, "max_iterations": None})
+    with pytest.raises(ValidationError, match="reset_policy: need a ResetPolicy, got 'sqrt_j'"):
+        ProtocolConfig(two_j=4, reset_policy="sqrt_j")
 
 
 def test_default_max_iterations_formula():
