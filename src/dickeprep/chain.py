@@ -18,8 +18,9 @@ block is stored.  Every other transient state r follows from its own row,
 t_r = 1 + P[r, S] t_S, filled when the report's expected_steps_from is
 first read.  Rows stay on their windows (wigner.transition_windows), so
 routing a row, its part in the S block and its fill cost O(window), not
-O(n).  build_chain and expected_steps keep the dense n x n matrix for
-callers that want the matrix itself.
+O(n).  _checked_rows reads them and checks their sums, for this module and
+for simulate's chain engine alike.  build_chain and expected_steps keep the
+dense n x n matrix for callers that want the matrix itself.
 """
 
 from __future__ import annotations
@@ -92,20 +93,29 @@ def _report(config: ProtocolConfig, start: float, fill: Callable[[], np.ndarray]
     )
 
 
-def _routed_rows(
-    config: ProtocolConfig, theta: np.ndarray, rerouted: np.ndarray, states: np.ndarray
-) -> Iterator[tuple[slice, wigner.Windows, np.ndarray]]:
-    """The outcome rows of the source states (grid indices) on their
-    windows, one stack at a time, with the mass measured at rerouted states
-    zeroed.  Yields (rows, stack, moved): moved[k] is row k's rerouted mass,
-    which goes to the start state m = j.  Each row is checked to sum to 1
-    within 1e-9.  Every step costs O(window), not O(n).
+def _checked_rows(two_j: int, theta: np.ndarray, states: np.ndarray) -> Iterator[tuple[slice, wigner.Windows]]:
+    """The outcome rows of the source states (grid indices) at their policy
+    angles theta[states], on their windows (wigner.transition_windows), one
+    stack at a time.  Each row is checked to sum to 1 within 1e-9 and
+    raises SingularSystem otherwise; it is never renormalized here.  The
+    chain and the Monte Carlo sampler both read their rows from here.
     """
-    two_j = config.two_j
     for rows, stack in wigner.transition_windows(two_j, 2 * states - two_j, theta[states]):
         row_dev = np.max(np.abs(np.add.reduceat(stack.values, stack.starts) - 1.0))
         if row_dev > _ROW_SUM_TOL:
             raise SingularSystem(f"row sums deviate from 1 by {row_dev:.3e}")
+        yield rows, stack
+
+
+def _routed_rows(
+    config: ProtocolConfig, theta: np.ndarray, rerouted: np.ndarray, states: np.ndarray
+) -> Iterator[tuple[slice, wigner.Windows, np.ndarray]]:
+    """The checked rows of the source states (_checked_rows), with the mass
+    measured at rerouted states zeroed.  Yields (rows, stack, moved):
+    moved[k] is row k's rerouted mass, which goes to the start state m = j.
+    Every step costs O(window), not O(n).
+    """
+    for rows, stack in _checked_rows(config.two_j, theta, states):
         moved = np.zeros(len(stack.lo))
         if rerouted.any():
             at = rerouted[stack.columns]

@@ -200,9 +200,7 @@ class Angle:
     radians: float
 
     def __post_init__(self) -> None:
-        r = self.radians
-        if not math.isfinite(r):
-            raise DomainError(f"angle must be finite, got {r}")
+        r = _as_radians(self.radians)
         if r > math.pi or r < -math.pi:
             r = math.remainder(r, 2.0 * math.pi)  # lands in [-pi, pi]
             object.__setattr__(self, "radians", r)
@@ -212,8 +210,12 @@ class Angle:
 
 
 def _as_radians(angle) -> float:
-    """Accept an Angle or a plain number wherever an angle is expected."""
-    return float(angle)
+    """Accept an Angle or a plain number wherever an angle is expected;
+    raises DomainError, as Angle does, if it is not finite."""
+    r = float(angle)
+    if not math.isfinite(r):
+        raise DomainError(f"angle must be finite, got {r}")
+    return r
 
 
 def _config_problems(values: dict) -> list[tuple[type[DickePrepError], str]]:

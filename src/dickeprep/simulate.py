@@ -5,12 +5,16 @@ inverse CDF from the current state's cumulative outcome distribution, the
 target absorbs, and an outcome the reset policy reroutes returns the
 register to m = j within the same step.  The walk is written once, as a
 recording one-run walk (run_trajectory, run_statevector) and as a batched
-sampler (sample_iterations), parameterised only by its cumulative source:
-the chain engine reads the chain's outcome rows; the statevector engine
-rotates the basis state by the policy angle and samples the squares of the
-norm-checked rotated column before collapsing.  Both sources come from one
-O(j) kernel and agree bit for bit, so the engines do not check each other;
-the independent check is the chain's exact absorption-time law
+sampler (sample_iterations), parameterised only by its cumulative source,
+a pair (lo, cum) with the outcome lo + searchsorted(cum, u).  The chain
+engine reads the rows the chain solve reads (chain._checked_rows, each row
+checked to sum to 1, on its O(sqrt j) window under the sqrt_j reset), so
+its memory does not grow with j times the states visited.  The
+statevector engine rotates the basis state by the policy angle and samples
+the squares of the norm-checked rotated column over the whole grid
+(lo = 0) before collapsing.  Both sources come from one O(j) kernel and
+draw the same outcomes bit for bit, so the engines do not check each
+other; the independent check is the chain's exact absorption-time law
 Pr[T = k] = e_start Q^(k-1) r (Kemeny & Snell, 1960), held against both
 engines' histograms in the tests.
 
@@ -29,6 +33,7 @@ import numpy as np
 
 from .core import NormDrift, ProtocolConfig, SpinSpec
 from . import angles as angles_mod
+from . import chain
 from . import wigner
 
 _BLOCK = 32            # uniforms drawn per trajectory per refill
@@ -97,8 +102,16 @@ class SymmetricState:
 
 class PolicyTables:
     """Per-config cache: rotation angle and rerouted states, and the
-    cumulative outcome distribution of each source state, built on first
-    use.  Write-once per state, safe for concurrent reads."""
+    cumulative outcome distribution of each source state as (lo, cum),
+    built on first use.  Write-once per state, safe for concurrent reads.
+
+    The outcome of a uniform u in (0, 1) is lo + searchsorted(cum, u,
+    "left").  That is the searchsorted of the dense cumulative, which holds
+    0.0 before lo, cum inside the window (adding zeros in the long-double
+    sum is exact) and exactly 1.0 after it, so no draw lands past the
+    window.  The one draw where they differ is u == 0.0, which the dense
+    cumulative maps to index 0; both walks map it there too.
+    """
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
@@ -107,41 +120,38 @@ class PolicyTables:
             config.two_j, config.target_two_mt, config.angle_policy
         )
         self.rerouted = config.rerouted()
-        self._cums: dict[int, np.ndarray] = {}
-        self._column_cums: dict[int, np.ndarray] = {}
+        self._cums: dict[int, tuple[int, np.ndarray]] = {}
+        self._column_cums: dict[int, tuple[int, np.ndarray]] = {}
 
-    def row(self, i_m: int) -> np.ndarray:
-        """Outcome distribution of source state i_m (a chain row)."""
-        spec = SpinSpec(self.two_j, 2 * i_m - self.two_j)
-        return wigner.transition_probabilities(spec, self.angles[i_m])
-
-    def cumulative(self, i_m: int) -> np.ndarray:
-        """Cumulative of row(i_m): the chain engine's outcome source."""
+    def cumulative(self, i_m: int) -> tuple[int, np.ndarray]:
+        """(lo, cum) for the chain's row of source state i_m, the chain
+        engine's outcome source: the row comes from the chain's checked rows
+        on its window [lo, hi) (chain._checked_rows, which raises
+        SingularSystem on a row that does not sum to 1), and cum is the
+        cumulative of its window values only.  O(window), not O(j)."""
         cached = self._cums.get(i_m)
         if cached is None:
-            cached = self._cums[i_m] = _normalized_cumulative(self.row(i_m))
+            ((_, stack),) = chain._checked_rows(self.two_j, self.angles, np.array([i_m]))
+            cached = self._cums[i_m] = (int(stack.lo[0]), _normalized_cumulative(stack.values))
         return cached
 
     def column(self, i_m: int) -> np.ndarray:
         """Rotated basis column (signed amplitudes) for the statevector engine.
 
-        Its norm is checked: NormDrift beyond 1e-8, then SymmetricState's
-        1e-9.
+        Its norm is checked by SymmetricState: NormDrift beyond 1e-9.
         """
         spec = SpinSpec(self.two_j, 2 * i_m - self.two_j)
         column = wigner.d_column(spec, self.angles[i_m]).amplitudes
-        norm_dev = abs(float(column @ column) - 1.0)
-        if norm_dev > 1e-8:
-            raise NormDrift(f"statevector norm drifted by {norm_dev:.3e}")
         SymmetricState(two_j=self.two_j, amplitudes=column)
         return column
 
-    def column_cumulative(self, i_m: int) -> np.ndarray:
-        """Cumulative of the squares of column(i_m), built once per state:
-        the statevector engine's outcome source."""
+    def column_cumulative(self, i_m: int) -> tuple[int, np.ndarray]:
+        """(0, cum) with cum the cumulative of the squares of column(i_m)
+        over the whole grid, built once per state: the statevector engine's
+        outcome source."""
         cached = self._column_cums.get(i_m)
         if cached is None:
-            cached = self._column_cums[i_m] = _normalized_cumulative(self.column(i_m) ** 2)
+            cached = self._column_cums[i_m] = (0, _normalized_cumulative(self.column(i_m) ** 2))
         return cached
 
 
@@ -162,12 +172,12 @@ def _walk(
 ) -> TrajectoryRecord:
     """One recorded run from m = j; terminates at the target or max_iterations.
 
-    Each step draws u from rng, takes the outcome by searchsorted in the
-    current state's cumulative from the engine's source, and returns to
+    Each step draws u from rng, takes the outcome from the current state's
+    (lo, cum) in the engine's source (see PolicyTables), and returns to
     m = j within the same step if the outcome is rerouted (never the target).
     """
     tables = tables if tables is not None else PolicyTables(config)
-    cumulative = getattr(tables, _SOURCES[engine])
+    source = getattr(tables, _SOURCES[engine])
     two_j = config.two_j
     i_t = config.target_index
     i_cur = two_j  # start from m = j
@@ -175,7 +185,8 @@ def _walk(
     succeeded = i_cur == i_t
     while not succeeded and len(steps) < config.max_iterations:
         u = float(rng.random())
-        i_next = min(int(np.searchsorted(cumulative(i_cur), u, side="left")), two_j)
+        lo, cum = source(i_cur)
+        i_next = lo + int(cum.searchsorted(u, side="left")) if u > 0.0 else 0
         reset = bool(tables.rerouted[i_next])
         angle = float(tables.angles[i_cur])
         steps.append(TrajectoryStep(2 * i_cur - two_j, angle, 2 * i_next - two_j, reset))
@@ -229,20 +240,19 @@ def sample_iterations(
     draws from rng_stream(config.seed, i) in step order, so the result is
     identical to looping run_trajectory (or run_statevector) over i
     (tested), and independent of chunking.  Each step groups the active
-    trajectories by state and draws with the same searchsorted rule as the
-    one-run walk, so a state's cumulative is fetched only once some
-    trajectory stands on it.
+    trajectories by state and draws with the one-run walk's rule, so a
+    state's cumulative is fetched only once some trajectory stands on it.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if engine not in _SOURCES:
         raise ValueError(f"unknown engine {engine!r}")
     tables = PolicyTables(config)
-    cumulative = getattr(tables, _SOURCES[engine])
+    source = getattr(tables, _SOURCES[engine])
     two_j = config.two_j
     i_t = config.target_index
     max_iters = config.max_iterations
-    cums: dict[int, np.ndarray] = {}  # cumulatives of the states some trajectory stood on
+    cums: dict[int, tuple[int, np.ndarray]] = {}  # (lo, cum) of the states some trajectory stood on
     streams = _BlockReader(config.seed)
 
     iterations = np.zeros(n_runs, dtype=np.int64)
@@ -267,11 +277,12 @@ def sample_iterations(
             states, starts = np.unique(src[order], return_index=True)
             nxt = np.empty_like(src)
             for s, group in zip(states.tolist(), np.split(order, starts[1:])):
-                cum = cums.get(s)
-                if cum is None:
-                    cum = cums[s] = cumulative(s)
-                nxt[group] = np.searchsorted(cum, u[group], side="left")
-            np.clip(nxt, 0, two_j, out=nxt)
+                cached = cums.get(s)
+                if cached is None:
+                    cached = cums[s] = source(s)
+                offset, cum = cached  # the state's (lo, cum)
+                nxt[group] = offset + cum.searchsorted(u[group], side="left")
+            nxt[u == 0.0] = 0  # as in the one-run walk
             hit = nxt == i_t
             nxt[tables.rerouted[nxt]] = two_j
             iters[idx_active] += 1

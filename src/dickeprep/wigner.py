@@ -629,17 +629,6 @@ def transition_windows(two_j: int, two_ms, angles) -> Iterator[tuple[slice, Wind
         yield rows, stack
 
 
-def transition_stacks(two_j: int, two_ms, angles) -> Iterator[tuple[slice, np.ndarray]]:
-    """transition_windows with each stack scattered into a dense (K, n)
-    array of zeros: row k is transition_probabilities(SpinSpec(two_j,
-    two_ms[rows][k]), angles[rows][k]), bit for bit.  That holds within a
-    stack versus one row, which share the window; versus a full-range
-    solve it holds only where the window is the full range.
-    """
-    for rows, stack in transition_windows(two_j, two_ms, angles):
-        yield rows, stack.dense()
-
-
 def row_derivatives(
     two_j: int, two_m_target: int, angles, indices
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -685,13 +674,14 @@ def row_probabilities(two_j: int, two_m_target: int, angle) -> np.ndarray:
 
 
 def row_stacks(two_j: int, two_m_target: int, angles) -> Iterator[tuple[slice, np.ndarray]]:
-    """row_probabilities for many angles at one target, in the dense stacks
-    of transition_stacks: row k of a stack is
-    row_probabilities(two_j, two_m_target, angles[rows][k]), bit for bit.
-    Both are solved on the same window, so this holds within a stack
-    versus one row; versus a full-range solve it holds only where the
+    """row_probabilities for many angles at one target, as the stacks of
+    transition_windows scattered into dense (K, n) arrays of zeros: row k of
+    a stack is row_probabilities(two_j, two_m_target, angles[rows][k]), bit
+    for bit.  Both are solved on the same window, so this holds within a
+    stack versus one row; versus a full-range solve it holds only where the
     window is the full range (elsewhere entries agree to about 1e-16).
     """
     SpinSpec(two_j, two_m_target)  # validates now, not at the first stack
     thetas = np.asarray(angles, dtype=np.float64)
-    return transition_stacks(two_j, np.full(len(thetas), two_m_target), -thetas)
+    stacks = transition_windows(two_j, np.full(len(thetas), two_m_target), -thetas)
+    return ((rows, stack.dense()) for rows, stack in stacks)

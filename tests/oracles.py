@@ -271,6 +271,15 @@ def absorption_time_law(matrix: np.ndarray, absorbing: int, start: int, k_max: i
     return law
 
 
+def dense_draw(row: np.ndarray, u: float) -> int:
+    """The outcome index of the uniform u by inverse CDF on a dense row over
+    the whole m grid: the first index whose long-double cumulative,
+    normalized to end at exactly 1, reaches u.  u == 0.0 gives index 0."""
+    cum = np.cumsum(np.asarray(row, dtype=np.longdouble))
+    cum /= cum[-1]
+    return int(np.searchsorted(cum.astype(np.float64), u, side="left"))
+
+
 def scalar_row_derivatives(two_j: int, two_mt: int, theta: float, i: int) -> tuple[float, float, float]:
     """f = |d^j_{m_t,m}(theta)|^2 (m at index i) and its first and second
     theta-derivatives from one row solved alone (the package's one-row

@@ -128,6 +128,14 @@ def test_cli_dmatrix_rejects_removed_backend(capsys):
     assert "invalid choice: 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_cli_dmatrix_rejects_non_finite_angle(capsys, theta):
+    rc = cli.main(["--no-timestamp", "dmatrix", "--two-j", "4", "--two-m", "4", f"--theta={theta}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_cli_angles(tmp_path):
     out = tmp_path / "angles.csv"
     rc = cli.main(["--no-timestamp", "angles", "--two-j", "20", "--two-mt", "0", "--out", str(out)])

@@ -38,7 +38,7 @@ def test_stacked_row_equals_single_row(stack, entries):
     two_j, two_ms, thetas = stack
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wigner, "_STACK_ENTRIES", entries)
-        rows = np.vstack([p for _, p in wigner.transition_stacks(two_j, two_ms, thetas)])
+        rows = np.vstack([w.dense() for _, w in wigner.transition_windows(two_j, two_ms, thetas)])
     for row, two_m, theta in zip(rows, two_ms, thetas):
         assert row.tobytes() == wigner.transition_probabilities(SpinSpec(two_j, two_m), theta).tobytes()
 
@@ -47,7 +47,8 @@ def test_stacked_row_equals_single_row(stack, entries):
 @given(stacks(max_two_j=2048))
 def test_rows_sum_to_one(stack):
     two_j, two_ms, thetas = stack
-    for _, probs in wigner.transition_stacks(two_j, two_ms, thetas):
+    for _, windows in wigner.transition_windows(two_j, two_ms, thetas):
+        probs = windows.dense()
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-12)
 
 

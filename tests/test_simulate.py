@@ -1,13 +1,18 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from dickeprep.core import AnglePolicy, ProtocolConfig, ResetPolicy
-from dickeprep import chain, simulate, wigner
+from dickeprep.core import AnglePolicy, ProtocolConfig, ResetPolicy, SingularSystem, SpinSpec
+from dickeprep import angles, chain, simulate, wigner
 
-from oracles import absorption_time_law, rotation_oracle
+from oracles import absorption_time_law, dense_draw, rotation_oracle
 
 
 def _cfg(two_j, two_mt=0, policy=AnglePolicy.APPROX_MT0, reset="none", seed=42, **kw):
@@ -204,8 +209,151 @@ def test_statevector_builds_each_column_cumulative_once(monkeypatch):
     for i in range(40):
         steps += simulate.run_statevector(cfg, simulate.rng_stream(cfg.seed, i), tables).iterations
     assert len(built) == len(tables._column_cums) < steps
-    for i_m, cum in tables._column_cums.items():
-        assert np.array_equal(cum, original(tables.row(i_m)))
+    for i_m, (lo, cum) in tables._column_cums.items():
+        row = wigner.transition_probabilities(SpinSpec(60, 2 * i_m - 60), tables.angles[i_m])
+        assert lo == 0 and np.array_equal(cum, original(row))
+
+
+def test_chain_cumulative_is_the_dense_one_on_its_window():
+    # inside the window the windowed cumulative equals the dense one bit for
+    # bit; the dense one is 0.0 before the window and exactly 1.0 after it
+    for cfg in WALK_CONFIGS:
+        tables = simulate.PolicyTables(cfg)
+        n = cfg.two_j + 1
+        for i_m in range(n):
+            lo, cum = tables.cumulative(i_m)
+            row = wigner.transition_probabilities(SpinSpec(cfg.two_j, 2 * i_m - cfg.two_j), tables.angles[i_m])
+            dense = simulate._normalized_cumulative(row)
+            assert lo + len(cum) <= n and cum[-1] == 1.0
+            assert np.array_equal(dense[lo:lo + len(cum)], cum)
+            assert not dense[:lo].any() and np.all(dense[lo + len(cum):] == 1.0)
+
+
+def test_sampler_rows_are_checked_not_renormalized(monkeypatch):
+    # rows off by about 2e-6 must raise, as they do in the chain solve
+    real = wigner._eigenvectors
+
+    def scaled(*args):
+        rows = real(*args)
+        rows.values = rows.values * (1.0 + 1e-6)
+        return rows
+
+    monkeypatch.setattr(wigner, "_eigenvectors", scaled)
+    cfg = _cfg(100, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=3)
+    with pytest.raises(SingularSystem, match="row sums"):
+        simulate.sample_iterations(cfg, 10, engine="chain")
+    with pytest.raises(SingularSystem, match="row sums"):
+        simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, 0))
+    with pytest.raises(SingularSystem, match="row sums"):
+        chain.expected_steps_for(100, reset_policy=cfg.reset_policy)
+
+
+# the edge draws: u == 0.0 (the only draw where the windowed and the dense
+# searchsorted differ) and the largest double below 1, then ordinary draws
+# of a fixed stream until the run ends
+TOP = float(np.nextafter(1.0, 0.0))
+EDGE_PREFIX = [0.0, TOP, 0.0, 0.0, 0.3, TOP, TOP, 0.7]
+EDGE_CONFIGS = [
+    _cfg(400, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j"),
+    _cfg(401, 1, AnglePolicy.GEOMETRIC),
+    _cfg(600, 4, AnglePolicy.GEOMETRIC),
+    _cfg(40),
+    _cfg(400, policy=AnglePolicy.GEOMETRIC),
+]
+
+
+def _edge_draws(cfg):
+    ordinary = simulate.rng_stream(cfg.seed, 0).random(cfg.max_iterations - len(EDGE_PREFIX))
+    return np.concatenate([EDGE_PREFIX, ordinary, np.full(simulate._BLOCK, 0.5)])
+
+
+def _dense_row(cfg, i_m):
+    theta = angles.policy_angles(cfg.two_j, cfg.target_two_mt, cfg.angle_policy)[i_m]
+    return wigner.transition_probabilities(SpinSpec(cfg.two_j, 2 * i_m - cfg.two_j), theta)
+
+
+def _dense_walk(cfg, draws):
+    """The walk on dense rows, drawn by oracles.dense_draw: its steps as
+    (two_m_before, two_m_after, reset), and whether it reached the target."""
+    two_j, rerouted = cfg.two_j, cfg.rerouted()
+    i_cur, steps = two_j, []
+    for u in draws[:cfg.max_iterations]:
+        i_next = dense_draw(_dense_row(cfg, i_cur), u)
+        steps.append((2 * i_cur - two_j, 2 * i_next - two_j, bool(rerouted[i_next])))
+        if i_next == cfg.target_index:
+            return steps, True
+        i_cur = two_j if rerouted[i_next] else i_next
+    return steps, False
+
+
+class _FixedDraws:
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
+@pytest.mark.parametrize("engine", ["chain", "statevector"])
+def test_edge_draws_match_the_dense_cumulative(monkeypatch, engine):
+    name = simulate._SOURCES[engine]
+    source = getattr(simulate.PolicyTables, name)
+    fetched = []
+
+    def recording(self, i_m):
+        fetched.append(i_m)
+        return source(self, i_m)
+
+    for cfg in EDGE_CONFIGS:
+        draws = _edge_draws(cfg)
+        monkeypatch.setattr(
+            simulate._BlockReader, "block",
+            lambda self, index, b: draws[b * simulate._BLOCK:(b + 1) * simulate._BLOCK].copy(),
+        )
+        steps, reached = _dense_walk(cfg, draws)
+        assert reached
+        if cfg.two_j >= 400:  # a u == 0.0 step from a state whose chain window starts above 0
+            tables = simulate.PolicyTables(cfg)
+            assert any(
+                after == -cfg.two_j and tables.cumulative((before + cfg.two_j) // 2)[0] > 0
+                for before, after, _ in steps
+            )
+        rec = WALKS[engine](cfg, _FixedDraws(draws))
+        assert [(s.two_m_before, s.two_m_after, s.reset) for s in rec.steps] == steps
+        assert rec.succeeded
+        # the batch's path shows in the states whose cumulatives it fetches
+        fetched.clear()
+        monkeypatch.setattr(simulate.PolicyTables, name, recording)
+        its, ok = simulate.sample_iterations(cfg, 3, engine=engine)
+        monkeypatch.setattr(simulate.PolicyTables, name, source)
+        assert its.tolist() == [len(steps)] * 3 and ok.all()
+        assert set(fetched) == {(before + cfg.two_j) // 2 for before, _, _ in steps}
+
+
+def test_chain_engine_reaches_two_j_2_to_the_20():
+    # 2000 runs at two_j = 2**20 under the sqrt_j reset, in a fresh process
+    # so that its peak RSS is the sampler's; each row is kept on its
+    # O(sqrt j) window (a dense cumulative per entered state needed about
+    # 1.5 GB at two_j = 2**18)
+    code = (
+        "import json, resource\n"
+        "from dickeprep import chain, simulate\n"
+        "from dickeprep.core import ProtocolConfig, ResetPolicy\n"
+        "cfg = ProtocolConfig(two_j=2**20, reset_policy=ResetPolicy(kind='sqrt_j'), seed=2020)\n"
+        "its, ok = simulate.sample_iterations(cfg, 2000, engine='chain')\n"
+        "rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "exact = chain.expected_steps_for(2**20, 0, cfg.angle_policy, cfg.reset_policy).start_state_value\n"
+        "print(json.dumps({'rss_mb': rss_mb, 'mean': its.mean(), 'se': its.std(ddof=1) / len(its) ** 0.5,\n"
+        "                  'ok': bool(ok.all()), 'exact': exact}))\n"
+    )
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["rss_mb"] < 500
+    assert out["ok"]
+    assert abs(out["mean"] - out["exact"]) < 4 * out["se"]
 
 
 def test_statevector_record_structure():

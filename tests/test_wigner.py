@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import get_lapack_funcs
 
-from dickeprep.core import NormDrift, OutOfRange, SpinSpec
+from dickeprep.core import DomainError, NormDrift, OutOfRange, SpinSpec
 from dickeprep import wigner
 
 from oracles import full_range_row, greedy_stacks, logsum_column, rotation_oracle
@@ -304,7 +304,7 @@ def test_stack_sizes_that_do_not_divide_the_rows(monkeypatch, entries):
     thetas[[3, 11]] = 0.0
     two_ms = 2 * rng.integers(0, 33, len(thetas)) - 32
     _assert_rows_equal_single(32, two_ms, thetas)
-    stacks = list(wigner.transition_stacks(32, two_ms, thetas))
+    stacks = [(rows, w.dense()) for rows, w in wigner.transition_windows(32, two_ms, thetas)]
     sizes = [s.stop - s.start for s, _ in stacks]
     assert sizes == greedy_stacks(_predicted_widths(32, two_ms, thetas), entries)
     for rows, probs in stacks:
@@ -387,7 +387,7 @@ def test_chain_rows_take_few_factorizations(monkeypatch):
 
     monkeypatch.setattr(wigner, "_gttrf", counting)
     two_ms, thetas = wigner.two_m_values(200), np.full(201, 0.7)
-    list(wigner.transition_stacks(200, two_ms, thetas))
+    [w.dense() for _, w in wigner.transition_windows(200, two_ms, thetas)]
     widths = _predicted_widths(200, two_ms, thetas)
     assert len(entries) == len(greedy_stacks(widths, wigner._STACK_ENTRIES))
     assert sum(entries) == widths.sum() < 201 * 201  # no row widened; windows below full range
@@ -512,3 +512,20 @@ def test_too_narrow_prediction_is_widened(monkeypatch):
         picked = [c for c in cases if c[0] == two_j]
         two_ms, thetas = [c[1] for c in picked], [c[2] for c in picked]
         _assert_rows_equal_single(two_j, two_ms, thetas)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_raises_before_the_kernel(monkeypatch, theta):
+    def kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(wigner, "_eigenvectors", kernel)
+    calls = [
+        lambda: wigner.d_column(SpinSpec(4, 4), theta),
+        lambda: wigner.transition_probabilities(SpinSpec(4, 4), theta),
+        lambda: wigner.row_probabilities(4, 0, theta),
+        lambda: wigner.rotate_state(4, np.eye(5)[0], theta),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="finite"):
+            call()
