@@ -40,6 +40,7 @@ from .core import (
     ProtocolConfig,
     ResetPolicy,
     SingularSystem,
+    validate_spin,
 )
 from . import angles as angles_mod
 from . import wigner
@@ -270,6 +271,7 @@ def mt_sweep(
     Defaults to no reset (the arbitrary-target protocol has none); the
     reset policy stays configurable.
     """
+    validate_spin(two_j, two_j)  # OutOfRange for a negative or non-integer two_j
     reset = reset_policy if reset_policy is not None else ResetPolicy()
     out = []
     for two_mt in range(two_j % 2, two_j + 1, 2):

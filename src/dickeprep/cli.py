@@ -7,6 +7,15 @@ geometry, cavity, figure.  Global flags --seed, --threads, --out-dir,
 simulation statistics); with --no-timestamp a re-run with the same seed is
 byte-identical.
 
+Each table is built once, by a ``_*_table`` builder that returns
+(metadata, columns, rows); the subcommands and the figure jobs only choose
+its parameters and add metadata.  A figure job is one entry of ``_JOBS``:
+its builder, its declared parameters (parser and default) and its file
+name.  ``_write`` is the one CSV writer (stdout when there is no path), and
+``main`` prints the paths written.  Every comma-separated list goes through
+``_ints`` / ``_floats``: a malformed flag value is a usage error (exit 2),
+a malformed or unknown ``figure --param`` an ``error:`` line (exit 1).
+
 Heavy imports happen after --threads is applied, so the thread cap reaches
 the BLAS backing numpy/scipy.
 """
@@ -16,14 +25,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 __all__ = ["main", "FigureJob", "run_figure_job"]
-
-_FIGURE_IDS = ("fig2a", "fig2b", "fig2c", "fig2d", "pdf-comparison", "cavity-spectrum")
 
 
 def _apply_thread_cap(argv: list[str]) -> None:
@@ -46,141 +55,305 @@ def _apply_thread_cap(argv: list[str]) -> None:
             os.environ.setdefault(var, fallback)
 
 
+def _list_of(kind: type) -> Callable[[str], list]:
+    """Parser of a comma-separated list of kind (empty elements skipped).
+
+    An empty or malformed list raises ArgumentTypeError, which argparse
+    reports as a usage error and run_figure_job as a ParseError.
+    """
+
+    def parse(text) -> list:
+        try:
+            values = [kind(x) for x in str(text).split(",") if x]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list of {kind.__name__}: {text!r}")
+        return values
+
+    return parse
+
+
+_ints, _floats = _list_of(int), _list_of(float)
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (bool,)):
+    if isinstance(value, bool):
         return "1" if value else "0"
+    if isinstance(value, list):
+        return ",".join(map(_fmt, value))
     return str(value)
 
 
-def _format_csv(meta: dict, columns: list[str], rows, no_timestamp: bool) -> str:
+def _save(path: Path | None, text: str) -> list[Path]:
+    """Write text to path (stdout when None); returns the paths written."""
+    if path is None:
+        sys.stdout.write(text)
+        return []
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return [path]
+
+
+def _write(path: Path | None, table: tuple, no_timestamp: bool, **extra_meta) -> list[Path]:
+    """The one CSV writer: '#' metadata lines (sorted keys), the header row
+    and the data rows of table = (metadata, columns, rows)."""
     from . import __version__
 
-    lines = [f"# dickeprep {__version__}"]
-    for key in sorted(meta):
-        lines.append(f"# {key} = {meta[key]}")
+    meta, columns, rows = table
+    meta = {**meta, **extra_meta}
+    lines = [f"# dickeprep {__version__}", *(f"# {key} = {_fmt(meta[key])}" for key in sorted(meta))]
     if not no_timestamp:
         lines.append(f"# generated = {datetime.now(timezone.utc).isoformat()}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    lines.append("")
-    return "\n".join(lines)
+    lines += [",".join(columns), *(",".join(map(_fmt, row)) for row in rows), ""]
+    return _save(path, "\n".join(lines))
 
 
-def _write_csv(path: Path, meta: dict, columns: list[str], rows, no_timestamp: bool) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_format_csv(meta, columns, rows, no_timestamp))
-    return path
+def _out_path(args, default_name: str | None) -> Path | None:
+    """--out if given, else default_name under --out-dir (None: stdout)."""
+    if args.out:
+        return Path(args.out)
+    return default_name and Path(args.out_dir) / default_name
 
 
-def _out_path(args, default_name: str) -> Path:
-    out = getattr(args, "out", None)
-    if out:
-        return Path(out)
-    return Path(args.out_dir) / default_name
+def _config_meta(cfg) -> dict:
+    from .config import config_to_dict
+
+    return {f"config.{k}": v for k, v in config_to_dict(cfg).items()}
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations (imports deferred until after the thread cap)
+# table builders (imports deferred until after the thread cap)
 
 
-def _cmd_dmatrix(args) -> int:
+def _angle_table(two_j: int, two_mt: int = 0, policy: str = "both") -> tuple:
+    """Angle and overlap of each source state under one policy, or under
+    the geometric and numeric_optimal policies side by side ("both")."""
+    from . import angles
+
+    chosen = ("geometric", "numeric_optimal") if policy == "both" else (policy,)
+    states = [i for i in range(two_j + 1) if 2 * i - two_j != two_mt]
+    thetas, overlaps = [], []
+    for name in chosen:
+        if name == "numeric_optimal":
+            theta, overlap = angles.optimal_angles_for_target(two_j, two_mt)
+            overlap = overlap[states]
+        else:
+            theta = angles.policy_angles(two_j, two_mt, name)
+            overlap = angles.overlap_probabilities(two_j, two_mt, states, theta[states])
+        thetas.append(theta[states])
+        overlaps.append(overlap)
+    short = [{"numeric_optimal": "optimal", "approx_mt0": "approx"}.get(name, name) for name in chosen]
+    columns = ["two_m", *(f"theta_{s}" for s in short), *(f"overlap_{s}" for s in short)]
+    rows = [
+        (2 * i - two_j, *(float(t[k]) for t in thetas), *(float(o[k]) for o in overlaps))
+        for k, i in enumerate(states)
+    ]
+    return {"two_j": two_j, "two_mt": two_mt}, columns, rows
+
+
+def _matrix_table(cfg) -> tuple:
+    """The dense transition matrix of cfg's chain, one row per source state."""
+    from .chain import build_chain
+
+    built = build_chain(cfg)
+    columns = [f"to_{2 * b - cfg.two_j}" for b in range(built.size)]
+    rows = (tuple(float(x) for x in row) for row in built.matrix)
+    return {**_config_meta(cfg), "two_j": cfg.two_j}, columns, rows
+
+
+def _fig2b_table(two_j: int, angle_policy: str) -> tuple:
+    from .core import ProtocolConfig
+
+    return _matrix_table(ProtocolConfig(two_j=two_j, target_two_mt=0, angle_policy=angle_policy))
+
+
+def _expected_steps_table(j_list: list[int]) -> tuple:
+    """Expected steps from m = j to m_t = 0 under the sqrt_j reset, one row
+    per j: geometric, numeric_optimal and the naive reset-every-step."""
+    from .core import AnglePolicy, ResetPolicy
+    from . import chain
+
+    reset = ResetPolicy(kind=ResetPolicy.SQRT_J)
+    rows = []
+    for j in j_list:
+        geo = chain.expected_steps_for(2 * j, 0, AnglePolicy.GEOMETRIC, reset).start_state_value
+        opt = chain.expected_steps_for(2 * j, 0, AnglePolicy.NUMERIC_OPTIMAL, reset).start_state_value
+        rows.append((j, geo, opt, chain.naive_expected_steps(2 * j)))
+    columns = ["j", "steps_geometric", "steps_optimal", "steps_naive"]
+    return {"j_list": j_list, "reset_policy": "sqrt_j"}, columns, rows
+
+
+def _sweep_table(two_j_list: list[int]) -> tuple:
+    """Expected steps from m = j for every target m_t = 0..j of each j,
+    geometric angles, no reset."""
+    from .chain import mt_sweep
+
+    rows = [(two_j, two_mt, steps) for two_j in two_j_list for two_mt, steps in mt_sweep(two_j)]
+    return {"two_j_list": two_j_list, "reset_policy": "none"}, ["two_j", "two_mt", "expected_steps"], rows
+
+
+def _pdf_table(two_j: int, two_m: int | None = None, two_mt: int = 0) -> tuple:
+    """Tilted-ring density, its lattice discretization and the exact row
+    from m at the geometric angle; two_m defaults to 2 floor(sqrt(j) / 2)."""
+    from .core import SpinSpec
+    from . import angles, geometry, wigner
+
+    if two_m is None:
+        two_m = 2 * int((two_j / 2.0) ** 0.5 / 2.0)
+    theta = angles.geometric_angle(two_j, two_mt, two_m).radians
+    exact = wigner.transition_probabilities(SpinSpec(two_j, two_m), theta)
+    disc = geometry.discretized_pdf_lattice(two_j, two_m, two_mt)
+    pdf = geometry.geometric_transition_pdf
+    rows = [
+        (int(tm), pdf(two_j, two_m, two_mt, tm / 2.0), float(disc[i]), float(exact[i]))
+        for i, tm in enumerate(wigner.two_m_values(two_j))
+    ]
+    columns = ["two_m_prime", "pdf", "discretized_mass", "exact_probability"]
+    return {"two_j": two_j, "two_m": two_m, "two_mt": two_mt}, columns, rows
+
+
+def _spectrum_table(kappa: float, chi: float, weights: list[int], points: int) -> tuple:
+    """Transmission at points probe offsets in [-4 kappa, 4 kappa] from the
+    bare cavity, for each Hamming weight w (dispersive shift chi * w)."""
+    import numpy as np
+
+    from . import cavity
+
+    params = cavity.CavityParams(kappa=kappa, chi=chi)
+    offsets = np.linspace(-4.0 * kappa, 4.0 * kappa, points)
+    rows = [
+        (w, float(off), cavity.transmission(params, params.omega_c + off, chi * w))
+        for w in weights
+        for off in offsets
+    ]
+    return {"kappa": kappa, "chi": chi, "weights": weights}, ["weight", "omega_offset", "transmission"], rows
+
+
+def _fisher_table(kappa: float, chi: float, points: int) -> tuple:
+    import numpy as np
+
+    from . import cavity
+
+    params = cavity.CavityParams(kappa=kappa, chi=chi)
+    rows = [
+        (d, cavity.fisher_information(params, d), cavity.fisher_information_bernoulli(params, d),
+         cavity.crb_variance(params, d))
+        for d in map(float, np.linspace(0.0, kappa / 5.0, points))
+    ]
+    columns = ["delta_a", "fisher_closed_form", "fisher_bernoulli_fd", "crb_variance"]
+    return {"kappa": kappa, "chi": chi}, columns, rows
+
+
+def _estimate_table(kappa, chi, n_atoms, weight, photons, reps, seed) -> tuple:
+    from . import cavity
+
+    params = cavity.CavityParams(kappa=kappa, chi=chi)
+    study = cavity.estimator_variance_study(params, n_atoms, weight, photons, reps, seed=seed)
+    columns = ["mean_estimate", "empirical_variance", "crb_variance", "z_score", "repetitions", "photons"]
+    meta = {"kappa": kappa, "chi": chi, "n_atoms": n_atoms, "weight": weight, "seed": seed}
+    return meta, columns, [tuple(study[c] for c in columns)]
+
+
+def _resolvability_table(g: float, kappa: float, n_list: list[int]) -> tuple:
+    from . import cavity
+
+    rows = [
+        (n, cavity.resonant_peak_gap(g, n), int(cavity.resolvable(g, n, kappa)),
+         cavity.min_coupling_for_resolution(n, kappa))
+        for n in n_list
+    ]
+    return {"g": g, "kappa": kappa}, ["n", "peak_gap", "resolvable", "min_coupling"], rows
+
+
+def _stationary_phase_table(two_j: int, two_m: int) -> tuple:
+    from .asymptotics import compare_stationary_phase
+
+    rows = [
+        (c.two_m_prime, c.exact, c.approx, c.abs_error, c.predicted_error_scale)
+        for c in compare_stationary_phase(two_j, two_m)
+    ]
+    columns = ["two_m_prime", "exact", "approx", "abs_error", "predicted_error_scale"]
+    return {"two_j": two_j, "two_m": two_m}, columns, rows
+
+
+def _bessel_table(two_m: int, j_list: list[int], max_offset: int) -> tuple:
+    """d^j_{m',m}(arcsin(m/j)) against its j -> infinity Bessel limit."""
+    import math
+
+    from .core import SpinSpec
+    from . import asymptotics, wigner
+
+    rows = []
+    for j in j_list:
+        spec = SpinSpec(2 * j, two_m)
+        col = wigner.d_column(spec, math.asin(spec.m / spec.j))
+        for two_mp in (two_m - 2 * off for off in range(-max_offset, max_offset + 1)):
+            exact, lim = col.amplitude(two_mp), asymptotics.bessel_limit(two_m, two_mp)
+            rows.append((j, two_mp, exact, lim, abs(exact - lim)))
+    columns = ["j", "two_m_prime", "exact_d", "bessel_limit", "abs_diff"]
+    return {"two_m": two_m, "j_list": j_list}, columns, rows
+
+
+def _contraction_table(two_j: int, alpha: float) -> tuple:
+    import math
+
+    from .asymptotics import contraction_sum
+
+    j = two_j / 2.0
+    ms = range(int(math.ceil(j**0.25)), int(math.floor(math.sqrt(j))) + 1)
+    rows = [(2 * m, contraction_sum(two_j, alpha, 2 * m)) for m in ms]
+    return {"two_j": two_j, "alpha": alpha}, ["two_m", "contraction_sum"], rows
+
+
+def _moments_table(two_j: int, two_m: int, two_mt: int, alphas: list[float]) -> tuple:
+    from . import asymptotics, geometry
+
+    rows = []
+    for alpha in alphas:
+        closed = asymptotics.beta_moment(alpha, two_j, two_m, two_mt)
+        quadr = geometry.pdf_moment_quadrature(alpha, two_j, two_m, two_mt)
+        rows.append((alpha, closed, quadr, abs(closed - quadr)))
+    columns = ["alpha", "closed_form", "quadrature", "abs_diff"]
+    return {"two_j": two_j, "two_m": two_m, "two_mt": two_mt}, columns, rows
+
+
+def _husimi_table(two_j: int, two_m: int, grid: int) -> tuple:
+    from .core import SpinSpec
+    from . import geometry
+
+    profile = geometry.husimi_q_profile(SpinSpec(two_j, two_m), n_grid=grid)
+    rows = [(float(t), float(q)) for t, q in zip(profile.thetas, profile.values)]
+    return {"two_j": two_j, "two_m": two_m, "grid": grid}, ["theta", "q_value"], rows
+
+
+# ---------------------------------------------------------------------------
+# subcommands: choose the parameters and the extra metadata, return the paths
+
+
+def _cmd_dmatrix(args) -> list[Path]:
     from .core import SpinSpec
     from . import wigner
 
-    spec = SpinSpec(args.two_j, args.two_m)
-    col = wigner.d_column(spec, args.theta, backend=args.backend)
+    col = wigner.d_column(SpinSpec(args.two_j, args.two_m), args.theta, backend=args.backend)
     rows = [
         (int(tm), float(a), float(a) * float(a))
         for tm, a in zip(wigner.two_m_values(args.two_j), col.amplitudes)
     ]
-    meta = {"two_j": args.two_j, "two_m": args.two_m, "theta": repr(args.theta), "backend": args.backend}
-    columns = ["two_m_prime", "amplitude", "probability"]
-    if args.out is None:
-        sys.stdout.write(_format_csv(meta, columns, rows, args.no_timestamp))
-    else:
-        print(_write_csv(Path(args.out), meta, columns, rows, args.no_timestamp))
-    return 0
+    meta = {"two_j": args.two_j, "two_m": args.two_m, "theta": args.theta, "backend": args.backend}
+    table = (meta, ["two_m_prime", "amplitude", "probability"], rows)
+    return _write(_out_path(args, None), table, args.no_timestamp)
 
 
-def _angle_table(two_j: int, two_mt: int, which: str):
-    from . import angles as angles_mod
-
-    states = [i for i in range(two_j + 1) if 2 * i - two_j != two_mt]
-    if which in ("both", "numeric_optimal"):
-        opt_angles, opt_overlaps = angles_mod.optimal_angles_for_target(two_j, two_mt)
-    if which in ("both", "geometric"):
-        geo = [angles_mod.geometric_angle(two_j, two_mt, 2 * i - two_j).radians for i in states]
-        geo_overlaps = angles_mod.overlap_probabilities(two_j, two_mt, states, geo)
-    if which == "approx_mt0":
-        approx = [angles_mod.approx_angle_mt0(two_j, 2 * i - two_j).radians for i in states]
-        approx_overlaps = angles_mod.overlap_probabilities(two_j, two_mt, states, approx)
-    rows = []
-    for k, i in enumerate(states):
-        row: list = [2 * i - two_j]
-        if which in ("both", "geometric"):
-            row.append(geo[k])
-        if which in ("both", "numeric_optimal"):
-            row.append(float(opt_angles[i]))
-        if which in ("both", "geometric"):
-            row.append(float(geo_overlaps[k]))
-        if which in ("both", "numeric_optimal"):
-            row.append(float(opt_overlaps[i]))
-        if which == "approx_mt0":
-            row += [approx[k], float(approx_overlaps[k])]
-        rows.append(tuple(row))
-    return rows
+def _cmd_angles(args) -> list[Path]:
+    table = _angle_table(args.two_j, args.two_mt, args.policy)
+    return _write(_out_path(args, "angles.csv"), table, args.no_timestamp, policy=args.policy)
 
 
-def _cmd_angles(args) -> int:
-    which = args.policy
-    if which == "both":
-        columns = ["two_m", "theta_geometric", "theta_optimal", "overlap_geometric", "overlap_optimal"]
-    elif which == "geometric":
-        columns = ["two_m", "theta_geometric", "overlap_geometric"]
-    elif which == "numeric_optimal":
-        columns = ["two_m", "theta_optimal", "overlap_optimal"]
-    else:
-        columns = ["two_m", "theta_approx", "overlap_approx"]
-    rows = _angle_table(args.two_j, args.two_mt, which)
-    meta = {"two_j": args.two_j, "two_mt": args.two_mt, "policy": which}
-    path = _write_csv(_out_path(args, "angles.csv"), meta, columns, rows, args.no_timestamp)
-    print(path)
-    return 0
-
-
-def _emit_matrix(path: Path, chain_obj, no_timestamp: bool, extra_meta: dict | None = None) -> Path:
-    from .config import config_to_dict
-
-    meta = {f"config.{k}": v for k, v in config_to_dict(chain_obj.config).items()}
-    meta.update(extra_meta or {})
-    meta["two_j"] = chain_obj.config.two_j
-    n = chain_obj.size
-    columns = [f"to_{2 * b - chain_obj.config.two_j}" for b in range(n)]
-    rows = (tuple(float(x) for x in chain_obj.matrix[a]) for a in range(n))
-    return _write_csv(path, meta, columns, rows, no_timestamp)
-
-
-def _expected_steps_rows(js: list[int]) -> list[tuple]:
-    """(j, geometric, numeric_optimal, naive) expected steps from m = j to
-    m_t = 0 under the sqrt_j reset, one row per j."""
-    from .core import AnglePolicy, ResetPolicy
-    from . import chain as chain_mod
-
-    reset = ResetPolicy(kind=ResetPolicy.SQRT_J)
-    rows = []
-    for j in js:
-        two_j = 2 * j
-        geo = chain_mod.expected_steps_for(two_j, 0, AnglePolicy.GEOMETRIC, reset).start_state_value
-        opt = chain_mod.expected_steps_for(two_j, 0, AnglePolicy.NUMERIC_OPTIMAL, reset).start_state_value
-        rows.append((j, geo, opt, chain_mod.naive_expected_steps(two_j)))
-    return rows
-
-
-def _cmd_chain(args) -> int:
-    from . import chain as chain_mod
+def _cmd_chain(args) -> list[Path]:
+    from . import chain
     from .config import load_config
 
     if not (args.config or args.expected_steps or args.mt_sweep):
@@ -195,45 +368,26 @@ def _cmd_chain(args) -> int:
 
             cfg = replace(cfg, seed=args.seed)
         if args.emit:
-            wrote.append(_emit_matrix(Path(args.emit), chain_mod.build_chain(cfg), args.no_timestamp))
+            wrote += _write(Path(args.emit), _matrix_table(cfg), args.no_timestamp)
         else:
-            report = chain_mod.expected_steps_for(
+            report = chain.expected_steps_for(
                 cfg.two_j, cfg.target_two_mt, cfg.angle_policy, cfg.reset_policy
             )
             print(f"expected steps from m=j: {report.start_state_value!r}")
     if args.expected_steps:
-        rows = _expected_steps_rows([int(x) for x in args.j_list.split(",") if x])
-        meta = {"j_list": args.j_list, "reset_policy": "sqrt_j", "target_two_mt": 0}
-        wrote.append(
-            _write_csv(
-                _out_path(args, "expected_steps.csv"),
-                meta,
-                ["j", "steps_geometric", "steps_optimal", "steps_naive"],
-                rows,
-                args.no_timestamp,
-            )
-        )
+        table = _expected_steps_table(args.j_list)
+        wrote += _write(_out_path(args, "expected_steps.csv"), table, args.no_timestamp, target_two_mt=0)
     if args.mt_sweep:
-        two_j = args.two_j
-        if two_j is None:
+        if args.two_j is None:
             raise SystemExit("--mt-sweep requires --two-j")
-        sweep = chain_mod.mt_sweep(two_j)
-        meta = {"two_j": two_j, "angle_policy": "geometric", "reset_policy": "none"}
-        wrote.append(
-            _write_csv(
-                _out_path(args, "mt_sweep.csv"),
-                meta,
-                ["two_mt", "expected_steps"],
-                sweep,
-                args.no_timestamp,
-            )
-        )
-    for p in wrote:
-        print(p)
-    return 0
+        _, columns, rows = _sweep_table([args.two_j])
+        meta = {"two_j": args.two_j, "angle_policy": "geometric", "reset_policy": "none"}
+        table = (meta, columns[1:], [r[1:] for r in rows])  # one j: drop the two_j column
+        wrote += _write(_out_path(args, "mt_sweep.csv"), table, args.no_timestamp)
+    return wrote
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> list[Path]:
     from dataclasses import replace
 
     from .config import config_to_dict, load_config
@@ -243,22 +397,9 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     stats = sim.summarize(cfg, args.runs, engine=args.engine)
-    payload = {
-        "config": config_to_dict(cfg),
-        "engine": stats.engine,
-        "n_runs": stats.n_runs,
-        "mean_iterations": stats.mean_iterations,
-        "variance": stats.variance,
-        "std_error": stats.std_error,
-        "success_rate": stats.success_rate,
-        "histogram": {str(k): v for k, v in sorted(stats.histogram.items())},
-    }
-    out = _out_path(args, "stats.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(out)
+    histogram = {str(k): v for k, v in stats.histogram.items()}  # sort_keys orders them
+    payload = {**vars(stats), "config": config_to_dict(cfg), "histogram": histogram}
+    wrote = _save(_out_path(args, "stats.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.dump_trajectories:
         runner = sim.run_statevector if args.engine == "statevector" else sim.run_trajectory
         tables = sim.PolicyTables(cfg)
@@ -267,219 +408,90 @@ def _cmd_simulate(args) -> int:
             rec = runner(cfg, sim.rng_stream(cfg.seed, run), tables)
             for step_i, st in enumerate(rec.steps):
                 rows.append((run, step_i, st.two_m_before, st.angle, st.two_m_after, int(st.reset)))
-        meta = {f"config.{k}": v for k, v in config_to_dict(cfg).items()}
-        meta["engine"] = args.engine
-        path = _write_csv(
-            Path(args.dump_trajectories),
-            meta,
-            ["run", "step", "two_m_before", "theta", "two_m_after", "reset"],
-            rows,
-            args.no_timestamp,
-        )
-        print(path)
-    return 0
+        columns = ["run", "step", "two_m_before", "theta", "two_m_after", "reset"]
+        table = ({**_config_meta(cfg), "engine": args.engine}, columns, rows)
+        wrote += _write(Path(args.dump_trajectories), table, args.no_timestamp)
+    return wrote
 
 
-def _cmd_asymptotics(args) -> int:
-    from . import asymptotics as asy
-
+def _cmd_asymptotics(args) -> list[Path]:
     if args.mode == "stationary-phase":
-        comps = asy.compare_stationary_phase(args.two_j, args.two_m)
-        rows = [
-            (c.two_m_prime, c.exact, c.approx, c.abs_error, c.predicted_error_scale)
-            for c in comps
-        ]
-        meta = {"two_j": args.two_j, "two_m": args.two_m, "mode": args.mode}
-        columns = ["two_m_prime", "exact", "approx", "abs_error", "predicted_error_scale"]
-        name = "stationary_phase.csv"
+        name, table = "stationary_phase.csv", _stationary_phase_table(args.two_j, args.two_m)
     elif args.mode == "bessel":
-        from .core import SpinSpec
-        from . import wigner
-        import math
-
-        rows = []
-        js = [int(x) for x in args.j_list.split(",") if x]
-        for j in js:
-            two_j = 2 * j
-            spec = SpinSpec(two_j, args.two_m)
-            beta = math.asin(spec.m / spec.j)
-            col = wigner.d_column(spec, beta)
-            for off in range(-args.max_offset, args.max_offset + 1):
-                two_mp = args.two_m - 2 * off
-                exact = col.amplitude(two_mp)
-                lim = asy.bessel_limit(args.two_m, two_mp)
-                rows.append((j, two_mp, exact, lim, abs(exact - lim)))
-        meta = {"two_m": args.two_m, "j_list": args.j_list, "mode": args.mode}
-        columns = ["j", "two_m_prime", "exact_d", "bessel_limit", "abs_diff"]
-        name = "bessel_limit.csv"
+        name, table = "bessel_limit.csv", _bessel_table(args.two_m, args.j_list, args.max_offset)
     elif args.mode == "contraction":
-        import math
-
-        rows = []
-        j = args.two_j / 2.0
-        lo = int(math.ceil(j**0.25))
-        hi = int(math.floor(math.sqrt(j)))
-        for m in range(lo, hi + 1):
-            rows.append((2 * m, asy.contraction_sum(args.two_j, args.alpha, 2 * m)))
-        meta = {"two_j": args.two_j, "alpha": repr(args.alpha), "mode": args.mode}
-        columns = ["two_m", "contraction_sum"]
-        name = "contraction.csv"
-    else:  # moments
-        from . import geometry
-
-        rows = []
-        for alpha_s in args.alphas.split(","):
-            alpha = float(alpha_s)
-            closed = asy.beta_moment(alpha, args.two_j, args.two_m, args.two_mt)
-            quadr = geometry.pdf_moment_quadrature(alpha, args.two_j, args.two_m, args.two_mt)
-            rows.append((alpha, closed, quadr, abs(closed - quadr)))
-        meta = {
-            "two_j": args.two_j,
-            "two_m": args.two_m,
-            "two_mt": args.two_mt,
-            "mode": args.mode,
-        }
-        columns = ["alpha", "closed_form", "quadrature", "abs_diff"]
-        name = "moments.csv"
-    path = _write_csv(_out_path(args, name), meta, columns, rows, args.no_timestamp)
-    print(path)
-    return 0
+        name, table = "contraction.csv", _contraction_table(args.two_j, args.alpha)
+    else:
+        name, table = "moments.csv", _moments_table(args.two_j, args.two_m, args.two_mt, args.alphas)
+    return _write(_out_path(args, name), table, args.no_timestamp, mode=args.mode)
 
 
-def _cmd_husimi(args) -> int:
-    from .core import SpinSpec
-    from . import geometry
-
-    profile = geometry.husimi_q_profile(SpinSpec(args.two_j, args.two_m), n_grid=args.grid)
-    rows = [(float(t), float(q)) for t, q in zip(profile.thetas, profile.values)]
-    meta = {"two_j": args.two_j, "two_m": args.two_m, "grid": args.grid}
-    path = _write_csv(_out_path(args, "husimi.csv"), meta, ["theta", "q_value"], rows, args.no_timestamp)
-    print(path)
-    return 0
+def _cmd_husimi(args) -> list[Path]:
+    table = _husimi_table(args.two_j, args.two_m, args.grid)
+    return _write(_out_path(args, "husimi.csv"), table, args.no_timestamp)
 
 
-def _pdf_comparison_rows(two_j: int, two_m: int, two_mt: int):
-    from . import geometry, wigner
-    from .core import SpinSpec
-    from . import angles as angles_mod
-
-    theta = angles_mod.geometric_angle(two_j, two_mt, two_m).radians
-    exact = wigner.transition_probabilities(SpinSpec(two_j, two_m), theta)
-    disc = geometry.discretized_pdf_lattice(two_j, two_m, two_mt)
-    rows = []
-    for i, tm in enumerate(wigner.two_m_values(two_j)):
-        pdf_val = geometry.geometric_transition_pdf(two_j, two_m, two_mt, tm / 2.0)
-        rows.append((int(tm), pdf_val, float(disc[i]), float(exact[i])))
-    return rows
-
-
-def _cmd_geometry(args) -> int:
+def _cmd_geometry(args) -> list[Path]:
     if not args.pdf:
         raise SystemExit("geometry: nothing to do (use --pdf)")
-    two_mt = args.two_mt
-    rows = _pdf_comparison_rows(args.two_j, args.two_m, two_mt)
-    meta = {"two_j": args.two_j, "two_m": args.two_m, "two_mt": two_mt}
-    path = _write_csv(
-        _out_path(args, "pdf_comparison.csv"),
-        meta,
-        ["two_m_prime", "pdf", "discretized_mass", "exact_probability"],
-        rows,
-        args.no_timestamp,
-    )
-    print(path)
-    return 0
+    table = _pdf_table(args.two_j, args.two_m, args.two_mt)
+    return _write(_out_path(args, "pdf_comparison.csv"), table, args.no_timestamp)
 
 
-def _spectrum_rows(kappa: float, chi: float, weights: list[int], points: int) -> list[tuple]:
-    """(weight, offset, transmission) over points probe offsets in
-    [-4 kappa, 4 kappa] from the bare cavity, for each Hamming weight w
-    (dispersive shift chi * w)."""
-    import numpy as np
-
-    from . import cavity as cav
-
-    params = cav.CavityParams(kappa=kappa, chi=chi)
-    offsets = np.linspace(-4.0 * kappa, 4.0 * kappa, points)
-    return [
-        (w, float(off), cav.transmission(params, params.omega_c + off, chi * w))
-        for w in weights
-        for off in offsets
-    ]
-
-
-def _cmd_cavity(args) -> int:
-    import numpy as np
-
-    from . import cavity as cav
-
+def _cmd_cavity(args) -> list[Path]:
     if args.mode == "spectrum":
-        rows = _spectrum_rows(args.kappa, args.chi, [int(x) for x in args.weights.split(",")], args.points)
-        meta = {"kappa": repr(args.kappa), "chi": repr(args.chi), "weights": args.weights}
-        columns = ["weight", "omega_offset", "transmission"]
-        name = "cavity_spectrum.csv"
+        table = _spectrum_table(args.kappa, args.chi, args.weights, args.points)
     elif args.mode == "fisher":
-        params = cav.CavityParams(kappa=args.kappa, chi=args.chi)
-        deltas = np.linspace(0.0, args.kappa / 5.0, args.points)
-        rows = [
-            (
-                float(d),
-                cav.fisher_information(params, float(d)),
-                cav.fisher_information_bernoulli(params, float(d)),
-                cav.crb_variance(params, float(d)),
-            )
-            for d in deltas
-        ]
-        meta = {"kappa": repr(args.kappa), "chi": repr(args.chi)}
-        columns = ["delta_a", "fisher_closed_form", "fisher_bernoulli_fd", "crb_variance"]
-        name = "cavity_fisher.csv"
+        table = _fisher_table(args.kappa, args.chi, args.points)
     elif args.mode == "estimate":
-        params = cav.CavityParams(kappa=args.kappa, chi=args.chi)
-        study = cav.estimator_variance_study(
-            params, args.n_atoms, args.weight, args.photons, args.reps, seed=args.seed or 0
+        table = _estimate_table(
+            args.kappa, args.chi, args.n_atoms, args.weight, args.photons, args.reps, args.seed or 0
         )
-        rows = [
-            (
-                study["mean_estimate"],
-                study["empirical_variance"],
-                study["crb_variance"],
-                study["z_score"],
-                study["repetitions"],
-                study["photons"],
-            )
-        ]
-        meta = {
-            "kappa": repr(args.kappa),
-            "chi": repr(args.chi),
-            "n_atoms": args.n_atoms,
-            "weight": args.weight,
-            "seed": args.seed or 0,
-        }
-        columns = [
-            "mean_estimate",
-            "empirical_variance",
-            "crb_variance",
-            "z_score",
-            "repetitions",
-            "photons",
-        ]
-        name = "cavity_estimate.csv"
-    else:  # resolvability
-        rows = []
-        for n in (int(x) for x in args.n_list.split(",")):
-            gap = cav.resonant_peak_gap(args.g, n)
-            rows.append(
-                (n, gap, int(cav.resolvable(args.g, n, args.kappa)), cav.min_coupling_for_resolution(n, args.kappa))
-            )
-        meta = {"g": repr(args.g), "kappa": repr(args.kappa)}
-        columns = ["n", "peak_gap", "resolvable", "min_coupling"]
-        name = "cavity_resolvability.csv"
-    path = _write_csv(_out_path(args, name), meta, columns, rows, args.no_timestamp)
-    print(path)
-    return 0
+    else:
+        table = _resolvability_table(args.g, args.kappa, args.n_list)
+    return _write(_out_path(args, f"cavity_{args.mode}.csv"), table, args.no_timestamp)
 
 
 # ---------------------------------------------------------------------------
 # figure jobs
+
+
+class _Job(NamedTuple):
+    """One figure pipeline: its file, its table builder, and the builder's
+    keyword parameters as name -> (parser, default text; None lets the
+    builder derive it)."""
+
+    file: str
+    build: Callable[..., tuple]
+    params: dict
+    names_figure: bool = True  # add "figure = <id>" to the metadata
+
+
+_JOBS = {
+    "fig2a": _Job("fig2a_angles.csv", _angle_table, {"two_j": (int, "100")}),
+    "fig2b": _Job(
+        "fig2b_matrix.csv",
+        _fig2b_table,
+        {"two_j": (int, "100"), "angle_policy": (str, "approx_mt0")},
+        names_figure=False,  # its header is the chain's config
+    ),
+    "fig2c": _Job("fig2c_expected_steps.csv", _expected_steps_table, {"j_list": (_ints, "16,32,64,128,256")}),
+    "fig2d": _Job("fig2d_mt_sweep.csv", _sweep_table, {"two_j_list": (_ints, "40,100,200")}),
+    "pdf-comparison": _Job(
+        "pdf_comparison.csv", _pdf_table, {"two_j": (int, "800"), "two_m": (int, None), "two_mt": (int, "0")}
+    ),
+    "cavity-spectrum": _Job(
+        "cavity_spectrum.csv",
+        _spectrum_table,
+        {
+            "kappa": (float, "1.0"),
+            "chi": (float, "0.01"),
+            "weights": (_ints, "0,5,10"),
+            "points": (int, "201"),
+        },
+    ),
+}
+_FIGURE_IDS = tuple(_JOBS)
 
 
 @dataclass(frozen=True)
@@ -498,220 +510,158 @@ class FigureJob:
 def run_figure_job(job: FigureJob, no_timestamp: bool = False, seed: int | None = None) -> list[Path]:
     """Run one figure pipeline; returns the files written.
 
-    Figure data is deterministic (no Monte Carlo sampling); the seed is
-    recorded in the output metadata so the rerun contract stays visible.
+    Each parameter is read from job.params (text or a value) by the job's
+    declared parser, or takes its default; an unknown key or a malformed
+    value is a ParseError.  Figure data is deterministic (no Monte Carlo
+    sampling); the seed is recorded in the output metadata so the rerun
+    contract stays visible.
     """
-    from .core import AnglePolicy, ProtocolConfig
-    from . import chain as chain_mod
+    from .core import ParseError
 
-    out_dir = Path(job.out_dir)
-    p = job.params
-    extra_meta = {} if seed is None else {"seed": seed}
-    wrote: list[Path] = []
-    if job.figure_id == "fig2a":
-        two_j = int(p.get("two_j", 100))
-        rows = _angle_table(two_j, 0, "both")
-        meta = {"two_j": two_j, "two_mt": 0, "figure": "fig2a", **extra_meta}
-        wrote.append(
-            _write_csv(
-                out_dir / "fig2a_angles.csv",
-                meta,
-                ["two_m", "theta_geometric", "theta_optimal", "overlap_geometric", "overlap_optimal"],
-                rows,
-                no_timestamp,
-            )
+    spec = _JOBS[job.figure_id]
+    unknown = sorted(set(job.params) - set(spec.params))
+    if unknown:
+        raise ParseError(
+            f"figure {job.figure_id}: unknown parameter {', '.join(unknown)}"
+            f" (it takes {', '.join(spec.params)})"
         )
-    elif job.figure_id == "fig2b":
-        two_j = int(p.get("two_j", 100))
-        policy = p.get("angle_policy", AnglePolicy.APPROX_MT0)
-        cfg = ProtocolConfig(two_j=two_j, target_two_mt=0, angle_policy=policy)
-        built = chain_mod.build_chain(cfg)
-        wrote.append(_emit_matrix(out_dir / "fig2b_matrix.csv", built, no_timestamp, extra_meta))
-    elif job.figure_id == "fig2c":
-        js = [int(x) for x in str(p.get("j_list", "16,32,64,128,256")).split(",") if x]
-        rows = _expected_steps_rows(js)
-        meta = {"j_list": ",".join(str(j) for j in js), "figure": "fig2c", "reset_policy": "sqrt_j", **extra_meta}
-        wrote.append(
-            _write_csv(
-                out_dir / "fig2c_expected_steps.csv",
-                meta,
-                ["j", "steps_geometric", "steps_optimal", "steps_naive"],
-                rows,
-                no_timestamp,
-            )
-        )
-    elif job.figure_id == "fig2d":
-        two_js = [int(x) for x in str(p.get("two_j_list", "40,100,200")).split(",") if x]
-        rows = []
-        for two_j in two_js:
-            for two_mt, steps in chain_mod.mt_sweep(two_j):
-                rows.append((two_j, two_mt, steps))
-        meta = {"two_j_list": ",".join(str(t) for t in two_js), "figure": "fig2d", "reset_policy": "none", **extra_meta}
-        wrote.append(
-            _write_csv(
-                out_dir / "fig2d_mt_sweep.csv",
-                meta,
-                ["two_j", "two_mt", "expected_steps"],
-                rows,
-                no_timestamp,
-            )
-        )
-    elif job.figure_id == "pdf-comparison":
-        two_j = int(p.get("two_j", 800))
-        default_m = 2 * int((two_j / 2.0) ** 0.5 / 2.0)
-        two_m = int(p.get("two_m", default_m))
-        two_mt = int(p.get("two_mt", 0))
-        rows = _pdf_comparison_rows(two_j, two_m, two_mt)
-        meta = {"two_j": two_j, "two_m": two_m, "two_mt": two_mt, "figure": "pdf-comparison", **extra_meta}
-        wrote.append(
-            _write_csv(
-                out_dir / "pdf_comparison.csv",
-                meta,
-                ["two_m_prime", "pdf", "discretized_mass", "exact_probability"],
-                rows,
-                no_timestamp,
-            )
-        )
-    else:  # cavity-spectrum
-        kappa = float(p.get("kappa", 1.0))
-        chi = float(p.get("chi", 0.01))
-        weights = [int(x) for x in str(p.get("weights", "0,5,10")).split(",")]
-        rows = _spectrum_rows(kappa, chi, weights, int(p.get("points", 201)))
-        meta = {"kappa": repr(kappa), "chi": repr(chi), "weights": ",".join(map(str, weights)), "figure": "cavity-spectrum", **extra_meta}
-        wrote.append(
-            _write_csv(
-                out_dir / "cavity_spectrum.csv",
-                meta,
-                ["weight", "omega_offset", "transmission"],
-                rows,
-                no_timestamp,
-            )
-        )
-    return wrote
+    values = {}
+    for key, (parse, default) in spec.params.items():
+        value = job.params.get(key, default)
+        try:
+            values[key] = None if value is None else parse(value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ParseError(f"figure {job.figure_id}: {key}={value!r}: {exc}") from None
+    extra = {"figure": job.figure_id} if spec.names_figure else {}
+    if seed is not None:
+        extra["seed"] = seed
+    return _write(Path(job.out_dir) / spec.file, spec.build(**values), no_timestamp, **extra)
 
 
-def _cmd_figure(args) -> int:
+def _cmd_figure(args) -> list[Path]:
     params = {}
     for item in args.param or []:
-        if "=" not in item:
+        key, eq, value = item.partition("=")
+        if not eq:
             raise SystemExit(f"--param expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
         params[key.replace("-", "_")] = value
     job = FigureJob(figure_id=args.job, params=params, out_dir=Path(args.out_dir))
-    for path in run_figure_job(job, no_timestamp=args.no_timestamp, seed=args.seed):
-        print(path)
-    return 0
+    return run_figure_job(job, no_timestamp=args.no_timestamp, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '-1e-3', '-inf' or '-0.5,1' after a flag as its value, not as
+    an option: no option here starts with '-' and a digit, '.', 'inf' or
+    'nan'.  Subparsers are built from this class too."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan).*$", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dickeprep",
         description="Adaptive rotation + collective measurement preparation of Dicke states",
     )
     parser.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS/worker threads (env: DICKE_PREP_THREADS)")
+    parser.add_argument(
+        "--threads", type=int, default=None, help="cap BLAS/worker threads (env: DICKE_PREP_THREADS)"
+    )
     parser.add_argument("--out-dir", default=".", help="directory for default output files")
-    parser.add_argument("--no-timestamp", action="store_true", help="omit timestamps for byte-identical reruns")
+    parser.add_argument(
+        "--no-timestamp", action="store_true", help="omit timestamps for byte-identical reruns"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dmatrix", help="one rotation column as CSV")
+    def command(func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(func.__name__.removeprefix("_cmd_"), help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(_cmd_dmatrix, "one rotation column as CSV")
     p.add_argument("--two-j", type=int, required=True)
     p.add_argument("--two-m", type=int, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--backend", choices=["b"], default="b")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_dmatrix)
 
-    p = sub.add_parser("angles", help="angle-policy comparison table")
+    p = command(_cmd_angles, "angle-policy comparison table")
     p.add_argument("--two-j", type=int, required=True)
     p.add_argument("--two-mt", type=int, default=0)
     p.add_argument("--policy", choices=["both", "geometric", "numeric_optimal", "approx_mt0"], default="both")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_angles)
 
-    p = sub.add_parser("chain", help="transition matrices and expected steps")
+    p = command(_cmd_chain, "transition matrices and expected steps")
     p.add_argument("--config", default=None)
     p.add_argument("--emit", default=None, help="write the dense transition matrix CSV here")
     p.add_argument("--expected-steps", action="store_true")
-    p.add_argument("--j-list", default="16,32,64,128,256")
+    p.add_argument("--j-list", type=_ints, default="16,32,64,128,256")
     p.add_argument("--mt-sweep", action="store_true")
     p.add_argument("--two-j", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_chain)
 
-    p = sub.add_parser("simulate", help="Monte Carlo trajectory sampling")
+    p = command(_cmd_simulate, "Monte Carlo trajectory sampling")
     p.add_argument("--config", required=True)
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--engine", choices=["chain", "statevector"], default="chain")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="override the configured RNG seed")
-    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="override the configured RNG seed")
     p.add_argument("--dump-trajectories", default=None)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("asymptotics", help="asymptotic-formula comparison tables")
+    p = command(_cmd_asymptotics, "asymptotic-formula comparison tables")
     p.add_argument("--mode", choices=["stationary-phase", "bessel", "contraction", "moments"], required=True)
     p.add_argument("--two-j", type=int, default=2000)
     p.add_argument("--two-m", type=int, default=20)
     p.add_argument("--two-mt", type=int, default=0)
-    p.add_argument("--j-list", default="1000,10000,100000")
+    p.add_argument("--j-list", type=_ints, default="1000,10000,100000")
     p.add_argument("--max-offset", type=int, default=3)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--alphas", default="0.25,0.5,0.75,1.0")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_asymptotics)
+    p.add_argument("--alphas", type=_floats, default="0.25,0.5,0.75,1.0")
 
-    p = sub.add_parser("husimi", help="Husimi-Q profile of a Dicke state")
+    p = command(_cmd_husimi, "Husimi-Q profile of a Dicke state")
     p.add_argument("--two-j", type=int, required=True)
     p.add_argument("--two-m", type=int, required=True)
     p.add_argument("--grid", type=int, default=181)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_husimi)
 
-    p = sub.add_parser("geometry", help="tilted-ring transition density tables")
+    p = command(_cmd_geometry, "tilted-ring transition density tables")
     p.add_argument("--pdf", action="store_true")
     p.add_argument("--two-j", type=int, required=True)
     p.add_argument("--two-m", type=int, required=True)
     p.add_argument("--two-mt", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_geometry)
 
-    p = sub.add_parser("cavity", help="dispersive readout model")
+    p = command(_cmd_cavity, "dispersive readout model")
     p.add_argument("--mode", choices=["spectrum", "fisher", "estimate", "resolvability"], required=True)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="override the global RNG seed for the estimator study")
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--chi", type=float, default=0.01)
     p.add_argument("--g", type=float, default=1.0)
-    p.add_argument("--weights", default="0,5,10")
+    p.add_argument("--weights", type=_ints, default="0,5,10")
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--n-atoms", type=int, default=10)
     p.add_argument("--weight", type=int, default=5)
     p.add_argument("--photons", type=int, default=10000)
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--n-list", default="100,1000,10000")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_cavity)
+    p.add_argument("--n-list", type=_ints, default="100,1000,10000")
 
-    p = sub.add_parser("figure", help="figure-reproduction pipelines")
+    for p in sub.choices.values():  # every subcommand but figure writes to --out
+        p.add_argument("--out", default=None)
+
+    p = command(_cmd_figure, "figure-reproduction pipelines")
     p.add_argument("--job", choices=list(_FIGURE_IDS), required=True)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
-    p.set_defaults(func=_cmd_figure)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     _apply_thread_cap(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        for path in args.func(args):
+            print(path)
+        return 0
     except BrokenPipeError:
         return 0
     except Exception as exc:  # deliberate: exit code 0 only on full success

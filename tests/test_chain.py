@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dickeprep.core import AnglePolicy, ProtocolConfig, ResetPolicy, SingularSystem
+from dickeprep.core import AnglePolicy, OutOfRange, ProtocolConfig, ResetPolicy, SingularSystem
 from dickeprep import angles, chain, wigner
 
 from oracles import rotation_oracle
@@ -143,6 +143,13 @@ def test_mt_sweep_shape():
     assert steps[-1] == 0.0
     # decreasing expected steps as the target moves toward the start state
     assert all(a >= b - 1e-12 for a, b in zip(steps, steps[1:]))
+
+
+@pytest.mark.parametrize("two_j", [-4, -1, True, 4.0])
+def test_mt_sweep_rejects_invalid_two_j(two_j):
+    # mt_sweep(-4) used to return [], so the CLI wrote a header-only CSV
+    with pytest.raises(OutOfRange):
+        chain.mt_sweep(two_j)
 
 
 def test_singular_system_detected():

@@ -380,3 +380,91 @@ def test_cli_runs_without_mpmath(tmp_path):
     )
     out = _run_python(code)
     assert out.splitlines()[-1].split() == ["RESULT", "True", "0", "0", "0"]
+
+
+def test_cli_negative_float_in_exponent_form(tmp_path, capsys):
+    # argparse used to read '-1e-3' and '-inf' as options ("expected one argument")
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    base = ["--no-timestamp", "dmatrix", "--two-j", "4", "--two-m", "4"]
+    assert cli.main([*base, "--theta", "-1e-3", "--out", str(spaced)]) == 0
+    assert cli.main([*base, "--theta=-1e-3", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    capsys.readouterr()
+    assert cli.main([*base, "--theta", "-inf"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["chain", "--expected-steps", "--j-list", "4,x"], 2),
+    (["cavity", "--mode", "spectrum", "--weights", "a"], 2),
+    (["asymptotics", "--mode", "moments", "--alphas", "0.5,x"], 2),
+    (["figure", "--job", "fig2a", "--param", "two_j=abc"], 1),
+])
+def test_cli_malformed_values_are_reported(tmp_path, capsys, argv, code):
+    # each used to escape as a raw ValueError traceback
+    try:
+        rc = cli.main(["--no-timestamp", "--out-dir", str(tmp_path), *argv])
+    except SystemExit as exited:  # argparse's usage error
+        rc = exited.code
+    assert rc == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ") and "two_j" in err
+    else:
+        assert "error: argument" in err and repr(argv[-1]) in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_figure_rejects_unknown_param(tmp_path, capsys):
+    rc = cli.main(["--no-timestamp", "--out-dir", str(tmp_path), "figure", "--job", "pdf-comparison",
+                   "--param", "twoj=8"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "twoj" in err
+    assert all(key in err for key in cli._JOBS["pdf-comparison"].params)
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ParseError, match="twoj"):
+        cli.run_figure_job(cli.FigureJob("fig2a", {"twoj": "8"}, tmp_path))
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "--mt-sweep", "--two-j", "-4"],
+    ["figure", "--job", "fig2d", "--param", "two_j_list=-4"],
+    ["angles", "--two-j", "20", "--two-mt", "2", "--policy", "approx_mt0"],
+])
+def test_cli_rejects_out_of_range_sweep_and_approx_target(tmp_path, capsys, argv):
+    # these used to write a header-only sweep and an m_t = 0 table under m_t = 2
+    assert cli.main(["--no-timestamp", "--out-dir", str(tmp_path), *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("job,params,argv", [
+    ("fig2a", ["two_j=20"], ["angles", "--two-j", "20", "--policy", "both", "--out", "{out}"]),
+    ("fig2b", ["two_j=12"], ["chain", "--config", "{cfg}", "--emit", "{out}"]),
+    ("fig2c", ["j_list=4,8"], ["chain", "--expected-steps", "--j-list", "4,8", "--out", "{out}"]),
+    ("pdf-comparison", ["two_j=100", "two_m=14"],
+     ["geometry", "--pdf", "--two-j", "100", "--two-m", "14", "--out", "{out}"]),
+    ("cavity-spectrum", ["points=41"], ["cavity", "--mode", "spectrum", "--points", "41", "--out", "{out}"]),
+])
+def test_figure_job_rows_equal_subcommand_rows(tmp_path, job, params, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"two_j": 12, "angle_policy": "approx_mt0"}))
+    out = tmp_path / "sub" / "table.csv"
+    assert cli.main(["--no-timestamp", *(a.format(cfg=cfg, out=out) for a in argv)]) == 0
+    fig_args = [a for p in params for a in ("--param", p)]
+    assert cli.main(["--no-timestamp", "--out-dir", str(tmp_path / "fig"), "figure", "--job", job, *fig_args]) == 0
+    (fig_path,) = (tmp_path / "fig").iterdir()
+    _, fig_columns, fig_rows = _read_csv(fig_path)
+    _, columns, rows = _read_csv(out)
+    assert fig_columns == columns and fig_rows == rows and rows
+
+
+def test_readme_figure_table_lists_job_parameters():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip(" `"): line for line in readme.splitlines() if line.startswith("| `")}
+    for figure_id, job in cli._JOBS.items():
+        row = rows[figure_id]
+        for key, (_, default) in job.params.items():
+            assert (f"`{key}`" if default is None else f"`{key}={default}`") in row, (figure_id, key)
