@@ -17,14 +17,14 @@ __version__ = "0.1.0"
 # the CLI can still cap BLAS threads before numpy starts.
 _EXPORTS = {
     "core": (
-        "Angle", "AnglePolicy", "BackendOverflow", "DickePrepError", "DomainError",
+        "Angle", "AnglePolicy", "DickePrepError", "DomainError",
         "NormDrift", "OutOfRange", "ParityMismatch", "ParseError", "ProtocolConfig",
         "RegimeViolation", "ResetPolicy", "SingularSystem", "SpinSpec",
         "ValidationError", "default_max_iterations", "ring_radius", "validate_spin",
     ),
     "wigner": (
         "RotationColumn", "d_column", "d_element", "outcome_distribution",
-        "rotate_state", "transition_probabilities",
+        "transition_probabilities",
     ),
     "angles": (
         "AnglePolicyResult", "approx_angle_mt0", "geometric_angle", "optimal_angle",

@@ -15,12 +15,12 @@ for |j,m_t>:
 optimal_angles_for_target does the same for every source state at once:
 the grid rows, the geometric candidates and each Newton round come as
 stacked solves, a round holding every state still refining, about four
-rounds per state.  optimal_angle is the one-state case of the same code,
-so the two agree bit for bit.
+rounds per state.  optimal_angle is the one-state case of the same code
+(_optimal), so the two agree bit for bit.
 
 Angle signs: for m < m_t the same formulas produce negative angles; the
 optimizer mirrors through (m_t, m) -> (-m_t, -m), which leaves the overlap
-invariant.
+invariant, in one place (_optimal).
 """
 
 from __future__ import annotations
@@ -190,6 +190,30 @@ def _refine(two_j: int, two_mt: int, states: np.ndarray) -> tuple[np.ndarray, np
     return np.where(fell_back, theta_geo, theta), np.where(fell_back, overlap_geo, f), fell_back
 
 
+def _optimal(two_j: int, two_mt: int, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(angles, overlaps, fell_back) of the optimizer for each source index
+    in states, none of them the target.
+
+    A source above the target is refined directly.  One below is refined
+    as its mirror (m_t, m) -> (-m_t, -m), which leaves the overlap
+    invariant, and its angle is negated.  Each distinct target gets one
+    _refine call, so one grid scan, with each of its sources once.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    below = states < (two_mt + two_j) // 2
+    sources = np.where(below, two_j - states, states)
+    targets = np.where(below, -two_mt, two_mt)
+    angles, overlaps = np.empty(len(states)), np.empty(len(states))
+    fell_back = np.empty(len(states), dtype=bool)
+    for target in np.unique(targets):
+        at = targets == target
+        refined, back = np.unique(sources[at], return_inverse=True)
+        angle, overlap, fell = _refine(two_j, int(target), refined)
+        angles[at] = np.where(below[at], -angle[back], angle[back])
+        overlaps[at], fell_back[at] = overlap[back], fell[back]
+    return angles, overlaps, fell_back
+
+
 def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
     """Deterministically maximize the overlap |d^j_{m_t,m}(theta)|^2.
 
@@ -204,34 +228,13 @@ def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
     validate_spin(two_j, two_m)
     if two_m == two_mt:
         raise OutOfRange("optimal_angle requires m != m_t")
-    if two_m < two_mt:
-        mirrored = optimal_angle(two_j, -two_mt, -two_m)
-        return AnglePolicyResult(
-            angle=Angle(-mirrored.angle.radians),
-            overlap_probability=mirrored.overlap_probability,
-            policy=AnglePolicy.NUMERIC_OPTIMAL,
-            fell_back=mirrored.fell_back,
-        )
-    angle, overlap, fell_back = _refine(two_j, two_mt, np.array([(two_m + two_j) // 2]))
+    angle, overlap, fell_back = _optimal(two_j, two_mt, [(two_m + two_j) // 2])
     return AnglePolicyResult(
         angle=Angle(float(angle[0])),
         overlap_probability=float(overlap[0]),
         policy=AnglePolicy.NUMERIC_OPTIMAL,
         fell_back=bool(fell_back[0]),
     )
-
-
-def _optimal_above_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal (angle, overlap) per source state, filled only for m > m_t,
-    by one _refine over all of them, as optimal_angle refines one; with no
-    state above the target there is nothing to scan."""
-    n = two_j + 1
-    above = np.arange((two_mt + two_j) // 2 + 1, n)
-    angles = np.zeros(n)
-    overlaps = np.ones(n)
-    if len(above):
-        angles[above], overlaps[above], _ = _refine(two_j, two_mt, above)
-    return angles, overlaps
 
 
 def optimal_angles_for_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,16 +246,9 @@ def optimal_angles_for_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.n
     the overlap invariant.
     """
     validate_spin(two_j, two_mt)
-    n = two_j + 1
-    angles, overlaps = _optimal_above_target(two_j, two_mt)
-    if (two_mt + two_j) // 2 > 0:  # any source states below the target?
-        neg_angles, neg_overlaps = (
-            (angles, overlaps) if two_mt == 0 else _optimal_above_target(two_j, -two_mt)
-        )
-        for i in range((two_mt + two_j) // 2):
-            mirror_i = n - 1 - i  # index of -m
-            angles[i] = -neg_angles[mirror_i]
-            overlaps[i] = neg_overlaps[mirror_i]
+    states = np.delete(np.arange(two_j + 1), (two_mt + two_j) // 2)
+    angles, overlaps = np.zeros(two_j + 1), np.ones(two_j + 1)
+    angles[states], overlaps[states], _ = _optimal(two_j, two_mt, states)
     return angles, overlaps
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, OutOfRange, ring_radius, validate_spin
+from .core import DomainError, OutOfRange, ResetPolicy, validate_spin
 from . import angles as angles_mod
-from . import wigner
+from . import geometry, wigner
 
 
 @dataclass(frozen=True)
@@ -234,12 +234,11 @@ def beta_moment(alpha: float, two_j: int, two_m: int, two_mt: int) -> float:
     """
     if alpha <= 0.0:
         raise DomainError("alpha must be > 0")
-    source = validate_spin(two_j, two_m)
+    validate_spin(two_j, two_m)
     validate_spin(two_j, two_mt)
     if two_m <= two_mt:
         raise DomainError("moment needs m > m_t")
-    theta = angles_mod.geometric_angle(two_j, two_mt, two_m).radians
-    diameter = 2.0 * ring_radius(source) * math.sin(theta)
+    diameter = 2.0 * geometry.transition_band(two_j, two_m, two_mt)[2]
     return beta_function(alpha + 0.5, 0.5) / math.pi * diameter**alpha
 
 
@@ -263,6 +262,4 @@ def exact_reset_mass(two_j: int, two_m: int) -> float:
     spec = validate_spin(two_j, two_m)
     theta = angles_mod.approx_angle_mt0(two_j, two_m)
     probs = wigner.transition_probabilities(spec, theta)
-    two_mp = wigner.two_m_values(two_j)
-    tail = two_mp * two_mp > 2 * two_j
-    return float(probs[tail].sum())
+    return float(probs[ResetPolicy(kind=ResetPolicy.SQRT_J).mask(two_j)].sum())

@@ -16,7 +16,9 @@ N ~ (kappa/chi)^2 photons.
 
 The resonant alternative resolves neighboring vacuum-Rabi peaks spaced
 g(sqrt(n) - sqrt(n-1)) ~ g/(2 sqrt(n)); only the peak-gap resolvability
-arithmetic is modeled here.
+arithmetic is modeled here, and those functions take g as an argument.
+CavityParams holds only what the dispersive model reads (kappa, chi,
+omega_c); the probe point is fixed at omega - omega_c = kappa.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, RegimeViolation
+from .core import DomainError, RegimeViolation, rng_stream
 
 # "much less than" made testable: dispersive operation requires chi*n <= kappa/5
 DISPERSIVE_FACTOR = 5.0
@@ -37,25 +39,20 @@ class CavityParams:
     """Cavity and coupling parameters, all in the same angular-frequency unit.
 
     kappa: cavity linewidth; chi: dispersive shift per excited qubit
-    (g^2/delta); g: single-photon coupling (resonant-scheme calculator
-    only); omega_c: bare cavity frequency; probe_detuning: omega - omega_c.
+    (g^2/delta); omega_c: bare cavity frequency.  The probe sits at the
+    side-of-fringe point omega - omega_c = kappa, and the resonant-scheme
+    functions take their coupling g as an argument.
     """
 
     kappa: float
     chi: float
-    g: float = 0.0
     omega_c: float = 0.0
-    probe_detuning: float | None = None  # defaults to the side-of-fringe point kappa
 
     def __post_init__(self) -> None:
         if not (self.kappa > 0.0):
             raise DomainError("kappa must be > 0")
         if self.chi < 0.0:
             raise DomainError("chi must be >= 0")
-
-    @property
-    def probe_offset(self) -> float:
-        return self.kappa if self.probe_detuning is None else self.probe_detuning
 
 
 @dataclass(frozen=True)
@@ -201,11 +198,8 @@ def estimator_variance_study(
         raise DomainError("repetitions must be >= 2")
     estimates = np.empty(repetitions)
     for i in range(repetitions):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(i)]))
-        )
         estimates[i] = simulate_weight_estimator(
-            params, n_atoms, true_weight, n_photons, rng
+            params, n_atoms, true_weight, n_photons, rng_stream(seed, i)
         ).estimate
     emp_var = float(estimates.var(ddof=1))
     crb = crb_variance(params, params.chi * true_weight) / (n_photons * params.chi**2)

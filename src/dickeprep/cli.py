@@ -195,14 +195,18 @@ def _sweep_table(two_j_list: list[int]) -> tuple:
     return {"two_j_list": two_j_list, "reset_policy": "none"}, ["two_j", "two_mt", "expected_steps"], rows
 
 
-def _pdf_table(two_j: int, two_m: int | None = None, two_mt: int = 0) -> tuple:
+def _pdf_table(two_j: int, two_m: int | None = None, two_mt: int | None = None) -> tuple:
     """Tilted-ring density, its lattice discretization and the exact row
-    from m at the geometric angle; two_m defaults to 2 floor(sqrt(j) / 2)."""
+    from m at the geometric angle.  two_mt defaults to two_j mod 2 (m_t = 0
+    or 1/2) and two_m to 2 floor(sqrt(j) / 2) + two_j mod 2, which share
+    two_j's parity."""
     from .core import SpinSpec
     from . import angles, geometry, wigner
 
+    if two_mt is None:
+        two_mt = two_j % 2
     if two_m is None:
-        two_m = 2 * int((two_j / 2.0) ** 0.5 / 2.0)
+        two_m = 2 * int((two_j / 2.0) ** 0.5 / 2.0) + two_j % 2
     theta = angles.geometric_angle(two_j, two_mt, two_m).radians
     exact = wigner.transition_probabilities(SpinSpec(two_j, two_m), theta)
     disc = geometry.discretized_pdf_lattice(two_j, two_m, two_mt)
@@ -215,15 +219,24 @@ def _pdf_table(two_j: int, two_m: int | None = None, two_mt: int = 0) -> tuple:
     return {"two_j": two_j, "two_m": two_m, "two_mt": two_mt}, columns, rows
 
 
+def _linspace(lo: float, hi: float, points: int):
+    """np.linspace(lo, hi, points), refusing an empty or negative count."""
+    import numpy as np
+
+    from .core import DomainError
+
+    if points < 1:
+        raise DomainError(f"points must be >= 1, got {points}")
+    return np.linspace(lo, hi, points)
+
+
 def _spectrum_table(kappa: float, chi: float, weights: list[int], points: int) -> tuple:
     """Transmission at points probe offsets in [-4 kappa, 4 kappa] from the
     bare cavity, for each Hamming weight w (dispersive shift chi * w)."""
-    import numpy as np
-
     from . import cavity
 
     params = cavity.CavityParams(kappa=kappa, chi=chi)
-    offsets = np.linspace(-4.0 * kappa, 4.0 * kappa, points)
+    offsets = _linspace(-4.0 * kappa, 4.0 * kappa, points)
     rows = [
         (w, float(off), cavity.transmission(params, params.omega_c + off, chi * w))
         for w in weights
@@ -233,15 +246,13 @@ def _spectrum_table(kappa: float, chi: float, weights: list[int], points: int) -
 
 
 def _fisher_table(kappa: float, chi: float, points: int) -> tuple:
-    import numpy as np
-
     from . import cavity
 
     params = cavity.CavityParams(kappa=kappa, chi=chi)
     rows = [
         (d, cavity.fisher_information(params, d), cavity.fisher_information_bernoulli(params, d),
          cavity.crb_variance(params, d))
-        for d in map(float, np.linspace(0.0, kappa / 5.0, points))
+        for d in map(float, _linspace(0.0, kappa / 5.0, points))
     ]
     columns = ["delta_a", "fisher_closed_form", "fisher_bernoulli_fd", "crb_variance"]
     return {"kappa": kappa, "chi": chi}, columns, rows
@@ -360,6 +371,8 @@ def _cmd_chain(args) -> list[Path]:
         raise SystemExit("chain: nothing to do (use --config/--emit, --expected-steps, or --mt-sweep)")
     if args.emit and not args.config:
         raise SystemExit("chain: --emit needs --config")
+    if args.out and args.expected_steps and args.mt_sweep:
+        raise SystemExit("chain: --expected-steps and --mt-sweep write two tables; --out names one (use --out-dir)")
     wrote = []
     if args.config:
         cfg = load_config(args.config)
@@ -478,7 +491,7 @@ _JOBS = {
     "fig2c": _Job("fig2c_expected_steps.csv", _expected_steps_table, {"j_list": (_ints, "16,32,64,128,256")}),
     "fig2d": _Job("fig2d_mt_sweep.csv", _sweep_table, {"two_j_list": (_ints, "40,100,200")}),
     "pdf-comparison": _Job(
-        "pdf_comparison.csv", _pdf_table, {"two_j": (int, "800"), "two_m": (int, None), "two_mt": (int, "0")}
+        "pdf_comparison.csv", _pdf_table, {"two_j": (int, "800"), "two_m": (int, None), "two_mt": (int, None)}
     ),
     "cavity-spectrum": _Job(
         "cavity_spectrum.csv",
@@ -628,7 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pdf", action="store_true")
     p.add_argument("--two-j", type=int, required=True)
     p.add_argument("--two-m", type=int, required=True)
-    p.add_argument("--two-mt", type=int, default=0)
+    p.add_argument("--two-mt", type=int, default=None)
 
     p = command(_cmd_cavity, "dispersive readout model")
     p.add_argument("--mode", choices=["spectrum", "fisher", "estimate", "resolvability"], required=True)

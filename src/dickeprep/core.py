@@ -31,11 +31,6 @@ class DomainError(DickePrepError, ValueError):
     """A real-valued argument is outside the mathematical domain."""
 
 
-class BackendOverflow(DickePrepError, ArithmeticError):
-    """The log-gamma k-sum test oracle (tests/oracles.py) lost too much
-    precision to cancellation: its column's norm is off."""
-
-
 class NormDrift(DickePrepError, ArithmeticError):
     """A numerical check failed (a stability bug, never renormalized away):
     inverse iteration found no eigenvector within its residual tolerance,
@@ -123,6 +118,15 @@ def ring_radius(spec: SpinSpec) -> float:
     j = spec.j
     m = spec.m
     return math.sqrt(j * (j + 1.0) - m * m)
+
+
+def _stream_key(base_seed: int, index: int) -> np.ndarray:
+    return np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
+
+
+def rng_stream(base_seed: int, index: int) -> np.random.Generator:
+    """Counter-based stream for one run: Philox keyed on (seed, index)."""
+    return np.random.Generator(np.random.Philox(key=_stream_key(base_seed, index)))
 
 
 # ---------------------------------------------------------------------------

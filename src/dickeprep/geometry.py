@@ -26,6 +26,14 @@ from . import angles as angles_mod
 from . import wigner
 
 
+def _log_binomial(spec: SpinSpec) -> tuple[int, int, float]:
+    """(j + m, j - m, log C(2j, j + m)): the powers and the log binomial
+    factor of Q_m."""
+    jm = (spec.two_j + spec.two_m) // 2   # j + m
+    jmm = (spec.two_j - spec.two_m) // 2  # j - m
+    return jm, jmm, math.lgamma(spec.two_j + 1) - math.lgamma(jm + 1) - math.lgamma(jmm + 1)
+
+
 def husimi_q_dicke(spec: SpinSpec, theta: float, phi: float = 0.0) -> float:
     """Q_m(theta, phi) = (1/pi) C(2j, j+m) cos^{2(j+m)}(t/2) sin^{2(j-m)}(t/2).
 
@@ -34,11 +42,7 @@ def husimi_q_dicke(spec: SpinSpec, theta: float, phi: float = 0.0) -> float:
     survive 2j > 60.
     """
     del phi  # axially symmetric
-    jm = (spec.two_j + spec.two_m) // 2   # j + m
-    jmm = (spec.two_j - spec.two_m) // 2  # j - m
-    log_binom = (
-        math.lgamma(spec.two_j + 1) - math.lgamma(jm + 1) - math.lgamma(jmm + 1)
-    )
+    jm, jmm, log_binom = _log_binomial(spec)
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     if (c == 0.0 and jm > 0) or (s == 0.0 and jmm > 0):
@@ -98,9 +102,7 @@ def husimi_q_integral(spec: SpinSpec, n_nodes: int | None = None) -> float:
     if n_nodes is None:
         n_nodes = two_j // 2 + 2
     u, w = np.polynomial.legendre.leggauss(n_nodes)
-    jm = (two_j + spec.two_m) // 2
-    jmm = (two_j - spec.two_m) // 2
-    log_binom = math.lgamma(two_j + 1) - math.lgamma(jm + 1) - math.lgamma(jmm + 1)
+    jm, jmm, log_binom = _log_binomial(spec)
     # cos^2(t/2) = (1+u)/2, sin^2(t/2) = (1-u)/2
     with np.errstate(divide="ignore"):
         log_q = log_binom + jm * np.log((1.0 + u) / 2.0) + jmm * np.log((1.0 - u) / 2.0)

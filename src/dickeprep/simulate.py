@@ -31,22 +31,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import NormDrift, ProtocolConfig, SpinSpec
+from .core import NormDrift, ProtocolConfig, SpinSpec, _stream_key, rng_stream  # noqa: F401 (rng_stream re-exported)
 from . import angles as angles_mod
 from . import chain
 from . import wigner
 
 _BLOCK = 32            # uniforms drawn per trajectory per refill
 _CHUNK = 8192          # trajectories stepped together in the batch sampler
-
-
-def _stream_key(base_seed: int, index: int) -> np.ndarray:
-    return np.array([np.uint64(base_seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
-
-
-def rng_stream(base_seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one trajectory: Philox keyed on (seed, index)."""
-    return np.random.Generator(np.random.Philox(key=_stream_key(base_seed, index)))
 
 
 class _BlockReader:

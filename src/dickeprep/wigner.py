@@ -31,10 +31,6 @@ gets alone, bit for bit: a row in a stack equals the same row solved alone
 that fails its first attempt is redone alone, and raises NormDrift if no
 attempt passes the residual check.
 
-``rotate_state`` applies exp(-i theta J_y) to a general real vector by a
-Chebyshev expansion of the exponential (Bessel-function coefficients,
-three-term recurrence of tridiagonal matvecs), O(|theta| j^2).
-
 Sign convention: fixed by the generator exp(-i theta J_y) with Condon-Shortley
 ladder operators, J_+|j,m> = sqrt(j(j+1)-m(m+1))|j,m+1>.  Tests pin signs
 against a dense matrix exponential of that generator, not external tables.
@@ -45,8 +41,10 @@ their windows (``Windows``); the dense APIs scatter them into zeros.
 ``row_derivatives`` reads its derivative stencil from the same stacks
 before they are squared (``_eigenvector_windows``).
 
-The log-gamma k-sum that was once a second column backend ("a") is now
-only a test oracle (tests/oracles.py, ``logsum_column``).
+The log-gamma k-sum that was once a second column backend ("a") and the
+Chebyshev propagation of a general vector (``rotate_state``) are now only
+test oracles (tests/oracles.py, ``logsum_column`` and ``rotate_state``):
+the runtime computes every rotation through the one eigenvector kernel.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.special import jv
 
 from .core import Angle, NormDrift, OutOfRange, SpinSpec, _as_radians
 
@@ -110,59 +107,6 @@ def two_m_values(two_j: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# general-vector rotation: Chebyshev propagation through the tridiagonal generator
-
-
-def rotate_state(two_j: int, amplitudes: np.ndarray, angle) -> np.ndarray:
-    """Apply exp(-i theta J_y) to a real state vector in the J_z basis.
-
-    Chebyshev expansion of exp(theta A) for the real antisymmetric
-    tridiagonal A = -i J_y: with B = A/s (s = j+1 keeps the spectrum of B
-    strictly inside the unit disc) and z = theta*s,
-
-        exp(theta A) v = sum_k (2 - delta_k0) J_k(z) phi_k,
-        phi_0 = v, phi_1 = B v, phi_{k+1} = 2 B phi_k + phi_{k-1},
-
-    where J_k are Bessel functions of the first kind.  All arithmetic is
-    real; |T_k| <= 1 on the spectrum makes the recurrence norm-stable.
-    """
-    theta = _as_radians(angle)
-    v = np.asarray(amplitudes, dtype=np.float64)
-    if v.shape != (two_j + 1,):
-        raise OutOfRange(f"state must have length {two_j + 1}")
-    if theta == 0.0 or two_j == 0:
-        return v.copy()
-
-    s = two_j / 2.0 + 1.0
-    z = theta * s
-    sign = 1.0
-    if z < 0.0:
-        z, sign = -z, -1.0
-    c = sign * ladder_strengths(two_j) / (2.0 * s)
-
-    n_terms = int(np.ceil(z + 12.0 * (z + 1.0) ** (1.0 / 3.0) + 30.0))
-    coefs = jv(np.arange(n_terms + 1), z)
-
-    def apply_b(x: np.ndarray) -> np.ndarray:
-        y = np.empty_like(x)
-        y[:-1] = c * x[1:]
-        y[-1] = 0.0
-        y[1:] -= c * x[:-1]
-        return y
-
-    out = coefs[0] * v
-    phi_prev = v
-    phi = apply_b(v)
-    out += 2.0 * coefs[1] * phi
-    for k in range(2, n_terms + 1):
-        phi_prev, phi = phi, 2.0 * apply_b(phi) + phi_prev
-        ck = coefs[k]
-        if ck != 0.0 and abs(ck) > 1e-18:
-            out += (2.0 * ck) * phi
-    return out
-
-
-# ---------------------------------------------------------------------------
 # public column / element / distribution API
 
 
@@ -191,12 +135,13 @@ def d_element(spec_m: SpinSpec, two_m_prime: int, angle) -> float:
 
 
 def outcome_distribution(spec: SpinSpec, angle) -> np.ndarray:
-    """Measurement outcome probabilities |d^j_{m',m}(theta)|^2 over m'.
+    """Measurement outcome probabilities |d^j_{m',m}(theta)|^2 over m':
+    transition_probabilities, whose squares need no sign step.
 
     The squared column must sum to 1 within 1e-10 (checked, never silently
     renormalized).
     """
-    probs = d_column(spec, angle).probabilities
+    probs = transition_probabilities(spec, angle)
     dev = abs(float(probs.sum()) - 1.0)
     if dev > 1e-10:
         raise NormDrift(f"outcome distribution sums to 1{dev:+.3e}")

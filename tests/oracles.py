@@ -10,11 +10,16 @@ import math
 
 import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
-from scipy.special import gammaln
+from scipy.special import gammaln, jv
 
-from dickeprep.core import BackendOverflow, OutOfRange, SpinSpec
+from dickeprep.core import DickePrepError, OutOfRange, SpinSpec, _as_radians
 
 LOGSUM_MAX_TWO_J = 600
+
+
+class BackendOverflow(DickePrepError, ArithmeticError):
+    """The log-gamma k-sum oracle (logsum_column) lost too much precision to
+    cancellation: its column's norm is off."""
 
 
 def jy_dense(two_j: int) -> np.ndarray:
@@ -51,6 +56,59 @@ def rotation_oracle(two_j: int, theta: float) -> np.ndarray:
     u = expm(-1j * theta * jy_dense(two_j))
     assert np.max(np.abs(u.imag)) < 1e-10
     return u.real
+
+
+def rotate_state(two_j: int, amplitudes: np.ndarray, angle) -> np.ndarray:
+    """Apply exp(-i theta J_y) to a real state vector in the J_z basis.
+
+    Chebyshev expansion of exp(theta A) for the real antisymmetric
+    tridiagonal A = -i J_y: with B = A/s (s = j+1 keeps the spectrum of B
+    strictly inside the unit disc) and z = theta*s,
+
+        exp(theta A) v = sum_k (2 - delta_k0) J_k(z) phi_k,
+        phi_0 = v, phi_1 = B v, phi_{k+1} = 2 B phi_k + phi_{k-1},
+
+    where J_k are Bessel functions of the first kind.  All arithmetic is
+    real; |T_k| <= 1 on the spectrum makes the recurrence norm-stable.
+    O(|theta| j^2): the large-j reference for the package's O(j) columns,
+    which never use it.
+    """
+    theta = _as_radians(angle)
+    v = np.asarray(amplitudes, dtype=np.float64)
+    if v.shape != (two_j + 1,):
+        raise OutOfRange(f"state must have length {two_j + 1}")
+    if theta == 0.0 or two_j == 0:
+        return v.copy()
+
+    s = two_j / 2.0 + 1.0
+    z = theta * s
+    sign = 1.0
+    if z < 0.0:
+        z, sign = -z, -1.0
+    j = two_j / 2.0
+    m = np.arange(two_j) - j
+    c = sign * np.sqrt(j * (j + 1.0) - m * (m + 1.0)) / (2.0 * s)
+
+    n_terms = int(np.ceil(z + 12.0 * (z + 1.0) ** (1.0 / 3.0) + 30.0))
+    coefs = jv(np.arange(n_terms + 1), z)
+
+    def apply_b(x: np.ndarray) -> np.ndarray:
+        y = np.empty_like(x)
+        y[:-1] = c * x[1:]
+        y[-1] = 0.0
+        y[1:] -= c * x[:-1]
+        return y
+
+    out = coefs[0] * v
+    phi_prev = v
+    phi = apply_b(v)
+    out += 2.0 * coefs[1] * phi
+    for k in range(2, n_terms + 1):
+        phi_prev, phi = phi, 2.0 * apply_b(phi) + phi_prev
+        ck = coefs[k]
+        if ck != 0.0 and abs(ck) > 1e-18:
+            out += (2.0 * ck) * phi
+    return out
 
 
 def _logsum_element_mp(

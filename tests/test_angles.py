@@ -107,13 +107,38 @@ def test_batched_matches_single(two_j=24):
 
 
 def test_batched_nonzero_target():
-    two_j = 16
-    batch_angles, batch_overlaps = angles.optimal_angles_for_target(two_j, 4)
-    for two_m in (-16, -4, -2, 8, 16):
-        res = angles.optimal_angle(two_j, 4, two_m)
-        i = (two_m + two_j) // 2
-        assert batch_angles[i] == res.angle.radians
-        assert batch_overlaps[i] == res.overlap_probability
+    for two_j, two_mt in ((16, 4), (16, -4), (41, 1), (41, -11)):
+        batch_angles, batch_overlaps = angles.optimal_angles_for_target(two_j, two_mt)
+        for two_m in sorted({-two_j, two_mt - 2, -two_mt, 2 - two_mt, two_mt + 2, two_mt + 4, two_j} - {two_mt}):
+            res = angles.optimal_angle(two_j, two_mt, two_m)
+            i = (two_m + two_j) // 2
+            assert batch_angles[i] == res.angle.radians, (two_j, two_mt, two_m)
+            assert batch_overlaps[i] == res.overlap_probability, (two_j, two_mt, two_m)
+
+
+@pytest.mark.parametrize("two_j,two_mt", [(24, 0), (16, 4), (16, -4), (16, 16), (41, 1), (41, -11)])
+def test_one_scan_per_target_and_each_source_refined_once(monkeypatch, two_j, two_mt):
+    scans, refined = [], []
+    grid_scan, refine = angles._grid_scan, angles._refine
+
+    def counted_scan(two_j, two_mt):
+        scans.append(two_mt)
+        return grid_scan(two_j, two_mt)
+
+    def counted_refine(two_j, two_mt, states):
+        refined.append((two_mt, list(states)))
+        return refine(two_j, two_mt, states)
+
+    monkeypatch.setattr(angles, "_grid_scan", counted_scan)
+    monkeypatch.setattr(angles, "_refine", counted_refine)
+    angles.optimal_angles_for_target(two_j, two_mt)
+    target = (two_mt + two_j) // 2
+    above = list(range(target + 1, two_j + 1))  # refined at m_t itself
+    mirrored = [two_j - i for i in range(target - 1, -1, -1)]  # below: refined at -m_t
+    expected = {two_mt: above} if two_mt == 0 else {two_mt: above, -two_mt: mirrored}
+    expected = {t: states for t, states in expected.items() if states}
+    assert sorted(scans) == sorted(expected)
+    assert dict(refined) == expected and len(refined) == len(expected)
 
 
 def _golden_max(f, lo, hi, tol=1e-10):

@@ -327,6 +327,13 @@ def test_cli_import_loads_no_numpy():
     assert out.split() == ["False", "False"]
 
 
+def test_runtime_imports_no_scipy_special():
+    # the Chebyshev rotation, the runtime's only scipy.special user, is a test oracle now
+    out = _run_python("import sys, dickeprep.angles, dickeprep.chain, dickeprep.simulate; "
+                      "print('scipy.special' in sys.modules)")
+    assert out.split() == ["False"]
+
+
 def test_threads_flag_overrides_preset_blas_variable():
     code = (
         "import os\n"
@@ -468,3 +475,41 @@ def test_readme_figure_table_lists_job_parameters():
         row = rows[figure_id]
         for key, (_, default) in job.params.items():
             assert (f"`{key}`" if default is None else f"`{key}={default}`") in row, (figure_id, key)
+
+
+def test_pdf_defaults_follow_the_parity_of_two_j(tmp_path):
+    # two_mt used to default to 0 and two_m to an even value, which odd two_j rejects
+    assert cli.main(["--no-timestamp", "--out-dir", str(tmp_path), "figure", "--job", "pdf-comparison",
+                     "--param", "two_j=101"]) == 0
+    header, columns, rows = _read_csv(tmp_path / "pdf_comparison.csv")
+    assert (header["two_mt"], header["two_m"]) == ("1", "7")  # m_t = 1/2, m = 2 floor(sqrt(50.5) / 2) + 1/2
+    out = tmp_path / "geometry.csv"
+    assert cli.main(["--no-timestamp", "geometry", "--pdf", "--two-j", "101", "--two-m", "7", "--out", str(out)]) == 0
+    sub_header, sub_columns, sub_rows = _read_csv(out)
+    assert sub_header["two_mt"] == "1" and (sub_columns, sub_rows) == (columns, rows) and rows
+
+
+def test_cli_chain_refuses_two_tables_in_one_out(tmp_path, capsys):
+    argv = ["--no-timestamp", "--out-dir", str(tmp_path), "chain", "--expected-steps", "--j-list", "4",
+            "--mt-sweep", "--two-j", "4"]
+    with pytest.raises(SystemExit) as exited:
+        cli.main([*argv, "--out", str(tmp_path / "both.csv")])
+    assert "--expected-steps" in str(exited.value.code) and "--mt-sweep" in str(exited.value.code)
+    assert not list(tmp_path.iterdir())
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected_steps.csv", "mt_sweep.csv"]
+    assert capsys.readouterr().out.count("\n") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cavity", "--mode", "spectrum", "--points", "0"],
+    ["cavity", "--mode", "fisher", "--points", "0"],
+    ["cavity", "--mode", "spectrum", "--points", "-3"],
+    ["figure", "--job", "cavity-spectrum", "--param", "points=0"],
+])
+def test_cli_rejects_point_counts_below_one(tmp_path, capsys, argv):
+    # these used to write a header-only CSV (0) or escape as a numpy traceback (-3)
+    assert cli.main(["--no-timestamp", "--out-dir", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "points" in err
+    assert not list(tmp_path.iterdir())
