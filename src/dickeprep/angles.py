@@ -36,6 +36,7 @@ from .core import (
     DomainError,
     OutOfRange,
     validate_spin,
+    validate_target,
 )
 from . import wigner
 
@@ -79,7 +80,7 @@ def geometric_angle(two_j: int, two_mt: int, two_m: int) -> Angle:
     argument is clamped when within 1e-12 of +-1; beyond that it is a
     DomainError.
     """
-    validate_spin(two_j, two_mt)
+    validate_target(two_j, two_mt)
     source = validate_spin(two_j, two_m)
     if two_m == two_mt:  # also the only state of j = 0, where r_0 = 0
         return Angle(0.0)
@@ -224,7 +225,7 @@ def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
     >= the geometric one; if refinement somehow degrades below it, the
     geometric angle is returned with fell_back=True.
     """
-    validate_spin(two_j, two_mt)
+    validate_target(two_j, two_mt)
     validate_spin(two_j, two_m)
     if two_m == two_mt:
         raise OutOfRange("optimal_angle requires m != m_t")
@@ -245,7 +246,7 @@ def optimal_angles_for_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.n
     the mirror symmetry theta*(m_t, m) = -theta*(-m_t, -m), which leaves
     the overlap invariant.
     """
-    validate_spin(two_j, two_mt)
+    validate_target(two_j, two_mt)
     states = np.delete(np.arange(two_j + 1), (two_mt + two_j) // 2)
     angles, overlaps = np.zeros(two_j + 1), np.ones(two_j + 1)
     angles[states], overlaps[states], _ = _optimal(two_j, two_mt, states)
@@ -258,7 +259,7 @@ def policy_angles(two_j: int, two_mt: int, policy: str) -> np.ndarray:
     The target entry is 0 (absorbing, no rotation applied).
     """
     if policy == AnglePolicy.GEOMETRIC:
-        validate_spin(two_j, two_mt)
+        validate_target(two_j, two_mt)
         out = _geometric_angles(two_j, two_mt, wigner.m_values(two_j)) if two_j else np.zeros(1)
         out[(two_mt + two_j) // 2] = 0.0
     elif policy == AnglePolicy.APPROX_MT0:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, OutOfRange, ResetPolicy, validate_spin
+from .core import DomainError, OutOfRange, ResetPolicy, validate_spin, validate_target
 from . import angles as angles_mod
 from . import geometry, wigner
 
@@ -235,7 +235,7 @@ def beta_moment(alpha: float, two_j: int, two_m: int, two_mt: int) -> float:
     if alpha <= 0.0:
         raise DomainError("alpha must be > 0")
     validate_spin(two_j, two_m)
-    validate_spin(two_j, two_mt)
+    validate_target(two_j, two_mt)
     if two_m <= two_mt:
         raise DomainError("moment needs m > m_t")
     diameter = 2.0 * geometry.transition_band(two_j, two_m, two_mt)[2]

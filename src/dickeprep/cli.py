@@ -319,9 +319,13 @@ def _contraction_table(two_j: int, alpha: float) -> tuple:
     return {"two_j": two_j, "alpha": alpha}, ["two_m", "contraction_sum"], rows
 
 
-def _moments_table(two_j: int, two_m: int, two_mt: int, alphas: list[float]) -> tuple:
+def _moments_table(two_j: int, two_m: int, two_mt: int | None, alphas: list[float]) -> tuple:
+    """Closed-form against quadrature tilted-ring moments; two_mt defaults
+    to two_j mod 2 (m_t = 0 or 1/2)."""
     from . import asymptotics, geometry
 
+    if two_mt is None:
+        two_mt = two_j % 2
     rows = []
     for alpha in alphas:
         closed = asymptotics.beta_moment(alpha, two_j, two_m, two_mt)
@@ -626,7 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["stationary-phase", "bessel", "contraction", "moments"], required=True)
     p.add_argument("--two-j", type=int, default=2000)
     p.add_argument("--two-m", type=int, default=20)
-    p.add_argument("--two-mt", type=int, default=0)
+    p.add_argument("--two-mt", type=int, default=None)
     p.add_argument("--j-list", type=_ints, default="1000,10000,100000")
     p.add_argument("--max-offset", type=int, default=3)
     p.add_argument("--alpha", type=float, default=0.05)

@@ -57,6 +57,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_spin(two_j, two_m, name: str) -> None:
+    """Raise OutOfRange or ParityMismatch for an invalid (two_j, two_m);
+    the messages call two_m by name."""
+    if not _is_int(two_j) or not _is_int(two_m):
+        raise OutOfRange(f"two_j and {name} must be integers, not bools")
+    if two_j < 0:
+        raise OutOfRange(f"two_j must be >= 0, got {two_j}")
+    if (two_m - two_j) % 2 != 0:
+        raise ParityMismatch(f"{name}={two_m} must have the same parity as two_j={two_j}")
+    if abs(two_m) > two_j:
+        raise OutOfRange(f"|{name}|={abs(two_m)} exceeds two_j={two_j}")
+
+
 @dataclass(frozen=True)
 class SpinSpec:
     """A (j, m) pair stored as doubled integers.
@@ -69,16 +82,7 @@ class SpinSpec:
     two_m: int
 
     def __post_init__(self) -> None:
-        if not _is_int(self.two_j) or not _is_int(self.two_m):
-            raise OutOfRange("two_j and two_m must be integers, not bools")
-        if self.two_j < 0:
-            raise OutOfRange(f"two_j must be >= 0, got {self.two_j}")
-        if (self.two_m - self.two_j) % 2 != 0:
-            raise ParityMismatch(
-                f"two_m={self.two_m} must have the same parity as two_j={self.two_j}"
-            )
-        if abs(self.two_m) > self.two_j:
-            raise OutOfRange(f"|two_m|={abs(self.two_m)} exceeds two_j={self.two_j}")
+        _check_spin(self.two_j, self.two_m, "two_m")
 
     @property
     def j(self) -> float:
@@ -110,6 +114,12 @@ def validate_spin(two_j: int, two_m: int) -> SpinSpec:
     Raises ParityMismatch or OutOfRange; returns the SpinSpec otherwise.
     """
     return SpinSpec(two_j, two_m)
+
+
+def validate_target(two_j: int, two_mt: int) -> SpinSpec:
+    """validate_spin for a target state: the errors name two_mt."""
+    _check_spin(two_j, two_mt, "two_mt")
+    return SpinSpec(two_j, two_mt)
 
 
 def ring_radius(spec: SpinSpec) -> float:

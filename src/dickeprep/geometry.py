@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, SpinSpec, ring_radius, validate_spin
+from .core import DomainError, SpinSpec, ring_radius, validate_spin, validate_target
 from . import angles as angles_mod
 from . import wigner
 
@@ -86,7 +86,9 @@ class QDistribution:
 
 
 def husimi_q_profile(spec: SpinSpec, n_grid: int = 181) -> QDistribution:
-    """Q_m sampled on a uniform theta grid over [0, pi]."""
+    """Q_m sampled on a uniform theta grid of n_grid >= 1 points over [0, pi]."""
+    if n_grid < 1:
+        raise DomainError(f"n_grid must be >= 1, got {n_grid}")
     thetas = np.linspace(0.0, math.pi, n_grid)
     values = np.array([husimi_q_dicke(spec, float(t)) for t in thetas])
     return QDistribution(spec=spec, thetas=thetas, values=values)
@@ -131,7 +133,7 @@ def transition_band(two_j: int, two_m: int, two_mt: int) -> tuple[float, float, 
     """(m_t, m_t + 2 r_m sin(theta), r_m sin(theta)): the pdf's support and
     its half-width, at the tangency angle."""
     source = validate_spin(two_j, two_m)
-    target = validate_spin(two_j, two_mt)
+    target = validate_target(two_j, two_mt)
     theta = angles_mod.geometric_angle(two_j, two_mt, two_m).radians
     half_width = ring_radius(source) * math.sin(theta)
     return target.m, target.m + 2.0 * half_width, half_width

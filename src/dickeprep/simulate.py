@@ -21,7 +21,13 @@ engines' histograms in the tests.
 Every run consumes a per-trajectory Philox stream keyed by
 (base_seed, trajectory_index), so results are reproducible and independent
 of batching or worker count.  Within a trajectory, the k-th step consumes
-the k-th draw of its stream.
+the k-th draw of its stream.  The one-run walks draw from rng_stream,
+numpy's Philox4x64-10.  Philox is counter-based (Salmon, Moraes, Dror and
+Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11): a block of a
+stream is a pure function of (seed, trajectory index, block number).  So
+the batched sampler computes the next _BLOCK draws of every live
+trajectory in one numpy pass (_philox_block), with rng_stream as the
+kernel's reference, held against it bit for bit in the tests.
 """
 
 from __future__ import annotations
@@ -31,34 +37,59 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import NormDrift, ProtocolConfig, SpinSpec, _stream_key, rng_stream  # noqa: F401 (rng_stream re-exported)
+from .core import NormDrift, ProtocolConfig, SpinSpec, rng_stream  # noqa: F401 (rng_stream re-exported)
 from . import angles as angles_mod
 from . import chain
 from . import wigner
 
 _BLOCK = 32            # uniforms drawn per trajectory per refill
 _CHUNK = 8192          # trajectories stepped together in the batch sampler
+_REFILL = 1024         # trajectories per call of the block kernel, which bounds its temporaries
+
+# Philox4x64-10's round multipliers and key increments (Salmon et al. 2011)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_U64 = 0xFFFFFFFFFFFFFFFF
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-class _BlockReader:
-    """Draws rng_stream(seed, i)'s b-th block of _BLOCK uniforms from one
-    reused Philox: a uniform takes one 64-bit output, four per counter
-    step, so the block starts at counter _BLOCK / 4 * b with an empty
-    buffer (the counter is incremented before each step)."""
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit words of the 128-bit products m * x, from 32-bit
+    halves: every partial sum fits in 64 bits, and uint64 array products
+    wrap modulo 2^64 without a warning."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
+    mid = (ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = m_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, x * np.uint64(m)
 
-    def __init__(self, base_seed: int):
-        self.base_seed = base_seed
-        self.bits = np.random.Philox(key=_stream_key(base_seed, 0))
-        self.gen = np.random.Generator(self.bits)
-        self.state = self.bits.state
 
-    def block(self, index: int, b: int) -> np.ndarray:
-        st = self.state
-        st["state"]["key"] = _stream_key(self.base_seed, index)
-        st["state"]["counter"] = np.array([_BLOCK // 4 * b, 0, 0, 0], dtype=np.uint64)
-        st["buffer_pos"] = 4
-        self.bits.state = st
-        return self.gen.random(_BLOCK)
+def _philox_block(seed: int, indices: np.ndarray, b: int) -> np.ndarray:
+    """The b-th block of _BLOCK uniforms of rng_stream(seed, i) for every i
+    in indices, as a (len(indices), _BLOCK) array, bit for bit.
+
+    rng_stream is numpy's Philox4x64-10 keyed on (seed mod 2^64, i) with
+    its counter at 0.  Philox is counter-based (Salmon et al., SC'11): each
+    counter value c gives four 64-bit words by ten rounds of the key and c
+    alone, and the stream increments the counter before each use, so
+    block b is counters 8b+1 .. 8b+8 and every row is computed at once.
+    A word x becomes the uniform (x >> 11) * 2^-53, as Generator.random.
+    """
+    n = len(indices)
+    x0 = np.broadcast_to(np.arange(8 * b + 1, 8 * b + 9, dtype=np.uint64), (n, _BLOCK // 4))
+    x1 = x2 = x3 = np.zeros((n, _BLOCK // 4), dtype=np.uint64)
+    k0 = seed & _U64
+    k1 = np.asarray(indices, dtype=np.uint64).reshape(n, 1)
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _U64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(n, _BLOCK)
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 class TrajectoryStep(NamedTuple):
@@ -244,7 +275,6 @@ def sample_iterations(
     i_t = config.target_index
     max_iters = config.max_iterations
     cums: dict[int, tuple[int, np.ndarray]] = {}  # (lo, cum) of the states some trajectory stood on
-    streams = _BlockReader(config.seed)
 
     iterations = np.zeros(n_runs, dtype=np.int64)
     succeeded = np.zeros(n_runs, dtype=bool)
@@ -256,18 +286,21 @@ def sample_iterations(
         iters = np.zeros(size, dtype=np.int64)
         step = 0
         while not done.all() and step < max_iters:
+            idx_active = np.flatnonzero(~done)
             if step % _BLOCK == 0:
                 block = np.empty((size, _BLOCK))
-                for k in np.flatnonzero(~done).tolist():
-                    block[k] = streams.block(lo + k, step // _BLOCK)
-            idx_active = np.flatnonzero(~done)
+                for a in range(0, len(idx_active), _REFILL):
+                    rows = idx_active[a:a + _REFILL]
+                    block[rows] = _philox_block(config.seed, lo + rows, step // _BLOCK)
             u = block[idx_active, step % _BLOCK]
             src = cur[idx_active]
             # group the active trajectories by state; draw each group from its cumulative
             order = np.argsort(src, kind="stable")
             states, starts = np.unique(src[order], return_index=True)
+            ends = [*starts[1:].tolist(), len(order)]
             nxt = np.empty_like(src)
-            for s, group in zip(states.tolist(), np.split(order, starts[1:])):
+            for s, start, end in zip(states.tolist(), starts.tolist(), ends):
+                group = order[start:end]
                 cached = cums.get(s)
                 if cached is None:
                     cached = cums[s] = source(s)

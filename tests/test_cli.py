@@ -513,3 +513,34 @@ def test_cli_rejects_point_counts_below_one(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "points" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_cli_husimi_refuses_grids_below_one(tmp_path, capsys, grid):
+    # 0 used to write a header-only CSV and -2 to escape as a numpy traceback
+    argv = ["--no-timestamp", "--out-dir", str(tmp_path), "husimi", "--two-j", "20", "--two-m", "0"]
+    assert cli.main([*argv, "--grid", grid]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_grid" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_moments_target_follows_the_parity_of_two_j(tmp_path):
+    # --two-mt used to default to 0, which every odd two_j rejects
+    assert cli.main(["--no-timestamp", "--out-dir", str(tmp_path), "asymptotics", "--mode", "moments",
+                     "--two-j", "201", "--two-m", "21"]) == 0
+    header, _, rows = _read_csv(tmp_path / "moments.csv")
+    assert header["two_mt"] == "1" and rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "--pdf", "--two-j", "801", "--two-m", "21", "--two-mt", "0"],
+    ["angles", "--two-j", "21", "--two-mt", "0", "--policy", "geometric"],
+    ["angles", "--two-j", "21", "--two-mt", "0", "--policy", "numeric_optimal"],
+    ["asymptotics", "--mode", "moments", "--two-j", "201", "--two-m", "21", "--two-mt", "0"],
+])
+def test_cli_wrong_parity_target_names_two_mt(tmp_path, capsys, argv):
+    # the message used to name the source, two_m=0
+    assert cli.main(["--no-timestamp", "--out-dir", str(tmp_path), *argv]) == 1
+    assert capsys.readouterr().err.startswith("error: two_mt=0 must have the same parity as two_j=")
+    assert not list(tmp_path.iterdir())

@@ -121,3 +121,20 @@ def test_batched_walk_equals_looped_walk(config, engine):
     for i in range(runs):
         rec = walk(config, simulate.rng_stream(config.seed, i), tables)
         assert (its[i], ok[i]) == (rec.iterations, rec.succeeded)
+
+
+# unsorted index vectors with repeats, over the whole uint64 key range
+index_vectors = st.lists(
+    st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**63, 2**64 - 1]), min_size=1, max_size=6
+).flatmap(lambda xs: st.permutations(xs + xs[:2]))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(-(2**63), 2**64 - 1), index_vectors, st.integers(0, 1000))
+def test_philox_block_equals_rng_stream(seed, indices, b):
+    # the suite turns an overflow warning of the uint64 arithmetic into an error
+    block = simulate._philox_block(seed, np.array(indices, dtype=np.uint64), b)
+    assert block.shape == (len(indices), simulate._BLOCK)
+    for row, i in zip(block, indices):
+        ref = simulate.rng_stream(seed, i).random((b + 1) * simulate._BLOCK)[b * simulate._BLOCK:]
+        assert np.array_equal(row, ref)

@@ -92,9 +92,8 @@ def test_batch_equals_sequential_runs_across_draw_blocks():
 
 def test_block_reader_matches_streams():
     for seed, i in ((7, 0), (2**64 - 1, 5), (-3, 8191)):
-        streams = simulate._BlockReader(seed)
         ref = simulate.rng_stream(seed, i).random(3 * simulate._BLOCK)
-        blocks = [streams.block(i, b) for b in (2, 0, 1)]
+        blocks = [simulate._philox_block(seed, np.array([i]), b)[0] for b in (2, 0, 1)]
         assert np.array_equal(np.concatenate([blocks[1], blocks[2], blocks[0]]), ref)
 
 
@@ -307,8 +306,8 @@ def test_edge_draws_match_the_dense_cumulative(monkeypatch, engine):
     for cfg in EDGE_CONFIGS:
         draws = _edge_draws(cfg)
         monkeypatch.setattr(
-            simulate._BlockReader, "block",
-            lambda self, index, b: draws[b * simulate._BLOCK:(b + 1) * simulate._BLOCK].copy(),
+            simulate, "_philox_block",
+            lambda seed, indices, b: np.tile(draws[b * simulate._BLOCK:(b + 1) * simulate._BLOCK], (len(indices), 1)),
         )
         steps, reached = _dense_walk(cfg, draws)
         assert reached
