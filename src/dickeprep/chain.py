@@ -21,6 +21,18 @@ routing a row, its part in the S block and its fill cost O(window), not
 O(n).  _checked_rows reads them and checks their sums, for this module and
 for simulate's chain engine alike.  build_chain and expected_steps keep the
 dense n x n matrix for callers that want the matrix itself.
+
+At m_t = 0 (integer j) the chain is strongly lumpable on the classes
+{m, -m} (Kemeny & Snell, 1960, ch. VI).  Every angle policy has
+theta(-m) = -theta(m), up to the mirror theta -> pi - theta, which
+reverses a row and so leaves its class sums alone; and
+|d^j_{-m',-m}(-theta)|^2 = |d^j_{m',m}(theta)|^2.  Reset masks are
+symmetric in m, and the reset destination m = j is its own class's
+representative.  So P(-m -> -m') = P(m -> m') and t(-m) = t(m) exactly.
+expected_steps_for then computes only the rows of the representatives
+m >= 0, sums each onto its columns' classes, solves the lumped S block
+and gives every state the value of its class.  At any other target the
+class map is the identity, and the same code is the unlumped solve.
 """
 
 from __future__ import annotations
@@ -209,6 +221,15 @@ def expected_steps_for(
     states are filled from their own rows on the first read of
     expected_steps_from (see the module docstring).  The sqrt_j reset keeps
     S to O(sqrt(j)) states, each row to an O(sqrt(j)) window.
+
+    The solve and the fill run on classes, cls[i] the representative of
+    grid state i: cls[i] = max(i, n - 1 - i), the class {m, -m}, at
+    target_two_mt == 0, where the chain is lumpable on |m| (Kemeny & Snell,
+    1960, ch. VI; the module docstring says why exactly), and i itself at
+    any other target.  Only representatives get rows; a row's entries are
+    summed per class of their columns, and every state reads t of its
+    class, so expected_steps_from is mirror-symmetric at m_t = 0.  With
+    the identity map every cell receives one value, the unlumped solve.
     """
     config = ProtocolConfig(
         two_j=two_j,
@@ -219,30 +240,36 @@ def expected_steps_for(
     n = two_j + 1
     theta = angles_mod.policy_angles(two_j, target_two_mt, config.angle_policy)
     rerouted = config.rerouted()
-    transient = np.arange(n) != config.target_index
+    grid = np.arange(n)
+    # each state's class representative: m -> |m| at m_t = 0, else itself
+    cls = np.maximum(grid, n - 1 - grid) if target_two_mt == 0 else grid
+    transient = grid != config.target_index
     entered = transient & ~rerouted
     entered[n - 1] = transient[n - 1]  # the reset destination, unless it is the target
-    s = np.flatnonzero(entered)
-    place = np.full(n, -1)  # each state's column in the S block
+    representative = cls == grid
+    s = np.flatnonzero(entered & representative)
+    place = np.full(n, -1)  # each representative's column in the S block
     place[s] = np.arange(len(s))
     q = np.zeros((len(s), len(s)))
     for rows, stack, moved in _routed_rows(config, theta, rerouted, s):
-        at = place[stack.columns]
+        at = place[cls[stack.columns]]
         kept = at >= 0  # the other columns are the target and the rerouted states, zero here
-        q[rows].ravel()[stack.flat_index(len(s), at)[kept]] = stack.values[kept]
+        # m' and -m' can share a cell: accumulate, onto zeros
+        np.add.at(q[rows].ravel(), stack.flat_index(len(s), at)[kept], stack.values[kept])
         if entered[n - 1]:  # m = j is S's last state; else it is the target
             q[rows, -1] += moved
     t = _solve(q)
 
     def fill() -> np.ndarray:
-        t_all = np.zeros(n)  # t on S; the rows' other entries (target, rerouted) are zero
+        t_all = np.zeros(n)
         t_all[s] = t
+        t_all = t_all[cls]  # t on S's classes; the rows' other entries (target, rerouted) are zero
         out = t_all.copy()
-        rest = np.flatnonzero(transient & ~entered)
+        rest = np.flatnonzero(transient & ~entered & representative)
         for rows, stack, moved in _routed_rows(config, theta, rerouted, rest):
             ahead = np.add.reduceat(stack.values * t_all[stack.columns], stack.starts)
             out[rest[rows]] = 1.0 + ahead + moved * t_all[-1]
-        return out
+        return out[cls]
 
     start = float(t[-1]) if entered[n - 1] else 0.0  # m = j is S's last state
     return _report(config, start, fill)

@@ -267,15 +267,19 @@ def test_entered_block_matches_dense_reference(policy, two_j, two_mt, reset):
 
 
 def _perturbed_stacks(monkeypatch, rows_to_perturb):
+    # returns the two_m of every row requested from the kernel
     original = wigner.transition_windows
+    requested = []
 
     def perturbed(two_j, two_ms, thetas):
         two_ms = np.asarray(two_ms)
+        requested.extend(two_ms.tolist())
         for rows, stack in original(two_j, two_ms, thetas):
             stack.values[np.repeat(rows_to_perturb(two_j, two_ms[rows]), stack.widths)] *= 1.0 + 1e-6
             yield rows, stack
 
     monkeypatch.setattr(wigner, "transition_windows", perturbed)
+    return requested
 
 
 def test_entered_block_row_sum_check(monkeypatch):
@@ -283,13 +287,15 @@ def test_entered_block_row_sum_check(monkeypatch):
     _perturbed_stacks(monkeypatch, lambda two_j, two_ms: two_ms == two_j)  # the start row, in S
     with pytest.raises(SingularSystem):
         chain.expected_steps_for(72, 0, AnglePolicy.GEOMETRIC, sqrt_j)
-    # a row outside S surfaces on the fill, not on the start value
+    # a representative's row outside S surfaces on the fill, not on the start value
     monkeypatch.undo()
-    _perturbed_stacks(monkeypatch, lambda two_j, two_ms: two_ms == -two_j)
+    requested = _perturbed_stacks(monkeypatch, lambda two_j, two_ms: two_ms == two_j - 2)
     report = chain.expected_steps_for(72, 0, AnglePolicy.GEOMETRIC, sqrt_j)
     assert np.isfinite(report.start_state_value)
     with pytest.raises(SingularSystem):
         report.expected_steps_from
+    # m = -j reads t(j): its row is never computed
+    assert 72 - 2 in requested and -72 not in requested
 
 
 def _count_rows(monkeypatch):
@@ -310,10 +316,19 @@ def _entered_count(two_j, two_mt):
     return len(kept) + (two_j * two_j > 2 * two_j and two_j != two_mt)
 
 
+def _lumped_row_counts(two_j):
+    # rows computed at m_t = 0 under the sqrt_j reset, representatives m > 0
+    # only: those in S (0 < m <= sqrt j, plus the start state m = j), then
+    # the others on the fill
+    kept = sum(1 for tm in range(2, two_j + 1, 2) if tm * tm <= 2 * two_j)
+    in_s = kept + (two_j * two_j > 2 * two_j)
+    return in_s, two_j // 2 - in_s
+
+
 def test_start_value_computes_only_entered_rows(monkeypatch):
     counted = _count_rows(monkeypatch)
     report = chain.expected_steps_for(16384, 0, AnglePolicy.GEOMETRIC, ResetPolicy(kind="sqrt_j"))
-    assert 0 < sum(counted) <= _entered_count(16384, 0)
+    assert sum(counted) == _lumped_row_counts(16384)[0] == 91
     assert 10.0 < report.start_state_value < 20.0
 
 
@@ -321,12 +336,32 @@ def test_other_states_filled_on_first_access(monkeypatch):
     counted = _count_rows(monkeypatch)
     reset = ResetPolicy(kind="sqrt_j")
     report = chain.expected_steps_for(400, 0, AnglePolicy.GEOMETRIC, reset)
-    assert sum(counted) == _entered_count(400, 0)
+    in_s, filled = _lumped_row_counts(400)
+    assert (in_s, filled) == (15, 185)
+    assert sum(counted) == in_s
     got = report.expected_steps_from
-    assert sum(counted) == 400  # every state but the target, each row once
-    assert report.expected_steps_from is got and sum(counted) == 400  # cached
+    assert sum(counted) == in_s + filled  # every representative but the target, each row once
+    assert report.expected_steps_from is got and sum(counted) == in_s + filled  # cached
     ref = _dense_expected_steps(chain.build_chain(_cfg(400, 0, AnglePolicy.GEOMETRIC, reset)))
     assert _rel_err(got, ref) < 1e-12
+
+
+@pytest.mark.parametrize("two_j", [40, 64, 200])
+@pytest.mark.parametrize(
+    "reset",
+    # a threshold of 100 >= j reroutes nothing
+    ["none", "sqrt_j", ResetPolicy(kind="custom", threshold=3.0), ResetPolicy(kind="custom", threshold=100.0)],
+    ids=["none", "sqrt_j", "custom3", "custom100"],
+)
+@pytest.mark.parametrize("policy", [AnglePolicy.APPROX_MT0, AnglePolicy.GEOMETRIC, AnglePolicy.NUMERIC_OPTIMAL])
+def test_lumped_mt0_solve_matches_dense_reference(policy, reset, two_j):
+    # the solve on the classes {m, -m} against the unlumped dense solve, and
+    # t(-m) = t(m) bit for bit
+    cfg = _cfg(two_j, 0, policy, reset)
+    got = chain.expected_steps_for(two_j, 0, policy, cfg.reset_policy).expected_steps_from
+    ref = _dense_expected_steps(chain.build_chain(cfg))
+    assert _rel_err(got, ref) < 1e-12
+    assert got.tobytes() == got[::-1].tobytes()
 
 
 def test_log_growth_to_large_j():

@@ -2,6 +2,10 @@
 invariants (Hypothesis)."""
 
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,19 @@ def test_windowed_rows_match_full_range(stack):
             ref = full_range_row(two_j, two_ms[rows][k], thetas[rows][k])
             assert np.max(np.abs(row - ref)) <= 1e-15
             assert ref[row == 0.0].sum() < 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(stacks(max_two_j=600))
+def test_flip_symmetry_of_rows(stack):
+    # |d^j_{-m',-m}(-theta)|^2 = |d^j_{m',m}(theta)|^2: the row of (-m, -theta)
+    # is the reversed row of (m, theta), the premise of the m -> -m lumping
+    # of the m_t = 0 chain
+    two_j, two_ms, thetas = stack
+    flipped = [-tm for tm in two_ms], [-theta for theta in thetas]
+    rows = np.vstack([w.dense() for _, w in wigner.transition_windows(two_j, two_ms, thetas)])
+    mirrored = np.vstack([w.dense() for _, w in wigner.transition_windows(two_j, *flipped)])
+    assert np.max(np.abs(mirrored - rows[:, ::-1])) <= 1e-15
 
 
 @PROPERTY_SETTINGS
@@ -138,3 +155,27 @@ def test_philox_block_equals_rng_stream(seed, indices, b):
     for row, i in zip(block, indices):
         ref = simulate.rng_stream(seed, i).random((b + 1) * simulate._BLOCK)[b * simulate._BLOCK:]
         assert np.array_equal(row, ref)
+
+
+def test_failing_property_test_does_not_stop_the_suite(tmp_path):
+    # with the project's warning filters, a failing @given test reports its
+    # failure and the tests after it still run (no INTERNALERROR)
+    (tmp_path / "pyproject.toml").write_text((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_two.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_trivial():
+            pass
+    """))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
