@@ -23,8 +23,7 @@ _EXPORTS = {
         "ValidationError", "default_max_iterations", "ring_radius", "validate_spin",
     ),
     "wigner": (
-        "RotationColumn", "d_column", "d_element", "outcome_distribution",
-        "transition_probabilities",
+        "RotationColumn", "d_column", "outcome_distribution", "transition_probabilities",
     ),
     "angles": (
         "AnglePolicyResult", "approx_angle_mt0", "geometric_angle", "optimal_angle",
@@ -35,8 +34,8 @@ _EXPORTS = {
         "expected_steps_for", "mt_sweep", "naive_expected_steps",
     ),
     "simulate": (
-        "SummaryStats", "SymmetricState", "TrajectoryRecord", "monte_carlo_summary",
-        "rng_stream", "run_statevector", "run_trajectory",
+        "SummaryStats", "SymmetricState", "TrajectoryRecord", "rng_stream",
+        "run_statevector", "run_trajectory",
     ),
     "asymptotics": (
         "AsymptoticComparison", "bessel_limit", "beta_moment",

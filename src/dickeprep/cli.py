@@ -418,11 +418,10 @@ def _cmd_simulate(args) -> list[Path]:
     payload = {**vars(stats), "config": config_to_dict(cfg), "histogram": histogram}
     wrote = _save(_out_path(args, "stats.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.dump_trajectories:
-        runner = sim.run_statevector if args.engine == "statevector" else sim.run_trajectory
         tables = sim.PolicyTables(cfg)
         rows = []
         for run in range(args.runs):
-            rec = runner(cfg, sim.rng_stream(cfg.seed, run), tables)
+            rec = sim.run_trajectory(cfg, sim.rng_stream(cfg.seed, run), tables)
             for step_i, st in enumerate(rec.steps):
                 rows.append((run, step_i, st.two_m_before, st.angle, st.two_m_after, int(st.reset)))
         columns = ["run", "step", "two_m_before", "theta", "two_m_after", "reset"]

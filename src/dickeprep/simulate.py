@@ -4,24 +4,23 @@ The measured m performs one Markov walk: the outcome m' is drawn by
 inverse CDF from the current state's cumulative outcome distribution, the
 target absorbs, and an outcome the reset policy reroutes returns the
 register to m = j within the same step.  The walk is written once, as a
-recording one-run walk (run_trajectory, run_statevector) and as a batched
-sampler (sample_iterations), parameterised only by its cumulative source,
-a pair (lo, cum) with the outcome lo + searchsorted(cum, u).  The chain
-engine reads the rows the chain solve reads (chain._checked_rows, each row
-checked to sum to 1, on its O(sqrt j) window under the sqrt_j reset), so
-its memory does not grow with j times the states visited.  The
-statevector engine rotates the basis state by the policy angle and samples
-the squares of the norm-checked rotated column over the whole grid
-(lo = 0) before collapsing.  Both sources come from one O(j) kernel and
-draw the same outcomes bit for bit, so the engines do not check each
-other; the independent check is the chain's exact absorption-time law
-Pr[T = k] = e_start Q^(k-1) r (Kemeny & Snell, 1960), held against both
-engines' histograms in the tests.
+recording one-run walk (run_trajectory) and as a batched sampler
+(sample_iterations), and it has one outcome source: the rows the chain
+solve reads (chain._checked_rows, each row checked to sum to 1, on its
+O(sqrt j) window under the sqrt_j reset), so its memory does not grow with
+j times the states visited.  A chain row is the outcome law
+|d^j_{m',m}(theta)|^2 of rotating |j, m> by the policy angle and measuring
+J_z, so the walk is also the statevector protocol: the engine labels
+"chain" and "statevector" name the same walk and draw the same outcomes.
+The independent check is the exact absorption-time law
+Pr[T = k] = e_start Q^(k-1) r (Kemeny & Snell, 1960) of the transition
+matrix built from dense matrix exponentials of J_y, held against the
+chain and against the walk's histograms in the tests.
 
 Every run consumes a per-trajectory Philox stream keyed by
 (base_seed, trajectory_index), so results are reproducible and independent
 of batching or worker count.  Within a trajectory, the k-th step consumes
-the k-th draw of its stream.  The one-run walks draw from rng_stream,
+the k-th draw of its stream.  The one-run walk draws from rng_stream,
 numpy's Philox4x64-10.  Philox is counter-based (Salmon, Moraes, Dror and
 Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11): a block of a
 stream is a pure function of (seed, trajectory index, block number).  So
@@ -33,11 +32,11 @@ kernel's reference, held against it bit for bit in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import NormDrift, ProtocolConfig, SpinSpec, rng_stream  # noqa: F401 (rng_stream re-exported)
+from .core import NormDrift, OutOfRange, ProtocolConfig, SpinSpec, rng_stream  # noqa: F401 (rng_stream re-exported)
 from . import angles as angles_mod
 from . import chain
 from . import wigner
@@ -45,6 +44,7 @@ from . import wigner
 _BLOCK = 32            # uniforms drawn per trajectory per refill
 _CHUNK = 8192          # trajectories stepped together in the batch sampler
 _REFILL = 1024         # trajectories per call of the block kernel, which bounds its temporaries
+_ENGINES = ("chain", "statevector")  # labels of the one walk, recorded in the summaries
 
 # Philox4x64-10's round multipliers and key increments (Salmon et al. 2011)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -143,14 +143,13 @@ class PolicyTables:
         )
         self.rerouted = config.rerouted()
         self._cums: dict[int, tuple[int, np.ndarray]] = {}
-        self._column_cums: dict[int, tuple[int, np.ndarray]] = {}
 
     def cumulative(self, i_m: int) -> tuple[int, np.ndarray]:
-        """(lo, cum) for the chain's row of source state i_m, the chain
-        engine's outcome source: the row comes from the chain's checked rows
-        on its window [lo, hi) (chain._checked_rows, which raises
-        SingularSystem on a row that does not sum to 1), and cum is the
-        cumulative of its window values only.  O(window), not O(j)."""
+        """(lo, cum) for the chain's row of source state i_m, the walk's one
+        outcome source: the row comes from the chain's checked rows on its
+        window [lo, hi) (chain._checked_rows, which raises SingularSystem on
+        a row that does not sum to 1), and cum is the cumulative of its
+        window values only.  O(window), not O(j)."""
         cached = self._cums.get(i_m)
         if cached is None:
             ((_, stack),) = chain._checked_rows(self.two_j, self.angles, np.array([i_m]))
@@ -158,7 +157,8 @@ class PolicyTables:
         return cached
 
     def column(self, i_m: int) -> np.ndarray:
-        """Rotated basis column (signed amplitudes) for the statevector engine.
+        """Rotated basis column (signed amplitudes) of source state i_m, whose
+        squares are the chain row.  No walk reads it.
 
         Its norm is checked by SymmetricState: NormDrift beyond 1e-9.
         """
@@ -166,20 +166,6 @@ class PolicyTables:
         column = wigner.d_column(spec, self.angles[i_m]).amplitudes
         SymmetricState(two_j=self.two_j, amplitudes=column)
         return column
-
-    def column_cumulative(self, i_m: int) -> tuple[int, np.ndarray]:
-        """(0, cum) with cum the cumulative of the squares of column(i_m)
-        over the whole grid, built once per state: the statevector engine's
-        outcome source."""
-        cached = self._column_cums.get(i_m)
-        if cached is None:
-            cached = self._column_cums[i_m] = (0, _normalized_cumulative(self.column(i_m) ** 2))
-        return cached
-
-
-# the PolicyTables method each engine draws its outcomes from, looked up on
-# the instance at call time so that a method replaced on the class is used
-_SOURCES = {"chain": "cumulative", "statevector": "column_cumulative"}
 
 
 def _normalized_cumulative(row: np.ndarray) -> np.ndarray:
@@ -189,17 +175,23 @@ def _normalized_cumulative(row: np.ndarray) -> np.ndarray:
     return cum.astype(np.float64)
 
 
-def _walk(
-    config: ProtocolConfig, rng: np.random.Generator, tables: PolicyTables | None, engine: str
+def run_trajectory(
+    config: ProtocolConfig,
+    rng: np.random.Generator,
+    tables: PolicyTables | None = None,
 ) -> TrajectoryRecord:
     """One recorded run from m = j; terminates at the target or max_iterations.
 
     Each step draws u from rng, takes the outcome from the current state's
-    (lo, cum) in the engine's source (see PolicyTables), and returns to
-    m = j within the same step if the outcome is rerouted (never the target).
+    (lo, cum) (see PolicyTables.cumulative), and returns to m = j within the
+    same step if the outcome is rerouted (never the target).
+
+    run_statevector is this function under a second name.  Rotating |j, m>
+    by the policy angle and measuring J_z gives m' with probability
+    |d^j_{m',m}(theta)|^2, which is the chain row drawn here, so the
+    statevector run and the chain run are one walk with one record.
     """
     tables = tables if tables is not None else PolicyTables(config)
-    source = getattr(tables, _SOURCES[engine])
     two_j = config.two_j
     i_t = config.target_index
     i_cur = two_j  # start from m = j
@@ -207,7 +199,7 @@ def _walk(
     succeeded = i_cur == i_t
     while not succeeded and len(steps) < config.max_iterations:
         u = float(rng.random())
-        lo, cum = source(i_cur)
+        lo, cum = tables.cumulative(i_cur)
         i_next = lo + int(cum.searchsorted(u, side="left")) if u > 0.0 else 0
         reset = bool(tables.rerouted[i_next])
         angle = float(tables.angles[i_cur])
@@ -219,32 +211,7 @@ def _walk(
     )
 
 
-def run_trajectory(
-    config: ProtocolConfig,
-    rng: np.random.Generator,
-    tables: PolicyTables | None = None,
-) -> TrajectoryRecord:
-    """Sample one protocol run from the chain's outcome rows; terminates at
-    the target or max_iterations."""
-    return _walk(config, rng, tables, "chain")
-
-
-def run_statevector(
-    config: ProtocolConfig,
-    rng: np.random.Generator,
-    tables: PolicyTables | None = None,
-) -> TrajectoryRecord:
-    """Sample one run by rotating and measuring the symmetric-subspace state.
-
-    Each iteration rotates the current basis state |j, m> by the policy
-    angle (an orthogonal map; PolicyTables checks each rotated column's
-    norm when it first builds it), projectively measures J_z by sampling
-    the column's squared amplitudes, and collapses to the outcome |j, m'>
-    (then to |j, j> on a reset).  The walk is run_trajectory's; only the
-    cumulative it draws from differs, and since the squared columns equal
-    the chain rows bit for bit, so do the records.
-    """
-    return _walk(config, rng, tables, "statevector")
+run_statevector = run_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +225,19 @@ def sample_iterations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Iteration counts and success flags for n_runs independent runs.
 
-    Both engines are vectorized in chunks; trajectory i always consumes
-    draws from rng_stream(config.seed, i) in step order, so the result is
-    identical to looping run_trajectory (or run_statevector) over i
-    (tested), and independent of chunking.  Each step groups the active
-    trajectories by state and draws with the one-run walk's rule, so a
-    state's cumulative is fetched only once some trajectory stands on it.
+    The runs are vectorized in chunks; trajectory i always consumes draws
+    from rng_stream(config.seed, i) in step order, so the result is
+    identical to looping run_trajectory over i (tested), and independent of
+    chunking.  Each step groups the active trajectories by state and draws
+    with the one-run walk's rule, so a state's cumulative is fetched only
+    once some trajectory stands on it.  engine is one of _ENGINES, labels
+    of the same walk: it is checked here and changes no draw.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    if engine not in _SOURCES:
-        raise ValueError(f"unknown engine {engine!r}")
+    if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
+        raise OutOfRange(f"n_runs must be an integer >= 1, got {n_runs!r}")
+    if engine not in _ENGINES:
+        raise OutOfRange(f"unknown engine {engine!r}; choose from {_ENGINES}")
     tables = PolicyTables(config)
-    source = getattr(tables, _SOURCES[engine])
     two_j = config.two_j
     i_t = config.target_index
     max_iters = config.max_iterations
@@ -303,7 +270,7 @@ def sample_iterations(
                 group = order[start:end]
                 cached = cums.get(s)
                 if cached is None:
-                    cached = cums[s] = source(s)
+                    cached = cums[s] = tables.cumulative(s)
                 offset, cum = cached  # the state's (lo, cum)
                 nxt[group] = offset + cum.searchsorted(u[group], side="left")
             nxt[u == 0.0] = 0  # as in the one-run walk
@@ -348,18 +315,3 @@ def summarize(config: ProtocolConfig, n_runs: int, engine: str = "chain") -> Sum
         success_rate=float(ok.mean()),
         histogram=hist,
     )
-
-
-def monte_carlo_summary(
-    configs: ProtocolConfig | Sequence[ProtocolConfig],
-    n_runs: int,
-    engine: str = "chain",
-) -> list[SummaryStats]:
-    """Summaries for one or several configurations.
-
-    Deterministic given (seed, n_runs) for each config, regardless of how
-    the work is chunked or scheduled.
-    """
-    if isinstance(configs, ProtocolConfig):
-        configs = [configs]
-    return [summarize(cfg, n_runs, engine=engine) for cfg in configs]

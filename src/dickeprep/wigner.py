@@ -129,11 +129,6 @@ def d_column(spec: SpinSpec, angle, backend: str = BACKEND_EIGENVECTOR) -> Rotat
     return RotationColumn(spec=spec, angle=Angle(theta), amplitudes=amps, backend=backend)
 
 
-def d_element(spec_m: SpinSpec, two_m_prime: int, angle) -> float:
-    """Single element d^j_{m',m}(theta); equals d_column(...).amplitude(m')."""
-    return d_column(spec_m, angle).amplitude(two_m_prime)
-
-
 def outcome_distribution(spec: SpinSpec, angle) -> np.ndarray:
     """Measurement outcome probabilities |d^j_{m',m}(theta)|^2 over m':
     transition_probabilities, whose squares need no sign step.

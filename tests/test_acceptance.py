@@ -225,7 +225,7 @@ def test_criterion_10_bessel_limit_monotone():
         for j in (1_000, 10_000, 100_000):
             spec = SpinSpec(2 * j, 40)
             beta = math.asin(20.0 / j)
-            exact = wigner.d_element(spec, two_mp, beta)
+            exact = wigner.d_column(spec, beta).amplitude(two_mp)
             gaps.append(abs(exact - asymptotics.bessel_limit(40, two_mp)))
         ok = ok and gaps[0] > gaps[1] > gaps[2]
         details.append(f"{offset:+d}: {gaps[-1]:.1e}")

@@ -37,7 +37,7 @@ def test_stationary_phase_error_at_reference_point():
     scale = asymptotics.error_scale(two_j, two_m)
     spec = SpinSpec(two_j, two_m)
     beta = math.asin(spec.m / spec.j)
-    exact = wigner.d_element(spec, 100, beta)
+    exact = wigner.d_column(spec, beta).amplitude(100)
     approx = asymptotics.stationary_phase_d(two_j, two_m, 100)
     assert abs(exact - approx) <= 2.0 * scale
     comps = asymptotics.compare_stationary_phase(two_j, two_m)
@@ -87,7 +87,7 @@ def test_bessel_limit_approached_by_exact_d():
     for j in (1000, 10000):
         spec = SpinSpec(2 * j, 40)
         beta = math.asin(20.0 / j)
-        exact = wigner.d_element(spec, 38, beta)
+        exact = wigner.d_column(spec, beta).amplitude(38)
         gaps.append(abs(exact - asymptotics.bessel_limit(40, 38)))
     assert gaps[1] < gaps[0]
 

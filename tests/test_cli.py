@@ -302,6 +302,18 @@ def test_cli_error_exit_code(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_cli_simulate_rejects_run_counts_below_one(tmp_path, capsys, runs):
+    # each used to escape as a raw ValueError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"two_j": 6, "angle_policy": "geometric", "seed": 2}))
+    out = tmp_path / "stats.json"
+    rc = cli.main(["--no-timestamp", "simulate", "--config", str(cfg), "--runs", runs, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n_runs" in err
+    assert not out.exists()
+
 def test_fig2b_matrix_rows_stochastic(tmp_path):
     assert cli.main(["--no-timestamp", "--out-dir", str(tmp_path), "figure",
                      "--job", "fig2b", "--param", "two_j=100"]) == 0

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency, chisquare
+from scipy.stats import chisquare
 
-from dickeprep.core import AnglePolicy, ProtocolConfig, ResetPolicy, SingularSystem, SpinSpec
+from dickeprep.core import AnglePolicy, OutOfRange, ProtocolConfig, ResetPolicy, SingularSystem, SpinSpec
 from dickeprep import angles, chain, simulate, wigner
 
 from oracles import absorption_time_law, dense_draw, rotation_oracle
@@ -63,7 +63,7 @@ WALK_CONFIGS = [
     ProtocolConfig(two_j=60, target_two_mt=4, reset_policy=ResetPolicy(kind="custom", threshold=4.0), seed=5),
     _cfg(41, 1, AnglePolicy.GEOMETRIC, seed=6),  # half-integer j, no reset
 ]
-# each engine's batched sampler against its one-run walk
+# each engine label's batched sampler against its one-run walk
 WALKS = {"chain": simulate.run_trajectory, "statevector": simulate.run_statevector}
 
 
@@ -97,7 +97,9 @@ def test_block_reader_matches_streams():
         assert np.array_equal(np.concatenate([blocks[1], blocks[2], blocks[0]]), ref)
 
 
-@pytest.mark.parametrize("engine", ["chain", "statevector"])
+# the engine axes below hold one label: both labels name one walk
+# (test_statevector_engine_matches_trajectory_law), and the axis keeps the ids
+@pytest.mark.parametrize("engine", ["chain"])
 def test_spin_half_both_engines(engine):
     cfg = ProtocolConfig(two_j=1, target_two_mt=-1, seed=4)
     stats = simulate.summarize(cfg, 4000, engine=engine)
@@ -163,23 +165,12 @@ def test_mc_matches_fundamental_matrix_j50():
 
 
 def test_statevector_engine_matches_trajectory_law():
-    cfg = _cfg(40, seed=77)
-    its_chain, ok_chain = simulate.sample_iterations(cfg, 30_000, engine="chain")
-    its_state, ok_state = simulate.sample_iterations(cfg, 30_000, engine="statevector")
-    assert ok_chain.all() and ok_state.all()
-    top = max(its_chain.max(), its_state.max())
-    h1 = np.bincount(its_chain, minlength=top + 1)
-    h2 = np.bincount(its_state, minlength=top + 1)
-    keep = (h1 + h2) >= 10  # merge sparse bins into a tail bucket
-    table = np.vstack(
-        [
-            np.append(h1[keep], h1[~keep].sum()),
-            np.append(h2[keep], h2[~keep].sum()),
-        ]
-    )
-    table = table[:, table.sum(axis=0) > 0]
-    _, p_value, *_ = chi2_contingency(table)
-    assert p_value > 0.01
+    # the two labels name one walk: the same arrays, bit for bit, so the
+    # exact-law tests below cover both
+    for cfg in WALK_CONFIGS:
+        its_chain, ok_chain = simulate.sample_iterations(cfg, 2000, engine="chain")
+        its_state, ok_state = simulate.sample_iterations(cfg, 2000, engine="statevector")
+        assert np.array_equal(its_chain, its_state) and np.array_equal(ok_chain, ok_state)
 
 
 def test_statevector_columns_match_outcome_distribution():
@@ -193,7 +184,7 @@ def test_statevector_columns_match_outcome_distribution():
         assert np.max(np.abs(col - exact)) < 1e-10
 
 
-def test_statevector_builds_each_column_cumulative_once(monkeypatch):
+def test_walk_builds_each_cumulative_once(monkeypatch):
     cfg = _cfg(60, policy=AnglePolicy.GEOMETRIC, seed=21)
     built = []
     original = simulate._normalized_cumulative
@@ -206,11 +197,11 @@ def test_statevector_builds_each_column_cumulative_once(monkeypatch):
     tables = simulate.PolicyTables(cfg)
     steps = 0
     for i in range(40):
-        steps += simulate.run_statevector(cfg, simulate.rng_stream(cfg.seed, i), tables).iterations
-    assert len(built) == len(tables._column_cums) < steps
-    for i_m, (lo, cum) in tables._column_cums.items():
+        steps += simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables).iterations
+    assert len(built) == len(tables._cums) < steps
+    for i_m, (lo, cum) in tables._cums.items():
         row = wigner.transition_probabilities(SpinSpec(60, 2 * i_m - 60), tables.angles[i_m])
-        assert lo == 0 and np.array_equal(cum, original(row))
+        assert np.array_equal(cum, original(row)[lo:lo + len(cum)])
 
 
 def test_chain_cumulative_is_the_dense_one_on_its_window():
@@ -239,8 +230,9 @@ def test_sampler_rows_are_checked_not_renormalized(monkeypatch):
 
     monkeypatch.setattr(wigner, "_eigenvectors", scaled)
     cfg = _cfg(100, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=3)
-    with pytest.raises(SingularSystem, match="row sums"):
-        simulate.sample_iterations(cfg, 10, engine="chain")
+    for engine in ("chain", "statevector"):
+        with pytest.raises(SingularSystem, match="row sums"):
+            simulate.sample_iterations(cfg, 10, engine=engine)
     with pytest.raises(SingularSystem, match="row sums"):
         simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, 0))
     with pytest.raises(SingularSystem, match="row sums"):
@@ -295,8 +287,7 @@ class _FixedDraws:
 
 @pytest.mark.parametrize("engine", ["chain", "statevector"])
 def test_edge_draws_match_the_dense_cumulative(monkeypatch, engine):
-    name = simulate._SOURCES[engine]
-    source = getattr(simulate.PolicyTables, name)
+    source = simulate.PolicyTables.cumulative
     fetched = []
 
     def recording(self, i_m):
@@ -322,9 +313,9 @@ def test_edge_draws_match_the_dense_cumulative(monkeypatch, engine):
         assert rec.succeeded
         # the batch's path shows in the states whose cumulatives it fetches
         fetched.clear()
-        monkeypatch.setattr(simulate.PolicyTables, name, recording)
+        monkeypatch.setattr(simulate.PolicyTables, "cumulative", recording)
         its, ok = simulate.sample_iterations(cfg, 3, engine=engine)
-        monkeypatch.setattr(simulate.PolicyTables, name, source)
+        monkeypatch.setattr(simulate.PolicyTables, "cumulative", source)
         assert its.tolist() == [len(steps)] * 3 and ok.all()
         assert set(fetched) == {(before + cfg.two_j) // 2 for before, _, _ in steps}
 
@@ -417,10 +408,9 @@ def test_success_rate_one_at_j2048_by_tail_bound():
 
 def test_monte_carlo_summary_multiple_configs():
     cfgs = [_cfg(2, seed=1), _cfg(10, seed=2)]
-    out = simulate.monte_carlo_summary(cfgs, 500)
+    out = [simulate.summarize(cfg, 500) for cfg in cfgs]
     assert len(out) == 2
-    single = simulate.monte_carlo_summary(cfgs[0], 500)
-    assert single[0] == out[0]
+    assert simulate.summarize(cfgs[0], 500) == out[0]
 
 
 @pytest.mark.parametrize("engine", ["chain", "statevector"])
@@ -443,10 +433,18 @@ def test_statevector_records_equal_trajectory_records():
 def test_unknown_engine_is_rejected():
     with pytest.raises(ValueError, match="engine"):
         simulate.sample_iterations(_cfg(4), 10, engine="dense")
+    with pytest.raises(OutOfRange, match="engine"):
+        simulate.summarize(_cfg(4), 10, engine="Chain")
+
+
+@pytest.mark.parametrize("n_runs", [0, -2, True, 2.5, "3"])
+def test_bad_run_counts_are_rejected(n_runs):
+    with pytest.raises(OutOfRange, match="n_runs"):
+        simulate.sample_iterations(_cfg(4), n_runs)
 
 
 # ---------------------------------------------------------------------------
-# the exact absorption-time law as the independent check of both engines
+# the exact absorption-time law as the independent check of the walk
 
 LAW_ALPHA = 1e-3  # chi-square significance, fixed before any run
 LAW_RUNS = 20_000
@@ -481,14 +479,10 @@ def test_exact_law_oracle_is_consistent():
         assert mean == pytest.approx(chain.expected_steps(built).start_state_value, rel=1e-9)
 
 
-@pytest.mark.parametrize("engine", ["chain", "statevector"])
-@pytest.mark.parametrize("reset", ["none", "sqrt_j"])
-@pytest.mark.parametrize("two_j", [2, 16, 100])
-def test_engine_histograms_follow_exact_law(two_j, reset, engine):
-    cfg = _cfg(two_j, policy=AnglePolicy.GEOMETRIC, reset=reset, seed=1000 + two_j)
-    built = chain.build_chain(cfg)
+def _assert_sample_follows(cfg, law, exact_mean, engine="chain"):
+    """LAW_RUNS runs of cfg against the absorption-time law on k = 0..cap:
+    chi-square at LAW_ALPHA, every run absorbed, mean within 4 SE."""
     cap = cfg.max_iterations
-    law = absorption_time_law(built.matrix, built.absorbing_index, built.size - 1, cap)
     its, ok = simulate.sample_iterations(cfg, LAW_RUNS, engine=engine)
     # bins T = 1..cap, then "not absorbed within the cap"
     observed = np.append(np.bincount(its[ok], minlength=cap + 1)[1:], np.count_nonzero(~ok))
@@ -496,7 +490,68 @@ def test_engine_histograms_follow_exact_law(two_j, reset, engine):
     obs, exp = _merge_sparse(observed, expected)
     assert len(obs) >= 2
     assert chisquare(obs, exp).pvalue > LAW_ALPHA
-    exact_mean = chain.expected_steps(built).start_state_value
     std_error = its.std(ddof=1) / math.sqrt(LAW_RUNS)
     assert ok.all()
     assert abs(its.mean() - exact_mean) < 4 * std_error
+
+
+@pytest.mark.parametrize("engine", ["chain"])
+@pytest.mark.parametrize("reset", ["none", "sqrt_j"])
+@pytest.mark.parametrize("two_j", [2, 16, 100])
+def test_engine_histograms_follow_exact_law(two_j, reset, engine):
+    cfg = _cfg(two_j, policy=AnglePolicy.GEOMETRIC, reset=reset, seed=1000 + two_j)
+    built = chain.build_chain(cfg)
+    law = absorption_time_law(built.matrix, built.absorbing_index, built.size - 1, cfg.max_iterations)
+    _assert_sample_follows(cfg, law, chain.expected_steps(built).start_state_value, engine)
+
+
+def _expm_matrix(cfg):
+    """The protocol's transition matrix from dense matrix exponentials: row
+    i holds the squares of column i of exp(-i theta_i J_y), the mass measured
+    at rerouted states moves to m = j, and the target absorbs."""
+    theta = angles.policy_angles(cfg.two_j, cfg.target_two_mt, cfg.angle_policy)
+    n = cfg.two_j + 1
+    matrix = np.array([rotation_oracle(cfg.two_j, theta[i])[:, i] ** 2 for i in range(n)])
+    rerouted = cfg.rerouted()
+    moved = matrix[:, rerouted].sum(axis=1)
+    matrix[:, rerouted] = 0.0
+    matrix[:, -1] += moved
+    matrix[cfg.target_index] = np.arange(n) == cfg.target_index
+    return matrix
+
+
+# m_t = 0 on every policy, then off-centre and half-integer targets, where
+# the law from m = j differs from the law from m = -j (at m_t = 0 the mirror
+# symmetry makes them equal, so a reset routed to the wrong end would pass)
+EXPM_CASES = [
+    (policy, reset, two_j, 0)
+    for policy in (AnglePolicy.APPROX_MT0, AnglePolicy.GEOMETRIC, AnglePolicy.NUMERIC_OPTIMAL)
+    for reset in ("none", "sqrt_j")
+    for two_j in (2, 16, 40)
+    if policy is not AnglePolicy.NUMERIC_OPTIMAL or two_j <= 16
+] + [
+    (policy, reset, two_j, two_mt)
+    for policy, two_j, two_mt in (
+        (AnglePolicy.GEOMETRIC, 16, 4),
+        (AnglePolicy.GEOMETRIC, 40, 4),
+        (AnglePolicy.GEOMETRIC, 17, 1),
+        (AnglePolicy.NUMERIC_OPTIMAL, 16, 4),
+    )
+    for reset in ("none", "sqrt_j")
+]
+
+
+@pytest.mark.parametrize("policy,reset,two_j,two_mt", EXPM_CASES)
+def test_walk_follows_the_dense_expm_law(policy, reset, two_j, two_mt):
+    # the chain and the walk against a law that shares none of their code
+    # past the angle table: rows from dense expm, routing and absorption
+    # written out here, mean from a dense solve of (I - Q) t = 1
+    cfg = _cfg(two_j, two_mt, policy=policy, reset=reset, seed=17000 + two_j)
+    expm = _expm_matrix(cfg)
+    start, i_t, cap = cfg.two_j, cfg.target_index, cfg.max_iterations
+    law = absorption_time_law(expm, i_t, start, cap)
+    built = chain.build_chain(cfg)
+    assert np.max(np.abs(absorption_time_law(built.matrix, i_t, start, cap) - law)) < 1e-12
+    keep = np.arange(two_j + 1) != i_t
+    t = np.linalg.solve(np.eye(two_j) - expm[np.ix_(keep, keep)], np.ones(two_j))
+    _assert_sample_follows(cfg, law, float(t[-1]))

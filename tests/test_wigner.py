@@ -64,17 +64,17 @@ def test_binomial_column_j2():
 
 
 def test_d_element_matches_column_and_symmetry():
-    assert wigner.d_element(SpinSpec(2, 2), 0, np.pi / 2) ** 2 == pytest.approx(0.5, abs=1e-12)
+    assert wigner.d_column(SpinSpec(2, 2), np.pi / 2).amplitude(0) ** 2 == pytest.approx(0.5, abs=1e-12)
     for two_j in (7, 10):
         for two_m in range(-two_j, two_j + 1, 2):
-            assert wigner.d_element(SpinSpec(two_j, two_m), two_m, 0.0) == 1.0
+            assert wigner.d_column(SpinSpec(two_j, two_m), 0.0).amplitude(two_m) == 1.0
     # d_{m',m} = (-1)^{m'-m} d_{m,m'}
     two_j = 9
     theta = 1.234
     for two_m in range(-two_j, two_j + 1, 2):
         for two_mp in range(-two_j, two_j + 1, 2):
-            lhs = wigner.d_element(SpinSpec(two_j, two_m), two_mp, theta)
-            rhs = wigner.d_element(SpinSpec(two_j, two_mp), two_m, theta)
+            lhs = wigner.d_column(SpinSpec(two_j, two_m), theta).amplitude(two_mp)
+            rhs = wigner.d_column(SpinSpec(two_j, two_mp), theta).amplitude(two_m)
             phase = -1.0 if ((two_mp - two_m) // 2) % 2 else 1.0
             assert lhs == pytest.approx(phase * rhs, abs=1e-12)
 
