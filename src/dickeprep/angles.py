@@ -12,11 +12,25 @@ for |j,m_t>:
   safeguarded Newton refinement on the analytic theta-derivatives of the
   overlap, wigner.row_derivatives, to 1e-10 rad).
 
-optimal_angles_for_target does the same for every source state at once:
-the grid rows, the geometric candidates and each Newton round come as
-stacked solves, a round holding every state still refining, about four
-rounds per state.  optimal_angle is the one-state case of the same code
-(_optimal), so the two agree bit for bit.
+optimal_angles_for_target does the same for every source state at once,
+and policy_angles with states for the states asked for: the grid rows,
+the geometric candidates and each Newton round come as stacked solves, a
+round holding every state still refining, about four rounds per state;
+the first round reads the grid rows at the best points.
+optimal_angle is the one-state case of the same code (_optimal), and a
+state's angle does not depend on which other states are asked for, so
+all three agree bit for bit.
+
+The grid scan (_grid_scan) scans each state on part of the grid only.
+Where the overlap is mirror-symmetric, f(theta) = f(pi - theta) exactly
+(at m_t = 0, and at m = 0 for any target), it scans theta < pi/2 only, so
+the mirror tie is settled exactly, toward the smaller theta.  At m_t = 0
+it scans only a window of about +-1.5/sqrt(j) around the geometric angle,
+where the best point lies, and rescans the whole half if the best point
+lands on the window's edge.  The entered states of the sqrt_j reset
+(|m| <= sqrt(j), so theta <~ 2/sqrt(j)) then need O(sqrt j) narrow rows,
+and the start state m = j its own O(sqrt j)-wide column: O(j) in all.
+For m_t != 0 the scan covers the whole grid.
 
 Angle signs: for m < m_t the same formulas produce negative angles; the
 optimizer mirrors through (m_t, m) -> (-m_t, -m), which leaves the overlap
@@ -42,6 +56,11 @@ from . import wigner
 
 _CLAMP_TOL = 1e-12
 _NEWTON_TOL = 1e-10  # rad: stop once the Newton step is this small
+# an m_t = 0 state scans the grid within _WINDOW / sqrt(j) of its geometric
+# angle, plus _WINDOW_CELLS cells each side (_grid_scan); its best point lay
+# within 0.997 / sqrt(j) of that angle at every two_j measured to 8192
+_WINDOW = 1.5
+_WINDOW_CELLS = 2
 
 
 @dataclass(frozen=True)
@@ -57,7 +76,7 @@ class AnglePolicyResult:
 def _asin(arg: np.ndarray) -> np.ndarray:
     """math.asin of every entry.  np.arcsin differs from it in the last ulp
     on some entries, which would change seeded outputs."""
-    return np.array([math.asin(a) for a in arg.tolist()])
+    return np.fromiter(map(math.asin, arg), float, len(arg))
 
 
 def _geometric_angles(two_j: int, two_mt: int, m: np.ndarray) -> np.ndarray:
@@ -106,24 +125,114 @@ def _coarse_grid(two_j: int) -> np.ndarray:
     return np.linspace(0.0, math.pi, points + 2)[1:-1]
 
 
-def _grid_scan(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coarse grid and, per source state, the index of its best point.
+def _scan(
+    two_j: int,
+    two_ms: np.ndarray,
+    thetas: np.ndarray,
+    points: np.ndarray,
+    entries: np.ndarray,
+    first: np.ndarray,
+    stop: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reader k's best grid point: the point in first[k] .. stop[k] - 1
+    where the square of entry entries[k] of the eigenvector rows
+    (two_ms, thetas) is largest, the first, smallest-theta one on a tie.
+    Row r lies at grid point points[r]; points increase.  Also returns,
+    per reader, the unsquared entries entries[k] + wigner.STENCIL of the
+    row at its best point (NaN where no entry is positive).
 
-    Each grid theta yields the whole row |d^j_{m_t,.}(theta)|^2 in O(j), so
-    one scan serves every m; the rows come in stacks of increasing theta,
-    and ties go to the smallest theta.
+    The rows come in stacks on their windows.  A stack is read only by the
+    readers whose range meets its points and whose entry lies in the span
+    of its windows; the others would read zeros there, which never beat a
+    positive entry.  A reader whose entries are all zero keeps first.
+    """
+    best, best_val = first.copy(), np.zeros(len(entries))
+    near = np.full((len(entries), len(wigner.STENCIL)), np.nan)
+    for rows, stack in wigner._eigenvector_windows(two_j, two_ms, thetas):
+        g = points[rows, None]
+        live = np.flatnonzero(
+            (first <= g[-1]) & (stop > g[0]) & (stack.lo.min() <= entries) & (entries < stack.hi.max())
+        )
+        vals = stack.at(entries[live])
+        vals *= vals  # transition_windows' squares, bit for bit
+        vals[(g < first[live]) | (g >= stop[live])] = -1.0
+        top = np.argmax(vals, axis=0)  # the first, smallest-theta maximum in the stack
+        val = vals[top, np.arange(len(live))]
+        better = val > best_val[live]  # strict: an earlier stack keeps its tie
+        won = live[better]
+        best_val[won] = val[better]
+        best[won] = g[top[better], 0]
+        near[won] = stack.at(entries[won, None] + wigner.STENCIL, top[better])
+    return best, near
+
+
+def _best_points(
+    two_j: int, two_mt: int, states: np.ndarray, first: np.ndarray, stop: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per source state, its best coarse-grid index in first .. stop - 1,
+    and the unsquared row entries around it (_scan; NaN for the start
+    state's column, whose entries are not its row's).
+
+    A grid theta yields the whole row |d^j_{m_t,.}(theta)|^2 on its window
+    in O(window), so one row serves every state whose range holds its
+    point, and only the union of the ranges is solved.  At m_t = 0 the
+    start state m = j reads its own column |d^j_{.,j}(theta)|^2 instead:
+    the column is O(sqrt j) wide, its rows near pi/2 are O(j) wide.
     """
     grid = _coarse_grid(two_j)
-    states = np.arange(two_j + 1)
-    best_val = np.full(two_j + 1, -1.0)
-    best_idx = np.zeros(two_j + 1, dtype=np.int64)
-    for rows, stack in wigner.row_stacks(two_j, two_mt, grid):
-        top = np.argmax(stack, axis=0)  # the first, smallest-theta maximum in the stack
-        val = stack[top, states]
-        better = val > best_val  # strict: an earlier stack keeps its tie
-        best_val[better] = val[better]
-        best_idx[better] = rows.start + top[better]
-    return grid, best_idx
+    column = (states == two_j) & (two_mt == 0)
+    best = first.copy()
+    near = np.full((len(states), len(wigner.STENCIL)), np.nan)
+    row = np.flatnonzero(~column)
+    depth = np.zeros(len(grid) + 1, dtype=np.int64)
+    np.add.at(depth, first[row], 1)
+    np.add.at(depth, stop[row], -1)
+    points = np.flatnonzero(np.cumsum(depth[:-1]))
+    best[row], near[row] = _scan(
+        two_j, np.full(len(points), two_mt), -grid[points], points, states[row], first[row], stop[row]
+    )
+    target = np.array([(two_mt + two_j) // 2])
+    for k in np.flatnonzero(column):
+        points = np.arange(first[k], stop[k])
+        at = slice(k, k + 1)
+        best[at] = _scan(two_j, np.full(len(points), two_j), grid[points], points, target, first[at], stop[at])[0]
+    return best, near
+
+
+def _grid_scan(two_j: int, two_mt: int, states) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The coarse grid, the index of each source state's best grid point,
+    the mask of the states whose scan was widened, and the unsquared row
+    entries around each state at its best point (_best_points).
+
+    A state scans only part of the grid:
+    * theta < pi/2, the first half, where f(theta) = f(pi - theta) holds
+      exactly: at m_t = 0 and at m = 0.  This settles the mirror tie
+      exactly.  Elsewhere it scans the whole grid;
+    * at m_t = 0, only the points within _WINDOW / sqrt(j) of its
+      geometric angle, plus _WINDOW_CELLS cells each side.  Every state's
+      best point lies within about 1 / sqrt(j) of that angle: the
+      semiclassical band of the d-functions (Brussaard & Tolhoek, Physica
+      23 (1957)).  A state whose best point lands on an edge of its window
+      that is not an end of its half scans the whole half again, and is
+      flagged in the mask.
+    Any other tie, which only rounding can make, goes to the smaller theta.
+    """
+    grid = _coarse_grid(two_j)
+    states = np.asarray(states, dtype=np.int64)
+    end = np.where((two_mt == 0) | (2 * states == two_j), len(grid) // 2, len(grid))
+    first, stop = np.zeros(len(states), dtype=np.int64), end
+    if two_mt == 0 and len(states):
+        theta_geo = _geometric_angles(two_j, 0, states - two_j / 2.0)
+        reach = _WINDOW / math.sqrt(two_j / 2.0)
+        first = np.maximum(np.searchsorted(grid, theta_geo - reach) - _WINDOW_CELLS, 0)
+        stop = np.minimum(np.searchsorted(grid, theta_geo + reach) + _WINDOW_CELLS, end)
+    best, near = _best_points(two_j, two_mt, states, first, stop)
+    widened = ((best == first) & (first > 0)) | ((best == stop - 1) & (stop < end))
+    if widened.any():
+        best[widened], near[widened] = _best_points(
+            two_j, two_mt, states[widened], np.zeros_like(stop[widened]), end[widened]
+        )
+    return grid, best, widened, near
 
 
 def _cells(grid: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,12 +249,14 @@ def _cells(grid: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 def overlap_probabilities(two_j: int, two_mt: int, states, thetas) -> np.ndarray:
     """|d^j_{m_t,m}(theta)|^2 for each source index in states at its own
     theta: entry k is row_probabilities(two_j, two_mt, thetas[k])[states[k]],
-    bit for bit, from stacked rows.
+    bit for bit, read off stacked rows on their windows.
     """
+    validate_spin(two_j, two_mt)  # validates now, not at the first stack
     states = np.asarray(states, dtype=np.int64)
+    thetas = np.asarray(thetas, dtype=np.float64)
     out = np.empty(len(states))
-    for rows, stack in wigner.row_stacks(two_j, two_mt, thetas):
-        out[rows] = stack[np.arange(len(stack)), states[rows]]
+    for rows, stack in wigner.transition_windows(two_j, np.full(len(thetas), two_mt), -thetas):
+        out[rows] = stack.at(states[rows, None])[:, 0]
     return out
 
 
@@ -156,7 +267,10 @@ def _refine(two_j: int, two_mt: int, states: np.ndarray) -> tuple[np.ndarray, np
     One coarse scan (_grid_scan) gives each state its one-cell bracket.
     Then safeguarded Newton on the analytic derivatives runs for all states
     in lockstep: each round evaluates f, f' and f'' at every live state's
-    theta from one stacked solve (wigner.row_derivatives).  Per state, the
+    theta from one stacked solve (wigner.row_derivatives).  The first round
+    is at the best grid points, so it reads the rows the scan solved there
+    (wigner.stencil_derivatives); only a state whose scan read a column
+    solves its row.  Per state, the
     bracket shrinks to the side where f' says the maximum lies; the step
     -f'/f'' is taken when f'' < 0 and it lands strictly inside the bracket,
     and the bracket is bisected otherwise.  A state stops once
@@ -167,15 +281,19 @@ def _refine(two_j: int, two_mt: int, states: np.ndarray) -> tuple[np.ndarray, np
     one stack beforehand, is then compared as a candidate (fell_back where
     it wins).
     """
-    grid, best_idx = _grid_scan(two_j, two_mt)
-    lo, theta, hi = _cells(grid, best_idx[states])
-    theta_geo = _geometric_angles(two_j, two_mt, wigner.m_values(two_j)[states])
+    grid, best, _, near = _grid_scan(two_j, two_mt, states)
+    lo, theta, hi = _cells(grid, best)
+    theta_geo = _geometric_angles(two_j, two_mt, states - two_j / 2.0)
     overlap_geo = overlap_probabilities(two_j, two_mt, states, theta_geo)
+    derivatives = wigner.stencil_derivatives(two_j, near, states[:, None] + wigner.STENCIL)
+    redo = np.isnan(near[:, 0])
+    if redo.any():
+        derivatives[:, redo] = wigner.row_derivatives(two_j, two_mt, theta[redo], states[redo])
     f = np.empty(len(states))
     live = np.arange(len(states))
     while len(live):
         at = theta[live]
-        f[live], df, d2f = wigner.row_derivatives(two_j, two_mt, at, states[live])
+        f[live], df, d2f = derivatives
         peak = d2f < 0.0
         done = peak & (np.abs(df) < _NEWTON_TOL * -d2f)
         up = df > 0.0
@@ -187,6 +305,8 @@ def _refine(two_j: int, two_mt: int, states: np.ndarray) -> tuple[np.ndarray, np
         step = np.where(peak & (low < newton) & (newton < high), newton, 0.5 * (low + high))
         theta[live[~done]] = step[~done]
         live = live[~done]
+        if len(live):
+            derivatives = wigner.row_derivatives(two_j, two_mt, theta[live], states[live])
     fell_back = f < overlap_geo
     return np.where(fell_back, theta_geo, theta), np.where(fell_back, overlap_geo, f), fell_back
 
@@ -218,9 +338,11 @@ def _optimal(two_j: int, two_mt: int, states) -> tuple[np.ndarray, np.ndarray, n
 def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
     """Deterministically maximize the overlap |d^j_{m_t,m}(theta)|^2.
 
-    Coarse grid scan over (0, pi), ties broken toward the smaller theta,
-    then a safeguarded Newton refinement on the analytic theta-derivatives
-    of the overlap, to 1e-10 rad, inside the best point's one-cell bracket.
+    Coarse grid scan (_grid_scan: only theta < pi/2 where the overlap is
+    mirror-symmetric, f(theta) = f(pi - theta), at m_t = 0 or m = 0, and at
+    m_t = 0 only a window around the geometric angle), then a safeguarded
+    Newton refinement on the analytic theta-derivatives of the overlap, to
+    1e-10 rad, inside the best point's one-cell bracket.
     The geometric angle is always a candidate, so the returned overlap is
     >= the geometric one; if refinement somehow degrades below it, the
     geometric angle is returned with fell_back=True.
@@ -253,22 +375,27 @@ def optimal_angles_for_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.n
     return angles, overlaps
 
 
-def policy_angles(two_j: int, two_mt: int, policy: str) -> np.ndarray:
-    """Per-source-state rotation angles for a whole chain, indexed by m.
+def policy_angles(two_j: int, two_mt: int, policy: str, states=None) -> np.ndarray:
+    """Per-source-state rotation angles for a whole chain, indexed by m;
+    given states (grid indices), one angle per state, with the bits of the
+    whole table's entries.  numeric_optimal refines only those states.
 
     The target entry is 0 (absorbing, no rotation applied).
     """
-    if policy == AnglePolicy.GEOMETRIC:
-        validate_target(two_j, two_mt)
-        out = _geometric_angles(two_j, two_mt, wigner.m_values(two_j)) if two_j else np.zeros(1)
-        out[(two_mt + two_j) // 2] = 0.0
-    elif policy == AnglePolicy.APPROX_MT0:
+    at = np.arange(two_j + 1) if states is None else np.asarray(states, dtype=np.int64)
+    m = at - two_j / 2.0
+    if policy == AnglePolicy.APPROX_MT0:
         if two_mt != 0:
             raise DomainError("approx_mt0 policy requires target_two_mt = 0")
-        m = wigner.m_values(two_j)
-        out = _asin(m / (two_j / 2.0)) if two_j else np.zeros(1)
+        return _asin(m / (two_j / 2.0)) if two_j else np.zeros(len(at))
+    validate_target(two_j, two_mt)
+    target = at == (two_mt + two_j) // 2
+    if policy == AnglePolicy.GEOMETRIC:
+        out = _geometric_angles(two_j, two_mt, m) if two_j else np.zeros(len(at))
     elif policy == AnglePolicy.NUMERIC_OPTIMAL:
-        out, _ = optimal_angles_for_target(two_j, two_mt)
+        out = np.zeros(len(at))
+        out[~target] = _optimal(two_j, two_mt, at[~target])[0]
     else:
         raise OutOfRange(f"unknown angle policy {policy!r}")
+    out[target] = 0.0
     return out

@@ -14,13 +14,15 @@ read off the policy alone: the transient states a reset leaves in place
 (|m| within the threshold) plus the start state m = j, or every transient
 state when there is no reset.  A routed row puts all of its mass in S and
 the target, so S is closed: only S's rows are computed and only the S x S
-block is stored.  Every other transient state r follows from its own row,
-t_r = 1 + P[r, S] t_S, filled when the report's expected_steps_from is
-first read.  Rows stay on their windows (wigner.transition_windows), so
-routing a row, its part in the S block and its fill cost O(window), not
-O(n).  _checked_rows reads them and checks their sums, for this module and
-for simulate's chain engine alike.  build_chain and expected_steps keep the
-dense n x n matrix for callers that want the matrix itself.
+block is stored; the policy's angles are asked for on S alone
+(angles.policy_angles with states).  Every other transient state r follows
+from its own row, t_r = 1 + P[r, S] t_S, filled, with its angle, when the
+report's expected_steps_from is first read.  Rows stay on their windows
+(wigner.transition_windows), so routing a row, its part in the S block and
+its fill cost O(window), not O(n).  _checked_rows reads them and checks
+their sums, for this module and for simulate's chain engine alike.
+build_chain and expected_steps keep the dense n x n matrix for callers
+that want the matrix itself.
 
 At m_t = 0 (integer j) the chain is strongly lumpable on the classes
 {m, -m} (Kemeny & Snell, 1960, ch. VI).  Every angle policy has
@@ -108,12 +110,13 @@ def _report(config: ProtocolConfig, start: float, fill: Callable[[], np.ndarray]
 
 def _checked_rows(two_j: int, theta: np.ndarray, states: np.ndarray) -> Iterator[tuple[slice, wigner.Windows]]:
     """The outcome rows of the source states (grid indices) at their policy
-    angles theta[states], on their windows (wigner.transition_windows), one
-    stack at a time.  Each row is checked to sum to 1 within 1e-9 and
-    raises SingularSystem otherwise; it is never renormalized here.  The
-    chain and the Monte Carlo sampler both read their rows from here.
+    angles theta (one per state), on their windows
+    (wigner.transition_windows), one stack at a time.  Each row is checked
+    to sum to 1 within 1e-9 and raises SingularSystem otherwise; it is
+    never renormalized here.  The chain and the Monte Carlo sampler both
+    read their rows from here.
     """
-    for rows, stack in wigner.transition_windows(two_j, 2 * states - two_j, theta[states]):
+    for rows, stack in wigner.transition_windows(two_j, 2 * states - two_j, theta):
         row_dev = np.max(np.abs(np.add.reduceat(stack.values, stack.starts) - 1.0))
         if row_dev > _ROW_SUM_TOL:
             raise SingularSystem(f"row sums deviate from 1 by {row_dev:.3e}")
@@ -123,10 +126,10 @@ def _checked_rows(two_j: int, theta: np.ndarray, states: np.ndarray) -> Iterator
 def _routed_rows(
     config: ProtocolConfig, theta: np.ndarray, rerouted: np.ndarray, states: np.ndarray
 ) -> Iterator[tuple[slice, wigner.Windows, np.ndarray]]:
-    """The checked rows of the source states (_checked_rows), with the mass
-    measured at rerouted states zeroed.  Yields (rows, stack, moved):
-    moved[k] is row k's rerouted mass, which goes to the start state m = j.
-    Every step costs O(window), not O(n).
+    """The checked rows of the source states at their angles theta
+    (_checked_rows), with the mass measured at rerouted states zeroed.
+    Yields (rows, stack, moved): moved[k] is row k's rerouted mass, which
+    goes to the start state m = j.  Every step costs O(window), not O(n).
     """
     for rows, stack in _checked_rows(config.two_j, theta, states):
         moved = np.zeros(len(stack.lo))
@@ -238,7 +241,6 @@ def expected_steps_for(
         reset_policy=reset_policy if reset_policy is not None else ResetPolicy(),
     )
     n = two_j + 1
-    theta = angles_mod.policy_angles(two_j, target_two_mt, config.angle_policy)
     rerouted = config.rerouted()
     grid = np.arange(n)
     # each state's class representative: m -> |m| at m_t = 0, else itself
@@ -248,6 +250,7 @@ def expected_steps_for(
     entered[n - 1] = transient[n - 1]  # the reset destination, unless it is the target
     representative = cls == grid
     s = np.flatnonzero(entered & representative)
+    theta = angles_mod.policy_angles(two_j, target_two_mt, config.angle_policy, s)
     place = np.full(n, -1)  # each representative's column in the S block
     place[s] = np.arange(len(s))
     q = np.zeros((len(s), len(s)))
@@ -266,7 +269,8 @@ def expected_steps_for(
         t_all = t_all[cls]  # t on S's classes; the rows' other entries (target, rerouted) are zero
         out = t_all.copy()
         rest = np.flatnonzero(transient & ~entered & representative)
-        for rows, stack, moved in _routed_rows(config, theta, rerouted, rest):
+        theta_rest = angles_mod.policy_angles(two_j, target_two_mt, config.angle_policy, rest)
+        for rows, stack, moved in _routed_rows(config, theta_rest, rerouted, rest):
             ahead = np.add.reduceat(stack.values * t_all[stack.columns], stack.starts)
             out[rest[rows]] = 1.0 + ahead + moved * t_all[-1]
         return out[cls]

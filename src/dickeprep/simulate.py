@@ -152,7 +152,7 @@ class PolicyTables:
         window values only.  O(window), not O(j)."""
         cached = self._cums.get(i_m)
         if cached is None:
-            ((_, stack),) = chain._checked_rows(self.two_j, self.angles, np.array([i_m]))
+            ((_, stack),) = chain._checked_rows(self.two_j, self.angles[[i_m]], np.array([i_m]))
             cached = self._cums[i_m] = (int(stack.lo[0]), _normalized_cumulative(stack.values))
         return cached
 

@@ -197,6 +197,15 @@ class Windows:
         out.values = self.values[out.columns + np.repeat(self.starts[rows] - self.lo[rows], out.widths)]
         return out
 
+    def at(self, columns: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Entries at grid columns, zero outside the windows: row k of the
+        result holds the entries of row rows[k] (default: of row k) at the
+        columns columns[k].  columns is a (len(rows), c) array or one that
+        broadcasts to it."""
+        lo = self.lo[rows, None]
+        inside = (lo <= columns) & (columns < self.hi[rows, None])
+        return np.where(inside, self.values[np.where(inside, self.starts[rows, None] + columns - lo, 0)], 0.0)
+
     def flat_index(self, width: int, columns: np.ndarray | None = None) -> np.ndarray:
         """Every stored entry's index in a row-major array of K rows, each
         width long: at its grid column, or at the given per-entry columns."""
@@ -569,37 +578,43 @@ def transition_windows(two_j: int, two_ms, angles) -> Iterator[tuple[slice, Wind
         yield rows, stack
 
 
+STENCIL = np.arange(-2, 3)  # the row entries i-2 .. i+2 that stencil_derivatives reads
+
+
+def stencil_derivatives(two_j: int, r: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """f = r_i^2 and its first and second theta-derivatives, as a (3, K)
+    array, for K rows r of d^j_{m_t,.}(theta), each given by its entries r
+    at the grid columns k = i + STENCIL (zero outside the grid).
+
+    The row r(theta) obeys r' = r A with the real antisymmetric
+    A = -i J_y = (J_- - J_+)/2, so with a = ladder_strengths
+        (rA)_k = (a_{k-1} r_{k-1} - a_k r_{k+1}) / 2,
+        f' = 2 r_i (rA)_i,   f'' = 2 [(rA)_i^2 + r_i (rA^2)_i],
+    a stencil of the three entries (rA)_{i-1..i+1}, read from r_{i-2..i+2}.
+    Every term is bilinear in r, so an unsigned eigenvector serves.
+    """
+    c = k[:, :4]  # a_{i-2} .. a_{i+1}: a_{2j} is the trailing zero, and so is every c past it
+    a = np.where(c >= 0, _operators(two_j)[1][np.minimum(c, two_j)], 0.0)
+    ra = 0.5 * (a[:, :3] * r[:, :3] - a[:, 1:] * r[:, 2:])  # (rA)_{i-1}, (rA)_i, (rA)_{i+1}
+    r_i, ra_i = r[:, 2], ra[:, 1]
+    ra2_i = 0.5 * (a[:, 1] * ra[:, 0] - a[:, 2] * ra[:, 2])
+    return np.array([r_i * r_i, 2.0 * r_i * ra_i, 2.0 * (ra_i * ra_i + r_i * ra2_i)])
+
+
 def row_derivatives(
     two_j: int, two_m_target: int, angles, indices
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each k, f = row_probabilities(two_j, two_m_target, angles[k])[indices[k]]
     and its first and second theta-derivatives, as three arrays, from the
-    unsquared eigenvector stacks of _eigenvector_windows.
-
-    The row r(theta) = d^j_{m_t,.}(theta) obeys r' = r A with the real
-    antisymmetric A = -i J_y = (J_- - J_+)/2, so with a = ladder_strengths
-        (rA)_k = (a_{k-1} r_{k-1} - a_k r_{k+1}) / 2,
-        f' = 2 r_i (rA)_i,   f'' = 2 [(rA)_i^2 + r_i (rA^2)_i],
-    a stencil of the three entries (rA)_{i-1..i+1}, read from r_{i-2..i+2}
-    (zero outside the window).  Every term is bilinear in r, so the
-    unsigned eigenvector serves.
+    unsquared eigenvector stacks of _eigenvector_windows (stencil_derivatives).
     """
     SpinSpec(two_j, two_m_target)
     thetas = np.asarray(angles, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
-    # a_k at k + 2, zero for k < 0 and k >= two_j
-    ladder = np.concatenate(([0.0, 0.0], _operators(two_j)[1], [0.0]))
     out = np.empty((3, len(thetas)))
     for rows, stack in _eigenvector_windows(two_j, np.full(len(thetas), two_m_target), -thetas):
-        k = indices[rows, None] + np.arange(-2, 3)  # grid columns i-2 .. i+2
-        lo = stack.lo[:, None]
-        inside = (lo <= k) & (k < stack.hi[:, None])
-        r = np.where(inside, stack.values[np.where(inside, stack.starts[:, None] + k - lo, 0)], 0.0)
-        a = ladder[k[:, :4] + 2]  # a_{i-2} .. a_{i+1}
-        ra = 0.5 * (a[:, :3] * r[:, :3] - a[:, 1:] * r[:, 2:])  # (rA)_{i-1}, (rA)_i, (rA)_{i+1}
-        r_i, ra_i = r[:, 2], ra[:, 1]
-        ra2_i = 0.5 * (a[:, 1] * ra[:, 0] - a[:, 2] * ra[:, 2])
-        out[:, rows] = r_i * r_i, 2.0 * r_i * ra_i, 2.0 * (ra_i * ra_i + r_i * ra2_i)
+        k = indices[rows, None] + STENCIL  # grid columns i-2 .. i+2
+        out[:, rows] = stencil_derivatives(two_j, stack.at(k), k)
     return out[0], out[1], out[2]
 
 
@@ -611,17 +626,3 @@ def row_probabilities(two_j: int, two_m_target: int, angle) -> np.ndarray:
     """
     theta = _as_radians(angle)
     return transition_probabilities(SpinSpec(two_j, two_m_target), -theta)
-
-
-def row_stacks(two_j: int, two_m_target: int, angles) -> Iterator[tuple[slice, np.ndarray]]:
-    """row_probabilities for many angles at one target, as the stacks of
-    transition_windows scattered into dense (K, n) arrays of zeros: row k of
-    a stack is row_probabilities(two_j, two_m_target, angles[rows][k]), bit
-    for bit.  Both are solved on the same window, so this holds within a
-    stack versus one row; versus a full-range solve it holds only where the
-    window is the full range (elsewhere entries agree to about 1e-16).
-    """
-    SpinSpec(two_j, two_m_target)  # validates now, not at the first stack
-    thetas = np.asarray(angles, dtype=np.float64)
-    stacks = transition_windows(two_j, np.full(len(thetas), two_m_target), -thetas)
-    return ((rows, stack.dense()) for rows, stack in stacks)

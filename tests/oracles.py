@@ -389,15 +389,40 @@ def scalar_newton(two_j: int, two_mt: int, i: int, lo: float, hi: float, start: 
     return theta, f
 
 
+def scalar_grid_best(two_j: int, two_mt: int) -> np.ndarray:
+    """Each source state's best coarse-grid index, one whole row at a time
+    in increasing theta: the grid (0, pi) at resolution pi/(8j+17), and per
+    state the first grid point with the largest overlap.  The mirror rule
+    is written out: where f(theta) = f(pi - theta) holds exactly, at
+    m_t = 0 and at m = 0, only points below pi/2 count.  No window: every
+    row is solved.
+    """
+    from dickeprep import wigner
+
+    n = two_j + 1
+    grid = np.linspace(0.0, math.pi, 4 * two_j + 18)[1:-1]
+    mirror = (two_mt == 0) | (2 * np.arange(n) == two_j)
+    best_val = np.full(n, -1.0)
+    best = np.zeros(n, dtype=np.int64)
+    for g, theta in enumerate(grid):
+        row = wigner.row_probabilities(two_j, two_mt, theta)
+        better = (row > best_val) & ~(mirror & (theta > math.pi / 2))  # strict: the first wins a tie
+        best_val[better] = row[better]
+        best[better] = g
+    return best
+
+
 def _scalar_above_target(two_j: int, two_mt: int) -> tuple[np.ndarray, np.ndarray]:
     from dickeprep import angles, wigner
 
     n = two_j + 1
     out_angles, out_overlaps = np.zeros(n), np.ones(n)
-    grid, best_idx = angles._grid_scan(two_j, two_mt)
-    lo, start, hi = angles._cells(grid, best_idx)
+    grid = np.linspace(0.0, math.pi, 4 * two_j + 18)[1:-1]
+    edges = np.concatenate(([grid[0] / 2.0], grid, [math.pi]))  # the one-cell brackets
+    best = scalar_grid_best(two_j, two_mt)
     for i in range((two_mt + two_j) // 2 + 1, n):
-        theta, f = scalar_newton(two_j, two_mt, i, float(lo[i]), float(hi[i]), float(start[i]))
+        lo, start, hi = edges[best[i]], edges[best[i] + 1], edges[best[i] + 2]
+        theta, f = scalar_newton(two_j, two_mt, i, float(lo), float(hi), float(start))
         theta_geo = angles.geometric_angle(two_j, two_mt, 2 * i - two_j).radians
         overlap_geo = float(wigner.row_probabilities(two_j, two_mt, theta_geo)[i])
         out_angles[i], out_overlaps[i] = (theta_geo, overlap_geo) if f < overlap_geo else (theta, f)

@@ -6,7 +6,7 @@ import pytest
 from dickeprep.core import AnglePolicy, DomainError, OutOfRange
 from dickeprep import angles, wigner
 
-from oracles import greedy_stacks, scalar_optimal_table
+from oracles import greedy_stacks, scalar_grid_best, scalar_optimal_table
 
 
 def test_geometric_angle_at_target_is_zero():
@@ -121,9 +121,9 @@ def test_one_scan_per_target_and_each_source_refined_once(monkeypatch, two_j, tw
     scans, refined = [], []
     grid_scan, refine = angles._grid_scan, angles._refine
 
-    def counted_scan(two_j, two_mt):
+    def counted_scan(two_j, two_mt, states):
         scans.append(two_mt)
-        return grid_scan(two_j, two_mt)
+        return grid_scan(two_j, two_mt, states)
 
     def counted_refine(two_j, two_mt, states):
         refined.append((two_mt, list(states)))
@@ -180,9 +180,9 @@ def test_optimal_angles_are_local_maxima(two_j, two_mt):
 def test_newton_refinement_matches_golden_section(two_j, two_mt):
     # every state the batched optimizer refines, for each target it mirrors through
     for target in sorted({two_mt, -two_mt}):
-        grid, best_idx = angles._grid_scan(two_j, target)
         states = np.arange((target + two_j) // 2 + 1, two_j + 1)
-        lo, _, hi = angles._cells(grid, best_idx[states])
+        grid, best, _, _ = angles._grid_scan(two_j, target, states)
+        lo, _, hi = angles._cells(grid, best)
         _, overlaps, fell_back = angles._refine(two_j, target, states)
         assert not fell_back.any()
         for k, i in enumerate(states):
@@ -208,16 +208,22 @@ def test_top_target_scans_the_grid_once(monkeypatch):
     # is refined: one grid scan, then its geometric candidates
     two_j = 64
     ref_angles, ref_overlaps = scalar_optimal_table(two_j, two_j)
-    calls = []  # the number of angles per row_stacks call
-    original = wigner.row_stacks
+    calls = []  # the number of angles per stacked eigenvector solve
+    rounds = []  # the same, for the Newton rounds
+    original, original_derivatives = wigner._eigenvector_windows, wigner.row_derivatives
 
-    def counting(two_j, two_mt, thetas):
+    def counting(two_j, two_ms, thetas):
         calls.append(len(thetas))
-        return original(two_j, two_mt, thetas)
+        return original(two_j, two_ms, thetas)
 
-    monkeypatch.setattr(wigner, "row_stacks", counting)
+    def counting_derivatives(two_j, two_mt, thetas, indices):
+        rounds.append(len(thetas))
+        return original_derivatives(two_j, two_mt, thetas, indices)
+
+    monkeypatch.setattr(wigner, "_eigenvector_windows", counting)
+    monkeypatch.setattr(wigner, "row_derivatives", counting_derivatives)
     got_angles, got_overlaps = angles.optimal_angles_for_target(two_j, two_j)
-    assert calls == [len(angles._coarse_grid(two_j)), two_j]
+    assert calls == [len(angles._coarse_grid(two_j)), two_j] + rounds
     assert got_angles.tobytes() == ref_angles.tobytes()
     assert got_overlaps.tobytes() == ref_overlaps.tobytes()
 
@@ -265,9 +271,10 @@ def test_refinement_evaluations_per_state(monkeypatch):
     monkeypatch.setattr(wigner, "row_derivatives", counting_derivatives)
     angles.optimal_angles_for_target(two_j, 0)
     refined = two_j // 2  # the m > 0 sources; m < 0 come from the mirror
-    # every row comes in a stack, the Newton steps too: about four per state
+    # every row comes in a stack, the Newton steps too: the first step reads
+    # the grid scan's row, then about three more rows per state
     assert one_row[0] == 0
-    assert refined < newton_rows[0] <= 4 * refined
+    assert refined < newton_rows[0] <= 3 * refined
 
 
 def _scalar_geometric(two_j, two_mt, two_m):
@@ -314,29 +321,74 @@ def test_geometric_angle_domain_clamp():
 @pytest.mark.parametrize("entries", [1, 3 * 41 + 5, 2**14])
 @pytest.mark.parametrize("two_j,two_mt", [(40, 0), (40, -6), (41, 1), (64, 64)])
 def test_stacked_grid_scan_equals_row_loop(monkeypatch, entries, two_j, two_mt):
+    # the windowed, stacked scan against one whole row per grid point with
+    # the mirror rule written out; at m_t = 0 the states above the target,
+    # the ones the optimizer scans there
     monkeypatch.setattr(wigner, "_STACK_ENTRIES", entries)
-    grid, best_idx = angles._grid_scan(two_j, two_mt)
-    best_val = np.full(two_j + 1, -1.0)
-    ref = np.zeros(two_j + 1, dtype=np.int64)
-    for gi, th in enumerate(grid):
-        row = wigner.row_probabilities(two_j, two_mt, th)
-        better = row > best_val  # strict: the smallest theta wins ties
-        best_val[better] = row[better]
-        ref[better] = gi
-    assert np.array_equal(best_idx, ref)
+    states = np.arange(two_j // 2 + 1, two_j + 1) if two_mt == 0 else np.arange(two_j + 1)
+    _, best, widened, _ = angles._grid_scan(two_j, two_mt, states)
+    assert np.array_equal(best, scalar_grid_best(two_j, two_mt)[states])
+    assert not widened.any()
 
 
 def test_stacked_grid_scan_keeps_the_first_tie(monkeypatch):
-    # equal rows at every grid point: each state's best stays at index 0
-    def flat_rows(two_j, two_mt, thetas):
-        step = 3
+    # equal rows at every grid point: each state's best is the first point
+    # of its window; where that is an edge, not index 0, the state widens
+    # to its whole half and lands on index 0
+    def flat_rows(two_j, two_ms, thetas):
+        n, step = two_j + 1, 3
         for first in range(0, len(thetas), step):
-            rows = slice(first, min(first + step, len(thetas)))
-            yield rows, np.full((rows.stop - rows.start, two_j + 1), 0.25)
+            k = min(step, len(thetas) - first)
+            full = wigner.Windows(n, np.zeros(k, dtype=np.int64), np.full(k, n), np.full(k * n, 0.5))
+            yield slice(first, first + k), full
 
-    monkeypatch.setattr(wigner, "row_stacks", flat_rows)
-    _, best_idx = angles._grid_scan(6, 0)
-    assert not best_idx.any()
+    monkeypatch.setattr(wigner, "_eigenvector_windows", flat_rows)
+    _, best, widened, _ = angles._grid_scan(64, 0, np.arange(33, 65))
+    assert not best.any()
+    assert widened.any()
+
+
+def test_half_scan_picks_the_full_scan_best_or_its_mirror():
+    # the best index of every state the optimizer scans equals the parent's
+    # whole-grid argmax k (no mirror rule: rows solved alone, the first
+    # strict maximum) or its mirror N - 1 - k
+    for two_j, two_mt in [(64, 0), (512, 0), (200, 2), (200, -2), (201, 1)]:
+        grid = angles._coarse_grid(two_j)
+        rows = np.array([wigner.row_probabilities(two_j, two_mt, th) for th in grid])
+        full = np.argmax(rows, axis=0)
+        for target in sorted({two_mt, -two_mt}):
+            states = np.arange((target + two_j) // 2 + 1, two_j + 1)
+            _, best, _, _ = angles._grid_scan(two_j, target, states)
+            ref = full if target == two_mt else np.argmax(
+                np.array([wigner.row_probabilities(two_j, target, th) for th in grid]), axis=0
+            )
+            k = ref[states]
+            assert np.all((best == k) | (best == len(grid) - 1 - k)), (two_j, target)
+            mirrored = (two_mt == 0) | (2 * states == two_j)
+            assert np.all(best[~mirrored] == k[~mirrored])  # the whole grid, where f is not mirror-symmetric
+
+
+def test_shrunk_window_widens_to_the_full_table(monkeypatch):
+    # windows of one cell around the geometric angle: the best points land
+    # on their edges, those states scan their whole half again, and the
+    # table keeps every bit
+    two_j = 256
+    ref_angles, ref_overlaps = angles.optimal_angles_for_target(two_j, 0)
+    widened = []
+    grid_scan = angles._grid_scan
+
+    def counted_scan(two_j, two_mt, states):
+        out = grid_scan(two_j, two_mt, states)
+        widened.append(int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(angles, "_WINDOW", 0.0)
+    monkeypatch.setattr(angles, "_WINDOW_CELLS", 1)
+    monkeypatch.setattr(angles, "_grid_scan", counted_scan)
+    got_angles, got_overlaps = angles.optimal_angles_for_target(two_j, 0)
+    assert widened[0] > two_j // 4
+    assert got_angles.tobytes() == ref_angles.tobytes()
+    assert got_overlaps.tobytes() == ref_overlaps.tobytes()
 
 
 @pytest.mark.parametrize("two_j,two_mt", [(33, -5), (200, 24), (2048, 0)])
@@ -351,18 +403,19 @@ def test_overlap_probabilities_equal_row_entries(two_j, two_mt):
 
 
 def test_optimizer_rows_come_in_stacks(monkeypatch):
-    # the grid scan, the geometric candidates and each Newton round are
-    # stacked.  Each factorization gets exactly the predicted window
-    # entries of its rows: no row is widened.
+    # the grid scan, the start state's column, the geometric candidates and
+    # each later Newton round are stacked; the first round reads the scan's
+    # rows.  Each factorization gets exactly the predicted window entries
+    # of its rows: no row is widened.
     two_j = 256
     calls = []  # (rows, predicted window entries) per _eigenvectors call
-    rounds = []  # the thetas of each Newton round
+    solved = []  # (two_ms, thetas) per stacked solve, in order
     original = wigner._eigenvectors
-    original_derivatives = wigner.row_derivatives
+    original_windows = wigner._eigenvector_windows
 
-    def counting_derivatives(two_j, two_mt, thetas, indices):
-        rounds.append(np.array(thetas))
-        return original_derivatives(two_j, two_mt, thetas, indices)
+    def counting_windows(two_j, two_ms, thetas):
+        solved.append((np.array(two_ms), np.array(thetas)))
+        return original_windows(two_j, two_ms, thetas)
 
     def counting(two_j, two_ms, thetas):
         lo, hi = wigner._windows(two_j, np.asarray(two_ms), np.cos(thetas), np.sin(thetas))
@@ -378,17 +431,27 @@ def test_optimizer_rows_come_in_stacks(monkeypatch):
 
     monkeypatch.setattr(wigner, "_eigenvectors", counting)
     monkeypatch.setattr(wigner, "_gttrf", counting_gttrf)
-    monkeypatch.setattr(wigner, "row_derivatives", counting_derivatives)
+    monkeypatch.setattr(wigner, "_eigenvector_windows", counting_windows)
     angles.optimal_angles_for_target(two_j, 0)
     assert factorizations == [entries for _, entries in calls]
     refined = two_j // 2
-    grid = -angles._coarse_grid(two_j)  # rows are columns of the inverse rotation
+    grid = angles._coarse_grid(two_j)
+    half = len(grid) // 2
+    (row_ms, row_t), (column_ms, column_t), (geo_ms, geo_t), *rounds = solved
+    # the rows (columns of the inverse rotation) cover theta < pi/2 from
+    # the first grid point on; the start state's column ends at pi/2
+    assert not row_ms.any() and row_t.tobytes() == (-grid[:len(row_t)]).tobytes() and len(row_t) <= half
+    assert (column_ms == two_j).all() and column_t.tobytes() == grid[half - len(column_t):half].tobytes()
     geo = -angles._geometric_angles(two_j, 0, wigner.m_values(two_j)[two_j // 2 + 1:])
+    assert not geo_ms.any() and geo_t.tobytes() == geo.tobytes()
     stacks = []
-    for t in [grid, geo] + [-r for r in rounds]:
-        lo, hi = wigner._windows(two_j, np.zeros(len(t), dtype=np.int64), np.cos(t), np.sin(t))
+    for ms, t in solved:
+        lo, hi = wigner._windows(two_j, ms, np.cos(t), np.sin(t))
         stacks += greedy_stacks(hi - lo, wigner._STACK_ENTRIES)
     assert [rows for rows, _ in calls] == stacks
-    newton = sum(len(r) for r in rounds)
-    assert refined < newton <= 4 * refined
+    # the start state's first round (its scan read its column, not a row),
+    # then the later rounds of every state
+    assert len(rounds[0][1]) == 1
+    newton = sum(len(t) for _, t in rounds[1:])
+    assert refined < newton <= 3 * refined
     assert len(rounds) < newton / 10  # a round holds many states

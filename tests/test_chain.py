@@ -364,6 +364,60 @@ def test_lumped_mt0_solve_matches_dense_reference(policy, reset, two_j):
     assert got.tobytes() == got[::-1].tobytes()
 
 
+def test_numeric_optimal_reaches_j_2_17():
+    # acceptance criterion 04's comparison carried to j = 2^17: the
+    # geometric angle within twice the optimal steps, and a log fit of the
+    # numeric_optimal start values
+    js = [2**k for k in range(4, 18)]
+    reset = ResetPolicy(kind="sqrt_j")
+    geo, opt = (
+        np.array([chain.expected_steps_for(2 * j, 0, policy, reset).start_state_value for j in js])
+        for policy in (AnglePolicy.GEOMETRIC, AnglePolicy.NUMERIC_OPTIMAL)
+    )
+    assert np.all(geo <= 2.0 * opt)
+    assert np.all(opt <= geo + 1e-9)
+    x = np.log(js)
+    a = np.vstack([np.ones_like(x), x]).T
+    coef, *_ = np.linalg.lstsq(a, opt, rcond=None)
+    r2 = 1.0 - np.sum((opt - a @ coef) ** 2) / np.sum((opt - opt.mean()) ** 2)
+    assert r2 >= 0.98
+    assert coef[1] > 0
+
+
+@pytest.mark.parametrize("policy,two_j,two_mt", [
+    (AnglePolicy.APPROX_MT0, 512, 0),
+    *((policy, two_j, two_mt) for policy in (AnglePolicy.GEOMETRIC, AnglePolicy.NUMERIC_OPTIMAL)
+      for two_j, two_mt in ((512, 0), (200, 2), (201, 1))),
+])
+def test_entered_angles_give_the_full_table_bits(monkeypatch, policy, two_j, two_mt):
+    # angles asked for on S (and on the rest by the fill) against the same
+    # solve fed entries of the whole table, bit for bit; the fill asks only
+    # for the representatives outside S
+    reset = ResetPolicy(kind="sqrt_j")
+    asked = []
+    policy_angles = angles.policy_angles
+
+    def recorded(two_j, two_mt, policy, states=None):
+        asked.append(np.array(states))
+        return policy_angles(two_j, two_mt, policy, states)
+
+    monkeypatch.setattr(angles, "policy_angles", recorded)
+    got = chain.expected_steps_for(two_j, two_mt, policy, reset)
+    got_from = got.expected_steps_from
+    s, rest = asked
+    assert len(s) < 2 * math.sqrt(two_j) + 3
+    assert not np.intersect1d(s, rest).size
+    assert len(s) + len(rest) == (two_j // 2 if two_mt == 0 else two_j)  # the representatives but the target
+
+    def from_full_table(two_j, two_mt, policy, states=None):
+        return policy_angles(two_j, two_mt, policy)[states]
+
+    monkeypatch.setattr(angles, "policy_angles", from_full_table)
+    ref = chain.expected_steps_for(two_j, two_mt, policy, reset)
+    assert got.start_state_value.hex() == ref.start_state_value.hex()
+    assert got_from.tobytes() == ref.expected_steps_from.tobytes()
+
+
 def test_log_growth_to_large_j():
     # the geometric sqrt_j fit of acceptance criterion 04, carried to j = 2^19:
     # the paper's logarithmic-runtime claim two decades past j = 4096

@@ -164,6 +164,20 @@ def test_cli_chain_expected_steps_and_sweep(tmp_path):
     assert int(np.argmax(steps)) == 0
 
 
+def test_cli_expected_steps_reaches_j_2_17(tmp_path):
+    # the numeric_optimal column refines only the entered states, so the
+    # ladder reaches j = 2^17 (two_j = 2^18)
+    out = tmp_path / "steps.csv"
+    rc = cli.main(["--no-timestamp", "chain", "--expected-steps", "--j-list", "65536,131072", "--out", str(out)])
+    assert rc == 0
+    _, columns, rows = _read_csv(out)
+    assert [int(r[0]) for r in rows] == [65536, 131072]
+    values = np.array([[float(v) for v in r[1:]] for r in rows])
+    assert np.isfinite(values).all()
+    geo, opt = values[:, 0], values[:, 1]
+    assert np.all(opt <= geo + 1e-9) and np.all(geo <= 2.0 * opt)
+
+
 def test_cli_chain_emit_matrix(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"two_j": 12, "angle_policy": "approx_mt0"}))
