@@ -8,7 +8,13 @@ recording one-run walk (run_trajectory) and as a batched sampler
 (sample_iterations), and it has one outcome source: the rows the chain
 solve reads (chain._checked_rows, each row checked to sum to 1, on its
 O(sqrt j) window under the sqrt_j reset), so its memory does not grow with
-j times the states visited.  A chain row is the outcome law
+j times the states visited.  Both walks read one cache, PolicyTables,
+which holds the policy angle and the row's cumulative of the states some
+run has stood on, and nothing of the others: no O(j) angle table is
+built.  The batched sampler fetches the states its runs first stand on at
+a step in one stack (one angles.policy_angles call on those states, one
+chain._checked_rows call), and the one-run walk fetches one state at a
+time; either way a state gets the same bits.  A chain row is the outcome law
 |d^j_{m',m}(theta)|^2 of rotating |j, m> by the policy angle and measuring
 J_z, so the walk is also the statevector protocol: the engine labels
 "chain" and "statevector" name the same walk and draw the same outcomes.
@@ -123,9 +129,18 @@ class SymmetricState:
 
 
 class PolicyTables:
-    """Per-config cache: rotation angle and rerouted states, and the
-    cumulative outcome distribution of each source state as (lo, cum),
-    built on first use.  Write-once per state, safe for concurrent reads.
+    """Per-config cache of the states some run has stood on: each one's
+    policy angle and the cumulative outcome distribution of its chain row
+    as (lo, cum), plus the rerouted-state mask.  The walks' one cache.
+    Write-once per state, safe for concurrent reads.
+
+    Nothing is computed up front.  fetch(states) fills in the states not
+    cached yet with one angles.policy_angles call on those states and one
+    chain._checked_rows call, which solves their rows in stacks.  Both give
+    a state the bits it gets alone or in the whole table, so what is cached
+    does not depend on which states were fetched together.  The batched
+    sampler fetches a stack per step; cumulative, angle and column fetch
+    their one state on a miss.
 
     The outcome of a uniform u in (0, 1) is lo + searchsorted(cum, u,
     "left").  That is the searchsorted of the dense cumulative, which holds
@@ -138,32 +153,53 @@ class PolicyTables:
     def __init__(self, config: ProtocolConfig):
         self.config = config
         self.two_j = config.two_j
-        self.angles = angles_mod.policy_angles(
-            config.two_j, config.target_two_mt, config.angle_policy
-        )
         self.rerouted = config.rerouted()
-        self._cums: dict[int, tuple[int, np.ndarray]] = {}
+        self._rows: dict[int, tuple[float, int, np.ndarray]] = {}  # state -> (angle, lo, cum)
+
+    def fetch(self, states) -> None:
+        """Cache (angle, lo, cum) of the given source states (grid indices)
+        that are not cached yet, in one stack.  The rows come from the
+        chain's checked rows on their windows [lo, hi) (chain._checked_rows,
+        which raises SingularSystem on a row that does not sum to 1), and
+        cum is the cumulative of a row's window values only.  O(window) per
+        state, not O(j)."""
+        missing = np.array([s for s in states if s not in self._rows], dtype=np.int64)
+        if not len(missing):
+            return
+        cfg = self.config
+        theta = angles_mod.policy_angles(self.two_j, cfg.target_two_mt, cfg.angle_policy, states=missing)
+        for rows, stack in chain._checked_rows(self.two_j, theta, missing):
+            for s, angle, lo, a, b in zip(
+                missing[rows].tolist(), theta[rows].tolist(),
+                stack.lo.tolist(), stack.starts.tolist(), stack.stops.tolist(),
+            ):
+                self._rows[s] = (angle, lo, _normalized_cumulative(stack.values[a:b]))
+
+    def _row(self, i_m: int) -> tuple[float, int, np.ndarray]:
+        row = self._rows.get(i_m)
+        if row is None:
+            self.fetch([i_m])
+            row = self._rows[i_m]
+        return row
 
     def cumulative(self, i_m: int) -> tuple[int, np.ndarray]:
-        """(lo, cum) for the chain's row of source state i_m, the walk's one
-        outcome source: the row comes from the chain's checked rows on its
-        window [lo, hi) (chain._checked_rows, which raises SingularSystem on
-        a row that does not sum to 1), and cum is the cumulative of its
-        window values only.  O(window), not O(j)."""
-        cached = self._cums.get(i_m)
-        if cached is None:
-            ((_, stack),) = chain._checked_rows(self.two_j, self.angles[[i_m]], np.array([i_m]))
-            cached = self._cums[i_m] = (int(stack.lo[0]), _normalized_cumulative(stack.values))
-        return cached
+        """(lo, cum) of source state i_m's chain row, the walk's one outcome
+        source, fetched alone on a miss."""
+        _, lo, cum = self._row(i_m)
+        return lo, cum
+
+    def angle(self, i_m: int) -> float:
+        """The policy angle of source state i_m, fetched alone on a miss."""
+        return self._row(i_m)[0]
 
     def column(self, i_m: int) -> np.ndarray:
-        """Rotated basis column (signed amplitudes) of source state i_m, whose
-        squares are the chain row.  No walk reads it.
+        """Rotated basis column (signed amplitudes) of source state i_m at its
+        cached angle, whose squares are the chain row.  No walk reads it.
 
         Its norm is checked by SymmetricState: NormDrift beyond 1e-9.
         """
         spec = SpinSpec(self.two_j, 2 * i_m - self.two_j)
-        column = wigner.d_column(spec, self.angles[i_m]).amplitudes
+        column = wigner.d_column(spec, self.angle(i_m)).amplitudes
         SymmetricState(two_j=self.two_j, amplitudes=column)
         return column
 
@@ -202,7 +238,7 @@ def run_trajectory(
         lo, cum = tables.cumulative(i_cur)
         i_next = lo + int(cum.searchsorted(u, side="left")) if u > 0.0 else 0
         reset = bool(tables.rerouted[i_next])
-        angle = float(tables.angles[i_cur])
+        angle = tables.angle(i_cur)
         steps.append(TrajectoryStep(2 * i_cur - two_j, angle, 2 * i_next - two_j, reset))
         succeeded = i_next == i_t
         i_cur = two_j if reset else i_next
@@ -228,10 +264,12 @@ def sample_iterations(
     The runs are vectorized in chunks; trajectory i always consumes draws
     from rng_stream(config.seed, i) in step order, so the result is
     identical to looping run_trajectory over i (tested), and independent of
-    chunking.  Each step groups the active trajectories by state and draws
-    with the one-run walk's rule, so a state's cumulative is fetched only
-    once some trajectory stands on it.  engine is one of _ENGINES, labels
-    of the same walk: it is checked here and changes no draw.
+    chunking.  Each step groups the active trajectories by state, fetches
+    the states no trajectory has stood on before in one stack
+    (PolicyTables.fetch), and draws with the one-run walk's rule, so a
+    state's angle and row are computed only once some trajectory stands on
+    it.  engine is one of _ENGINES, labels of the same walk: it is checked
+    here and changes no draw.
     """
     if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise OutOfRange(f"n_runs must be an integer >= 1, got {n_runs!r}")
@@ -241,7 +279,7 @@ def sample_iterations(
     two_j = config.two_j
     i_t = config.target_index
     max_iters = config.max_iterations
-    cums: dict[int, tuple[int, np.ndarray]] = {}  # (lo, cum) of the states some trajectory stood on
+    cached = tables._rows  # (angle, lo, cum) of the states some trajectory stood on
 
     iterations = np.zeros(n_runs, dtype=np.int64)
     succeeded = np.zeros(n_runs, dtype=bool)
@@ -266,12 +304,11 @@ def sample_iterations(
             states, starts = np.unique(src[order], return_index=True)
             ends = [*starts[1:].tolist(), len(order)]
             nxt = np.empty_like(src)
-            for s, start, end in zip(states.tolist(), starts.tolist(), ends):
+            states = states.tolist()
+            tables.fetch(states)
+            for s, start, end in zip(states, starts.tolist(), ends):
                 group = order[start:end]
-                cached = cums.get(s)
-                if cached is None:
-                    cached = cums[s] = tables.cumulative(s)
-                offset, cum = cached  # the state's (lo, cum)
+                _, offset, cum = cached[s]  # the state's (angle, lo, cum)
                 nxt[group] = offset + cum.searchsorted(u[group], side="left")
             nxt[u == 0.0] = 0  # as in the one-run walk
             hit = nxt == i_t

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 from scipy.stats import chisquare
 
 from dickeprep.core import AnglePolicy, OutOfRange, ProtocolConfig, ResetPolicy, SingularSystem, SpinSpec
-from dickeprep import angles, chain, simulate, wigner
+from dickeprep import angles, chain, cli, simulate, wigner
 
 from oracles import absorption_time_law, dense_draw, rotation_oracle
 
@@ -111,13 +112,13 @@ def test_spin_half_both_engines(engine):
 def test_sampler_fetches_only_entered_rows(monkeypatch):
     cfg = _cfg(400, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=17)
     fetched = []
-    original = simulate.PolicyTables.cumulative
+    original = chain._checked_rows
 
-    def counting(self, i_m):
-        fetched.append(i_m)
-        return original(self, i_m)
+    def counting(two_j, theta, states):
+        fetched.extend(states.tolist())
+        return original(two_j, theta, states)
 
-    monkeypatch.setattr(simulate.PolicyTables, "cumulative", counting)
+    monkeypatch.setattr(chain, "_checked_rows", counting)
     its, ok = simulate.sample_iterations(cfg, 3000)
     assert ok.all()
     two_m = wigner.two_m_values(400)
@@ -176,11 +177,12 @@ def test_statevector_engine_matches_trajectory_law():
 def test_statevector_columns_match_outcome_distribution():
     cfg = _cfg(24, policy=AnglePolicy.GEOMETRIC)
     tables = simulate.PolicyTables(cfg)
+    theta = angles.policy_angles(24, 0, AnglePolicy.GEOMETRIC)
     for i_m in (0, 5, 20, 24):
         if 2 * i_m - 24 == 0:
             continue
         col = tables.column(i_m)
-        exact = rotation_oracle(24, tables.angles[i_m])[:, i_m]
+        exact = rotation_oracle(24, theta[i_m])[:, i_m]
         assert np.max(np.abs(col - exact)) < 1e-10
 
 
@@ -198,9 +200,10 @@ def test_walk_builds_each_cumulative_once(monkeypatch):
     steps = 0
     for i in range(40):
         steps += simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables).iterations
-    assert len(built) == len(tables._cums) < steps
-    for i_m, (lo, cum) in tables._cums.items():
-        row = wigner.transition_probabilities(SpinSpec(60, 2 * i_m - 60), tables.angles[i_m])
+    theta = angles.policy_angles(60, 0, AnglePolicy.GEOMETRIC)
+    assert len(built) == len(tables._rows) < steps
+    for i_m, (_, lo, cum) in tables._rows.items():
+        row = wigner.transition_probabilities(SpinSpec(60, 2 * i_m - 60), theta[i_m])
         assert np.array_equal(cum, original(row)[lo:lo + len(cum)])
 
 
@@ -209,10 +212,11 @@ def test_chain_cumulative_is_the_dense_one_on_its_window():
     # bit; the dense one is 0.0 before the window and exactly 1.0 after it
     for cfg in WALK_CONFIGS:
         tables = simulate.PolicyTables(cfg)
+        theta = angles.policy_angles(cfg.two_j, cfg.target_two_mt, cfg.angle_policy)
         n = cfg.two_j + 1
         for i_m in range(n):
             lo, cum = tables.cumulative(i_m)
-            row = wigner.transition_probabilities(SpinSpec(cfg.two_j, 2 * i_m - cfg.two_j), tables.angles[i_m])
+            row = wigner.transition_probabilities(SpinSpec(cfg.two_j, 2 * i_m - cfg.two_j), theta[i_m])
             dense = simulate._normalized_cumulative(row)
             assert lo + len(cum) <= n and cum[-1] == 1.0
             assert np.array_equal(dense[lo:lo + len(cum)], cum)
@@ -287,12 +291,12 @@ class _FixedDraws:
 
 @pytest.mark.parametrize("engine", ["chain", "statevector"])
 def test_edge_draws_match_the_dense_cumulative(monkeypatch, engine):
-    source = simulate.PolicyTables.cumulative
+    source = chain._checked_rows
     fetched = []
 
-    def recording(self, i_m):
-        fetched.append(i_m)
-        return source(self, i_m)
+    def recording(two_j, theta, states):
+        fetched.extend(states.tolist())
+        return source(two_j, theta, states)
 
     for cfg in EDGE_CONFIGS:
         draws = _edge_draws(cfg)
@@ -313,11 +317,144 @@ def test_edge_draws_match_the_dense_cumulative(monkeypatch, engine):
         assert rec.succeeded
         # the batch's path shows in the states whose cumulatives it fetches
         fetched.clear()
-        monkeypatch.setattr(simulate.PolicyTables, "cumulative", recording)
+        monkeypatch.setattr(chain, "_checked_rows", recording)
         its, ok = simulate.sample_iterations(cfg, 3, engine=engine)
-        monkeypatch.setattr(simulate.PolicyTables, "cumulative", source)
+        monkeypatch.setattr(chain, "_checked_rows", source)
         assert its.tolist() == [len(steps)] * 3 and ok.all()
         assert set(fetched) == {(before + cfg.two_j) // 2 for before, _, _ in steps}
+
+
+# the cache's stacked fetch against one-state fetches and the whole angle
+# table, over every angle policy, every reset kind and a half-integer target
+FETCH_CONFIGS = [
+    _cfg(200, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j"),
+    _cfg(64),
+    _cfg(64, policy=AnglePolicy.NUMERIC_OPTIMAL, reset="sqrt_j"),
+    ProtocolConfig(two_j=60, target_two_mt=4, reset_policy=ResetPolicy(kind="custom", threshold=4.0)),
+    ProtocolConfig(two_j=24, target_two_mt=2, angle_policy=AnglePolicy.NUMERIC_OPTIMAL,
+                   reset_policy=ResetPolicy(kind="custom", threshold=3.0)),
+    _cfg(41, 1, AnglePolicy.GEOMETRIC),
+    _cfg(17, 1, AnglePolicy.NUMERIC_OPTIMAL, reset="sqrt_j"),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg", FETCH_CONFIGS, ids=lambda c: f"{c.angle_policy}-{c.reset_policy.kind}-{c.two_j}-{c.target_two_mt}"
+)
+def test_stacked_fetch_gives_the_one_state_bits(cfg):
+    table = angles.policy_angles(cfg.two_j, cfg.target_two_mt, cfg.angle_policy)
+    sources = np.flatnonzero(np.arange(cfg.two_j + 1) != cfg.target_index)
+    states = np.random.default_rng(cfg.two_j).permutation(sources)  # one stack, in no particular order
+    stacked = simulate.PolicyTables(cfg)
+    stacked.fetch(states)
+    alone = simulate.PolicyTables(cfg)
+    for s in states.tolist():
+        lo, cum = alone.cumulative(s)  # a one-state fetch
+        angle, stacked_lo, stacked_cum = stacked._rows[s]
+        assert angle.hex() == alone.angle(s).hex() == float(table[s]).hex()
+        assert stacked_lo == lo and stacked_cum.tobytes() == cum.tobytes()
+    assert len(stacked._rows) == len(alone._rows) == len(states)
+
+
+def test_monte_carlo_fetches_angles_and_rows_per_entered_state(monkeypatch):
+    # no walk asks for the whole angle table, and the batched sampler solves
+    # the rows of the states its runs first stand on at a step in one call
+    cfg = _cfg(200, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=19)
+    runs = 300
+    table_calls, row_calls = [], []
+    policy_angles, checked_rows = angles.policy_angles, chain._checked_rows
+
+    def angles_recorded(two_j, two_mt, policy, states=None):
+        table_calls.append(states is None)
+        return policy_angles(two_j, two_mt, policy, states)
+
+    def rows_recorded(two_j, theta, states):
+        row_calls.append(states.tolist())
+        return checked_rows(two_j, theta, states)
+
+    monkeypatch.setattr(angles, "policy_angles", angles_recorded)
+    monkeypatch.setattr(chain, "_checked_rows", rows_recorded)
+    its, ok = simulate.sample_iterations(cfg, runs)
+    batched_calls = row_calls[:]
+    row_calls.clear()
+    tables = simulate.PolicyTables(cfg)
+    records = [simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables) for i in range(runs)]
+    assert table_calls and not any(table_calls)
+    assert all(len(states) == 1 for states in row_calls)
+    # the step at which some run first stands on each state, from the one-run walks
+    first = {}
+    for rec in records:
+        for k, step in enumerate(rec.steps):
+            i_m = (step.two_m_before + cfg.two_j) // 2
+            first[i_m] = min(first.get(i_m, k), k)
+    assert runs <= simulate._CHUNK and ok.all()
+    assert len(batched_calls) <= len(set(first.values()))
+    fetched = [s for states in batched_calls for s in states]
+    assert len(fetched) == len(set(fetched)) and set(fetched) == set(first)
+    assert sorted(row_calls) == sorted([s] for s in first)
+
+
+# SHA-256 of seeded outputs, recorded before the sampler fetched its angles
+# and rows per entered state; a change of any draw changes them
+PINNED_RUNS = {
+    "geometric_sqrt_j_2048": (dict(two_j=2048, reset_policy=ResetPolicy(kind="sqrt_j"), seed=1901), 2000,
+                              "c7d1a463dfabc07357d1a23892d6ab5df65c9126aa7cc7f9f21f3021d37def1b"),
+    "numeric_optimal_sqrt_j_512": (dict(two_j=512, angle_policy=AnglePolicy.NUMERIC_OPTIMAL,
+                                        reset_policy=ResetPolicy(kind="sqrt_j"), seed=1902), 1000,
+                                   "32c7d26305fc5454d05ef8e1b89f93733dc0b8e005f40f49c2e4deb73b11e424"),
+    "approx_mt0_none_64": (dict(two_j=64, angle_policy=AnglePolicy.APPROX_MT0, seed=1903), 1000,
+                           "4453b7ccd15ffd6365f509dbafc1239a2aedec95ef496ce14dab2368e4f5c4ec"),
+    "geometric_none_257_half": (dict(two_j=257, target_two_mt=1, seed=1904), 1000,
+                                "b100080f3825e37b4db484d9fe96e094d71744e0f994d544bc93484ee9dcb279"),
+}
+PINNED_DUMP = "f067ae20bf5067d4c8577c1eda51103e5fef2ec3e8e4f076dc80936b0dab94d6"
+
+
+@pytest.mark.parametrize("engine", ["chain", "statevector"])
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_seeded_outputs_are_pinned(case, engine):
+    kw, runs, digest = PINNED_RUNS[case]
+    its, ok = simulate.sample_iterations(ProtocolConfig(**kw), runs, engine=engine)
+    assert hashlib.sha256(its.tobytes() + ok.tobytes()).hexdigest() == digest
+
+
+def test_trajectory_dump_is_pinned(tmp_path):
+    # the whole file, header included: a new package version changes it too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"two_j": 64, "angle_policy": "geometric", "reset_policy": "sqrt_j", "seed": 1905}))
+    dump = tmp_path / "traj.csv"
+    rc = cli.main(["--no-timestamp", "simulate", "--config", str(cfg), "--runs", "200",
+                   "--out", str(tmp_path / "stats.json"), "--dump-trajectories", str(dump)])
+    assert rc == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == PINNED_DUMP
+
+
+def test_numeric_optimal_walk_refines_only_visited_states(monkeypatch):
+    # the whole numeric_optimal table at two_j = 8192 takes about 12 s; the
+    # walk refines the states it stands on, at most |S| + 1 of them
+    cfg = _cfg(8192, policy=AnglePolicy.NUMERIC_OPTIMAL, reset="sqrt_j", seed=8192)
+    refined, fetched = [], []
+    refine, checked_rows = angles._refine, chain._checked_rows
+
+    def refine_recorded(two_j, two_mt, states):
+        refined.extend(states.tolist())
+        return refine(two_j, two_mt, states)
+
+    def rows_recorded(two_j, theta, states):
+        fetched.extend(states.tolist())
+        return checked_rows(two_j, theta, states)
+
+    monkeypatch.setattr(angles, "_refine", refine_recorded)
+    monkeypatch.setattr(chain, "_checked_rows", rows_recorded)
+    its, ok = simulate.sample_iterations(cfg, 2000)
+    in_s = np.count_nonzero(~cfg.rerouted())
+    assert len(refined) <= len(fetched) <= in_s + 1
+    # a state below the target is refined as its mirror
+    assert set(refined) <= set(fetched) | {cfg.two_j - s for s in fetched}
+    monkeypatch.undo()
+    exact = chain.expected_steps_for(8192, 0, cfg.angle_policy, cfg.reset_policy).start_state_value
+    assert ok.all()
+    assert abs(its.mean() - exact) < 4 * its.std(ddof=1) / math.sqrt(len(its))
 
 
 def test_chain_engine_reaches_two_j_2_to_the_20():
