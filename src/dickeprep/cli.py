@@ -77,6 +77,17 @@ def _list_of(kind: type) -> Callable[[str], list]:
 _ints, _floats = _list_of(int), _list_of(float)
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+    return value
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -586,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="override the configured RNG seed")
     parser.add_argument(
-        "--threads", type=int, default=None, help="cap BLAS/worker threads (env: DICKE_PREP_THREADS)"
+        "--threads", type=_positive_int, default=None, help="cap BLAS/worker threads (env: DICKE_PREP_THREADS)"
     )
     parser.add_argument("--out-dir", default=".", help="directory for default output files")
     parser.add_argument(
@@ -672,8 +683,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    args = _build_parser().parse_args(argv)  # a malformed --threads exits here, before any export
     _apply_thread_cap(argv)
-    args = _build_parser().parse_args(argv)
     try:
         for path in args.func(args):
             print(path)

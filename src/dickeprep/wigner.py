@@ -19,17 +19,19 @@ the full range, and entries outside the returned window are zero.  A
 full-range window is the same code with lo = 0, hi = 2j + 1, and gives the
 full-range solve's bits.
 
-Many rows of one j are solved as a stack (``_eigenvectors``): their
-windows, of any widths, become the diagonal blocks of one ragged
-block-diagonal system, factored by one LAPACK gttrf call and solved by two
-gttrs calls.  The couplings between blocks are zero, so the blocks cannot
-interact: dgttrf's partial-pivoting test |d| >= |dl| = 0 always holds at a
-block boundary (no row interchange crosses it), and the fill it adds there
-is 0 * du = 0.  Each block's factors and solves are therefore the ones it
-gets alone, bit for bit: a row in a stack equals the same row solved alone
-(a single row is a contiguous slice, the stack of one).  A full-range row
-that fails its first attempt is redone alone, and raises NormDrift if no
-attempt passes the residual check.
+Every row goes through one entry, ``_eigenvector_windows``: it predicts
+each row's window once and solves the rows of one j in stacks
+(``_eigenvectors``).  A stack's windows, of any widths, become the
+diagonal blocks of one ragged block-diagonal system, factored by one
+LAPACK gttrf call and solved by two gttrs calls.  The couplings between
+blocks are zero, so the blocks cannot interact: dgttrf's partial-pivoting
+test |d| >= |dl| = 0 always holds at a block boundary (no row interchange
+crosses it), and the fill it adds there is 0 * du = 0.  Each block's
+factors and solves are therefore the ones it gets alone, bit for bit: a
+row in a stack equals the same row solved alone, and a single row
+(``_eigenvector``) is the stack of one.  A full-range row that fails its
+first attempt is redone alone, and raises NormDrift if no attempt passes
+the residual check.
 
 Sign convention: fixed by the generator exp(-i theta J_y) with Condon-Shortley
 ladder operators, J_+|j,m> = sqrt(j(j+1)-m(m+1))|j,m+1>.  Tests pin signs
@@ -50,7 +52,6 @@ the runtime computes every rotation through the one eigenvector kernel.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -176,7 +177,7 @@ class Windows:
     def __init__(self, n: int, lo: np.ndarray, hi: np.ndarray, values: np.ndarray | None = None):
         self.n, self.lo, self.hi, self.values = n, lo, hi, values
         self.widths = hi - lo
-        self.stops = np.cumsum(self.widths) if len(lo) > 1 else self.widths
+        self.stops = np.cumsum(self.widths)
         self.starts = self.stops - self.widths
         self._columns = None
 
@@ -188,8 +189,8 @@ class Windows:
         return self._columns
 
     def spread(self, per_row: np.ndarray) -> np.ndarray:
-        """One value per row as one value per stored entry (broadcastable)."""
-        return per_row if len(self.lo) == 1 else np.repeat(per_row, self.widths)
+        """One value per row as one value per stored entry."""
+        return np.repeat(per_row, self.widths)
 
     def take(self, rows: np.ndarray) -> Windows:
         """The given rows, in that order."""
@@ -244,7 +245,7 @@ def _start_vector(n: int, attempt: int = 0) -> np.ndarray:
 def _operators(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     """The diagonal of J_z and the ladder strengths with a trailing zero
     (one per grid entry), read-only."""
-    m_grid = np.arange(two_j + 1) - two_j / 2.0
+    m_grid = m_values(two_j)
     ladder = np.append(ladder_strengths(two_j), 0.0)
     m_grid.setflags(write=False)
     ladder.setflags(write=False)
@@ -252,9 +253,9 @@ def _operators(two_j: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _band(two_j: int, m, cos, sin):
-    """The grid edges (low, high), unclipped, of the window predicted for
-    the eigenvector of H - m; plain arithmetic and numpy ufuncs, so Python
-    floats (the one-row path) and arrays (stacks) give the same bits.
+    """The grid edges (low, high), unclipped, of the windows predicted for
+    the eigenvectors of H - m, one per row: elementwise numpy ufuncs, so a
+    row's edges do not depend on the other rows predicted with it.
 
     The classical band is m cos(theta) +- r_m |sin(theta)| with
     r_m^2 = j(j+1) - m^2: there |H_ii - m| < 2 b_i for the coupling
@@ -300,10 +301,9 @@ def _factor(two_j: int, two_ms: np.ndarray, cos: np.ndarray, sin: np.ndarray, ro
     exact shift are floored at eps*j, the device LAPACK's stein uses.
     """
     m_grid, ladder = _operators(two_j)
-    at = slice(int(rows.lo[0]), int(rows.hi[0])) if len(cos) == 1 else rows.columns
-    diag = rows.spread(cos) * m_grid[at]
+    diag = rows.spread(cos) * m_grid[rows.columns]
     diag -= rows.spread(two_ms / 2.0)
-    coupling = rows.spread(sin) * ladder[at]
+    coupling = rows.spread(sin) * ladder[rows.columns]
     coupling /= 2.0
     coupling[rows.stops - 1] = 0.0  # a block's last entry couples to the next block: zero
     off = coupling[:-1]
@@ -362,14 +362,13 @@ def _residuals(diag: np.ndarray, off: np.ndarray, v: np.ndarray, rows: Windows) 
     return np.maximum.reduceat(np.abs(r), rows.starts)
 
 
-def _eigenvectors(two_j: int, two_ms, thetas) -> Windows:
-    """Unit eigenvectors, up to sign, of H_k = cos(theta_k) J_z +
-    sin(theta_k) J_x for the eigenvalues m_k, each on its window: row k of
-    the result.  theta = 0, spin 0 and spin 1/2 have closed forms; the
-    other rows go to _solve_windows on the windows _windows predicts.
+def _eigenvectors(two_j: int, two_ms, thetas, cos, sin, lo, hi) -> Windows:
+    """One stack of _eigenvector_windows: unit eigenvectors, up to sign,
+    of H_k = cos(theta_k) J_z + sin(theta_k) J_x for the eigenvalues m_k,
+    each on its window, as row k of the result.  theta = 0, spin 0 and
+    spin 1/2 have closed forms; the other rows go to _solve_windows on
+    their predicted windows [lo, hi).
     """
-    two_ms = np.asarray(two_ms, dtype=np.int64)
-    thetas = np.asarray(thetas, dtype=np.float64)
     n, count = two_j + 1, len(thetas)
     if n <= 2 or np.count_nonzero(thetas) < count:
         basis = (thetas == 0.0) | (n == 1)
@@ -383,26 +382,12 @@ def _eigenvectors(two_j: int, two_ms, thetas) -> Windows:
             full = Windows(n, np.zeros(len(rest), dtype=np.int64), np.full(len(rest), 2), values.ravel())
             parts.append((rest, full))
         elif len(rest):
-            parts.append((rest, _eigenvectors(two_j, two_ms[rest], thetas[rest])))
+            parts.append((rest, _solve_windows(two_j, *(a[rest] for a in (two_ms, thetas, cos, sin, lo, hi)))))
         return _merge(n, count, parts)
-    cos, sin = np.cos(thetas), np.sin(thetas)
-    if count == 1:  # one contiguous slice; Python floats keep _band cheap
-        low, high = _band(two_j, int(two_ms[0]) / 2.0, float(cos[0]), float(sin[0]))
-        lo, hi = np.array([max(math.floor(low), 0)]), np.array([min(math.floor(high) + 1, n)])
-    else:
-        lo, hi = _windows(two_j, two_ms, cos, sin)
     return _solve_windows(two_j, two_ms, thetas, cos, sin, lo, hi)
 
 
-def _solve_windows(
-    two_j: int,
-    two_ms: np.ndarray,
-    thetas: np.ndarray,
-    cos: np.ndarray,
-    sin: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> Windows:
+def _solve_windows(two_j: int, two_ms, thetas, cos, sin, lo, hi) -> Windows:
     """Inverse iteration for every row on its window [lo, hi).
 
     The eigenvalues of H are the integers/half-integers -j..j with unit
@@ -422,16 +407,12 @@ def _solve_windows(
     rows = Windows(n, lo, hi)
     diag, off, lu = _factor(two_j, two_ms, cos, sin, rows)
     bad = np.zeros(count, dtype=bool)
-    start = _start_vector(n)
-    v = start[lo[0]:hi[0]] if count == 1 else start[rows.columns]
+    v = _start_vector(n)[rows.columns]
     for _ in range(2):
         v = _solve(lu, v, bad, rows)
     tol = 1e-10 * max(1.0, two_j / 2.0)
     failed = bad | ~(_residuals(diag, off, v, rows) <= tol)
     rows.values = v
-    if count == 1 and not failed[0]:  # the one-row case, settled in scalars when it is done
-        if (lo[0] == 0 or abs(v[0]) <= _EDGE) and (hi[0] == n or abs(v[-1]) <= _EDGE):
-            return rows
     wide_lo = (lo > 0) & (failed | (np.abs(v[rows.starts]) > _EDGE))
     wide_hi = (hi < n) & (failed | (np.abs(v[rows.stops - 1]) > _EDGE))
     if np.count_nonzero(failed):
@@ -484,8 +465,9 @@ def _retry(two_j: int, two_m: int, theta: float, tol: float) -> np.ndarray:
 
 
 def _eigenvector(two_j: int, two_m: int, theta: float) -> tuple[int, np.ndarray]:
-    """The one-row case of _eigenvectors: (lo, the row on its window)."""
-    rows = _eigenvectors(two_j, (two_m,), (theta,))
+    """One row, the stack of one of _eigenvector_windows: (lo, the row on
+    its window)."""
+    ((_, rows),) = _eigenvector_windows(two_j, (two_m,), (theta,))
     return int(rows.lo[0]), rows.values
 
 
@@ -542,25 +524,29 @@ def transition_probabilities(spec: SpinSpec, angle) -> np.ndarray:
 
 
 def _eigenvector_windows(two_j: int, two_ms, thetas) -> Iterator[tuple[slice, Windows]]:
-    """_eigenvectors for many (two_m, theta) pairs of one two_j, one stacked
-    solve at a time: the unit eigenvectors, up to sign, on their windows.
+    """The one entry of the kernel: the unit eigenvectors, up to sign, for
+    many (two_m, theta) pairs of one two_j, on their windows, one stacked
+    solve (_eigenvectors) at a time.  Each row's window is predicted here,
+    once, and handed to its stack with its cos and sin.
 
     Yields (rows, stack): a slice of the inputs and the Windows whose row k
     is the eigenvector for (two_ms[rows][k], thetas[rows][k]), bit for bit
-    the one _eigenvector gives alone.  A stack holds about _STACK_ENTRIES
-    predicted window entries (at least one row), so memory stays flat
-    however many rows are asked for.
+    the one it gets in any other stack, the stack of one (_eigenvector)
+    included.  A stack holds about _STACK_ENTRIES predicted window entries
+    (at least one row), so memory stays flat however many rows are asked
+    for.
     """
     two_ms = np.asarray(two_ms, dtype=np.int64)
     thetas = np.asarray(thetas, dtype=np.float64)
-    lo, hi = _windows(two_j, two_ms, np.cos(thetas), np.sin(thetas))
+    cos, sin = np.cos(thetas), np.sin(thetas)
+    lo, hi = _windows(two_j, two_ms, cos, sin)
     ends = np.cumsum(hi - lo)
     first = 0
     while first < len(thetas):
         done = ends[first - 1] if first else 0
         last = max(first + 1, int(np.searchsorted(ends, done + _STACK_ENTRIES, side="right")))
         rows = slice(first, last)
-        yield rows, _eigenvectors(two_j, two_ms[rows], thetas[rows])
+        yield rows, _eigenvectors(two_j, *(a[rows] for a in (two_ms, thetas, cos, sin, lo, hi)))
         first = last
 
 

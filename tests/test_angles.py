@@ -417,10 +417,10 @@ def test_optimizer_rows_come_in_stacks(monkeypatch):
         solved.append((np.array(two_ms), np.array(thetas)))
         return original_windows(two_j, two_ms, thetas)
 
-    def counting(two_j, two_ms, thetas):
+    def counting(two_j, two_ms, thetas, *stack):
         lo, hi = wigner._windows(two_j, np.asarray(two_ms), np.cos(thetas), np.sin(thetas))
         calls.append((len(thetas), int((hi - lo).sum())))
-        return original(two_j, two_ms, thetas)
+        return original(two_j, two_ms, thetas, *stack)
 
     factorizations = []
     real_gttrf = wigner._gttrf

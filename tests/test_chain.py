@@ -302,9 +302,9 @@ def _count_rows(monkeypatch):
     counted = []
     original = wigner._eigenvectors
 
-    def counting(two_j, two_ms, thetas):
-        counted.append(len(thetas))
-        return original(two_j, two_ms, thetas)
+    def counting(two_j, two_ms, *stack):
+        counted.append(len(two_ms))
+        return original(two_j, two_ms, *stack)
 
     monkeypatch.setattr(wigner, "_eigenvectors", counting)
     return counted

@@ -378,6 +378,21 @@ def test_threads_flag_overrides_preset_blas_variable():
         assert threads == "1"  # numpy's BLAS started under the cap
 
 
+@pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads=-2"], ["--threads", "-2"]])
+def test_threads_below_one_is_a_usage_error(flag):
+    # these used to run and export OPENBLAS_NUM_THREADS=0 or -2
+    code = (
+        "import os, sys\n"
+        "from dickeprep import cli\n"
+        "try:\n"
+        f"    cli.main({flag!r} + ['--no-timestamp', 'dmatrix', '--two-j', '4', '--two-m', '0', '--theta', '0.5'])\n"
+        "except SystemExit as exited:\n"
+        "    print('RESULT', exited.code, os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])\n"
+    )
+    out = _run_python(code, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2", DICKE_PREP_THREADS="2")
+    assert out.splitlines()[-1].split() == ["RESULT", "2", "2", "2"]
+
+
 def test_threads_env_fallback_fills_only_unset_variables():
     code = (
         "import os\n"

@@ -39,12 +39,45 @@ def stacks(draw, max_two_j=300):
 @PROPERTY_SETTINGS
 @given(stacks(), st.integers(1, 4 * 301))
 def test_stacked_row_equals_single_row(stack, entries):
+    # each single-row entry solves one stack of one row, with the bits of
+    # that row inside a stack of up to 12; PolicyTables fetches its states
+    # at their policy angles, so its rows are compared at those angles
     two_j, two_ms, thetas = stack
+    cfg = ProtocolConfig(two_j, target_two_mt=two_j % 2)
+    states = [(two_m + two_j) // 2 for two_m in two_ms]
+    policy = angle_policies.policy_angles(two_j, cfg.target_two_mt, cfg.angle_policy, states=states)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wigner, "_STACK_ENTRIES", entries)
         rows = np.vstack([w.dense() for _, w in wigner.transition_windows(two_j, two_ms, thetas)])
-    for row, two_m, theta in zip(rows, two_ms, thetas):
-        assert row.tobytes() == wigner.transition_probabilities(SpinSpec(two_j, two_m), theta).tobytes()
+        policy_rows = [
+            (int(w.lo[k]), w.values[w.starts[k]:w.stops[k]])
+            for _, w in wigner.transition_windows(two_j, two_ms, policy)
+            for k in range(len(w.lo))
+        ]
+    calls = []
+    real = wigner._eigenvector_windows
+
+    def counting(two_j, two_ms, thetas):
+        calls.append(len(thetas))
+        return real(two_j, two_ms, thetas)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigner, "_eigenvector_windows", counting)
+        for row, (lo, values), two_m, theta, state in zip(rows, policy_rows, two_ms, thetas, states):
+            spec = SpinSpec(two_j, two_m)
+            singles = [
+                lambda: wigner.transition_probabilities(spec, theta),
+                lambda: wigner.row_probabilities(two_j, two_m, -theta),
+                lambda: wigner.d_column(spec, theta).probabilities,
+            ]
+            for single in singles:
+                calls.clear()
+                assert single().tobytes() == row.tobytes()
+                assert calls == [1]
+            calls.clear()
+            got_lo, cum = simulate.PolicyTables(cfg).cumulative(state)  # a miss
+            assert calls == [1]
+            assert (got_lo, cum.tobytes()) == (lo, simulate._normalized_cumulative(values).tobytes())
 
 
 @PROPERTY_SETTINGS

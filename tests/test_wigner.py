@@ -265,8 +265,16 @@ STACK_THETAS = [
 ]
 
 
+def _one_stack(two_j, two_ms, thetas):
+    """The rows solved as one stack: the kernel's entry with room for all of them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wigner, "_STACK_ENTRIES", (two_j + 1) * len(thetas))
+        ((_, stack),) = wigner._eigenvector_windows(two_j, two_ms, thetas)
+    return stack
+
+
 def _assert_rows_equal_single(two_j, two_ms, thetas):
-    stacked = wigner._eigenvectors(two_j, two_ms, thetas)
+    stacked = _one_stack(two_j, two_ms, thetas)
     assert len(stacked.lo) == len(thetas)
     for k, (two_m, theta) in enumerate(zip(two_ms, thetas)):
         lo, single = wigner._eigenvector(two_j, two_m, theta)
@@ -337,7 +345,7 @@ def test_stacked_rows_equal_per_row_reference(two_j):
     rng = np.random.default_rng(two_j + 1)
     thetas = [t for t in STACK_THETAS if t != 0.0]
     two_ms = 2 * rng.integers(0, two_j + 1, len(thetas)) - two_j
-    stacked = wigner._eigenvectors(two_j, two_ms, thetas)
+    stacked = _one_stack(two_j, two_ms, thetas)
     dense = stacked.dense()
     checked = clipped = 0
     for k, (two_m, theta) in enumerate(zip(two_ms, thetas)):
@@ -359,7 +367,7 @@ def test_row_norms_match_linalg_norm():
     rng = np.random.default_rng(5)
     for n in (3, 33, 65, 201, 2049, 4097):
         rows = rng.standard_normal((9, n)) * np.logspace(-150, 150, 9)[:, None]
-        rows = np.vstack([rows, wigner._eigenvectors(n - 1, [n - 3] * 3, [0.3, 1.7, -2.9]).dense()])
+        rows = np.vstack([rows, _one_stack(n - 1, [n - 3] * 3, [0.3, 1.7, -2.9]).dense()])
         norms = np.array([np.linalg.norm(v) for v in rows])
         assert np.sqrt(np.vecdot(rows, rows)).tobytes() == norms.tobytes()
         full = wigner.Windows(n, np.zeros(len(rows), dtype=np.int64), np.full(len(rows), n))
@@ -393,6 +401,34 @@ def test_chain_rows_take_few_factorizations(monkeypatch):
     assert sum(entries) == widths.sum() < 201 * 201  # no row widened; windows below full range
 
 
+def test_each_window_is_predicted_once(monkeypatch):
+    # the entry predicts every row's window and hands it to its stack; the
+    # stacks do not predict again
+    predicted = []
+    real_band = wigner._band
+
+    def counting(two_j, m, cos, sin):
+        predicted.append(np.size(m))
+        return real_band(two_j, m, cos, sin)
+
+    gttrf_entries = []
+    real_gttrf = wigner._gttrf
+
+    def counting_gttrf(dl, d, du):
+        gttrf_entries.append(len(d))
+        return real_gttrf(dl, d, du)
+
+    two_ms, thetas = wigner.two_m_values(200)[:200], np.full(200, 0.7)
+    widths = _predicted_widths(200, two_ms, thetas)
+    monkeypatch.setattr(wigner, "_band", counting)
+    monkeypatch.setattr(wigner, "_gttrf", counting_gttrf)
+    monkeypatch.setattr(wigner, "_STACK_ENTRIES", 500)
+    stacks = [rows for rows, _ in wigner.transition_windows(200, two_ms, thetas)]
+    assert len(stacks) > 10
+    assert sum(gttrf_entries) == widths.sum()  # no row widened
+    assert sum(predicted) == 200
+
+
 @pytest.mark.parametrize("poison", [np.nan, np.inf])
 def test_poisoned_block_stays_in_its_block(monkeypatch, poison):
     two_j, n = 40, 41
@@ -421,7 +457,7 @@ def test_poisoned_block_stays_in_its_block(monkeypatch, poison):
 
     monkeypatch.setattr(wigner, "_gttrs", poisoned)
     monkeypatch.setattr(wigner, "_retry", spying)
-    got = wigner._eigenvectors(two_j, two_ms, thetas)
+    got = _one_stack(two_j, two_ms, thetas)
     assert retried == [(-12, -2.0)]
     for k in range(len(thetas)):
         assert got.lo[k] == expected[k][0]
@@ -430,7 +466,7 @@ def test_poisoned_block_stays_in_its_block(monkeypatch, poison):
     retried.clear()
     alone_too[0] = True
     with pytest.raises(NormDrift, match=r"two_j=40, two_m=-12, theta=-2\.0\)"):
-        wigner._eigenvectors(two_j, two_ms, thetas)
+        _one_stack(two_j, two_ms, thetas)
     assert retried == [(-12, -2.0)]
 
 
@@ -477,7 +513,7 @@ def test_full_range_windows_keep_their_bits():
     rng = np.random.default_rng(40)
     two_ms = 2 * rng.integers(0, 41, 12) - 40
     thetas = rng.uniform(0.6, 2.5, 12)
-    stack = wigner._eigenvectors(40, two_ms, thetas)
+    stack = _one_stack(40, two_ms, thetas)
     assert (stack.lo == 0).all() and (stack.hi == 41).all()
     for k, (two_m, theta) in enumerate(zip(two_ms, thetas)):
         ref, passed = _first_attempt_reference(40, int(two_m), theta)
