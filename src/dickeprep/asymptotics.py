@@ -83,14 +83,13 @@ def error_scale(two_j: int, two_m: int) -> float:
     return max(m * m / (j * j), 1.0 / (m * j))
 
 
-def compare_stationary_phase(
-    two_j: int, two_m: int, interior: tuple[float, float] = (0.2, 1.8)
-) -> list[AsymptoticComparison]:
-    """Exact-vs-approx table over interior lattice points x in (lo, hi).
+def compare_stationary_phase(two_j: int, two_m: int) -> list[AsymptoticComparison]:
+    """Exact-vs-approx table over the interior lattice points x = m'/m in
+    (0.2, 1.8).
 
-    The exact values come from one backend-b (eigenvector) column at
-    arcsin(m/j); the interior window keeps clear of the diverging
-    endpoints, where the expansion is not valid.
+    The exact values come from one d_column at arcsin(m/j); the interior
+    window keeps clear of the diverging endpoints x in {0, 2}, where the
+    expansion is not valid.
     """
     spec = validate_spin(two_j, two_m)
     if spec.two_m <= 0:
@@ -98,11 +97,10 @@ def compare_stationary_phase(
     beta = math.asin(spec.m / spec.j)
     column = wigner.d_column(spec, beta)
     scale = error_scale(two_j, two_m)
-    lo, hi = interior
     out = []
     for two_mp in range(two_j % 2, min(2 * two_m, two_j + 1), 2):
         x = two_mp / two_m
-        if not (lo < x < hi):
+        if not (0.2 < x < 1.8):
             continue
         exact = column.amplitude(two_mp)
         approx = stationary_phase_d(two_j, two_m, two_mp)
@@ -185,40 +183,30 @@ def bessel_limit(two_m: int, two_m_prime: int) -> float:
 # ---------------------------------------------------------------------------
 # contraction ratio, beta moments, reset probability
 
-
-def _proxy(values: np.ndarray, sqrt_j: float) -> np.ndarray:
-    """The capped magnetization proxy: |m| where |m| <= sqrt(j), else sqrt(j)+1."""
-    mags = np.abs(values)
-    return np.where(mags <= sqrt_j, mags, sqrt_j + 1.0)
+_SQRT_J = ResetPolicy(kind=ResetPolicy.SQRT_J)  # the one rule for |m| > sqrt(j)
 
 
-def contraction_sum(
-    two_j: int, alpha: float, two_m: int, angle_policy: str | None = None
-) -> float:
+def contraction_sum(two_j: int, alpha: float, two_m: int) -> float:
     """One-step contraction ratio sum_{m'} |d^j_{m',m}|^2 * (M'^alpha / M^alpha).
 
-    M caps the magnetization at sqrt(j)+1 so resets do not blow up the
-    moment.  Exact d values at the policy angle (default arcsin(m/j));
-    a value < 1 certifies one step of geometric decay for <M^alpha>.
+    M caps the magnetization at sqrt(j)+1 where the sqrt_j reset fires
+    (ResetPolicy.mask), so resets do not blow up the moment.  Exact d
+    values at the approx_mt0 angle arcsin(m/j); a value < 1 certifies one
+    step of geometric decay for <M^alpha>.
     """
     spec = validate_spin(two_j, two_m)
     if not (0.0 < alpha < 1.0):
         raise DomainError("alpha must lie in (0, 1)")
     if two_m == 0:
         raise DomainError("m = 0 is absorbing; the ratio is undefined there")
-    if two_m * two_m > 2 * two_j:
+    resets = _SQRT_J.mask(two_j)
+    i_m = (two_m + two_j) // 2
+    if resets[i_m]:
         raise DomainError("contraction regime requires |m| <= sqrt(j)")
-    if angle_policy is None or angle_policy == "approx_mt0":
-        theta = angles_mod.approx_angle_mt0(two_j, two_m)
-    elif angle_policy == "geometric":
-        theta = angles_mod.geometric_angle(two_j, 0, two_m)
-    else:
-        raise OutOfRange(f"unsupported angle policy {angle_policy!r}")
+    theta = angles_mod.approx_angle_mt0(two_j, two_m)
     probs = wigner.transition_probabilities(spec, theta)
-    sqrt_j = math.sqrt(two_j / 2.0)
-    m_proxy = _proxy(np.array([spec.m]), sqrt_j)[0]
-    mp_proxy = _proxy(wigner.m_values(two_j), sqrt_j)
-    return float(np.sum(probs * mp_proxy**alpha) / m_proxy**alpha)
+    mp_proxy = np.where(resets, math.sqrt(two_j / 2.0) + 1.0, np.abs(wigner.m_values(two_j)))
+    return float(np.sum(probs * mp_proxy**alpha) / mp_proxy[i_m] ** alpha)
 
 
 def beta_function(a: float, b: float) -> float:
@@ -248,9 +236,9 @@ def reset_probability(two_j: int, two_m: int) -> float:
     validate_spin(two_j, two_m)
     if two_m <= 0:
         raise DomainError("reset probability regime needs m > 0")
-    # sqrt(j)/2 < m <= sqrt(j), exactly on doubled integers:
-    #   m > sqrt(j)/2  <=>  2*(two_m)^2 > two_j ;  m <= sqrt(j)  <=>  (two_m)^2 <= 2*two_j
-    if not (2 * two_m * two_m > two_j and two_m * two_m <= 2 * two_j):
+    # m > sqrt(j)/2  <=>  2*(two_m)^2 > two_j, exactly on doubled integers;
+    # m <= sqrt(j)  <=>  the sqrt_j reset does not fire at m
+    if 2 * two_m * two_m <= two_j or _SQRT_J.mask(two_j)[(two_m + two_j) // 2]:
         raise DomainError("requires sqrt(j)/2 < m <= sqrt(j)")
     j = two_j / 2.0
     m = two_m / 2.0
@@ -262,4 +250,4 @@ def exact_reset_mass(two_j: int, two_m: int) -> float:
     spec = validate_spin(two_j, two_m)
     theta = angles_mod.approx_angle_mt0(two_j, two_m)
     probs = wigner.transition_probabilities(spec, theta)
-    return float(probs[ResetPolicy(kind=ResetPolicy.SQRT_J).mask(two_j)].sum())
+    return float(probs[_SQRT_J.mask(two_j)].sum())

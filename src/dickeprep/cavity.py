@@ -88,14 +88,14 @@ def fisher_information(params: CavityParams, delta_a: float) -> float:
     return 4.0 * k * k / (denom * denom)
 
 
-def fisher_information_bernoulli(params: CavityParams, delta_a: float, step: float | None = None) -> float:
+def fisher_information_bernoulli(params: CavityParams, delta_a: float) -> float:
     """Finite-difference Bernoulli-model Fisher information (dT/dD)^2/(T(1-T)).
 
-    Cross-check of the closed form; central difference with step ~3e-5 kappa
+    Cross-check of the closed form; central difference with step 3e-5 kappa
     keeps both truncation and roundoff below 1e-9 relative.
     """
     k = params.kappa
-    h = 3e-5 * k if step is None else step
+    h = 3e-5 * k
     omega = params.omega_c + k
     t_mid = transmission(params, omega, delta_a)
     slope = (

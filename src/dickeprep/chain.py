@@ -85,27 +85,13 @@ class AbsorptionReport:
     protocol's start state m = j, does not need it.
     """
 
+    config: ProtocolConfig
     start_state_value: float
-    angle_policy: str
-    reset_policy: ResetPolicy
-    two_j: int
-    target_two_mt: int
     _fill: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
     def expected_steps_from(self) -> np.ndarray:
         return self._fill()
-
-
-def _report(config: ProtocolConfig, start: float, fill: Callable[[], np.ndarray]) -> AbsorptionReport:
-    return AbsorptionReport(
-        start_state_value=start,
-        angle_policy=config.angle_policy,
-        reset_policy=config.reset_policy,
-        two_j=config.two_j,
-        target_two_mt=config.target_two_mt,
-        _fill=fill,
-    )
 
 
 def _checked_rows(two_j: int, theta: np.ndarray, states: np.ndarray) -> Iterator[tuple[slice, wigner.Windows]]:
@@ -208,7 +194,7 @@ def expected_steps(chain: TransitionChain) -> AbsorptionReport:
     out[solved] = t
     rest = transient & ~solved
     out[rest] = 1.0 + p[np.ix_(rest, solved)] @ t
-    return _report(chain.config, float(out[n - 1]), lambda: out)
+    return AbsorptionReport(chain.config, float(out[n - 1]), lambda: out)
 
 
 def expected_steps_for(
@@ -276,7 +262,7 @@ def expected_steps_for(
         return out[cls]
 
     start = float(t[-1]) if entered[n - 1] else 0.0  # m = j is S's last state
-    return _report(config, start, fill)
+    return AbsorptionReport(config, start, fill)
 
 
 def naive_expected_steps(two_j: int) -> float:

@@ -35,22 +35,23 @@ from typing import Callable, NamedTuple
 __all__ = ["main", "FigureJob", "run_figure_job"]
 
 
-def _apply_thread_cap(argv: list[str]) -> None:
+def _apply_thread_cap(threads: int | None, parser: argparse.ArgumentParser) -> None:
     """Export BLAS thread caps before numpy is imported anywhere.
 
-    An explicit --threads N or --threads=N overrides the BLAS variables;
-    DICKE_PREP_THREADS only fills those not already set.
+    An explicit --threads (already parsed) overrides the BLAS variables;
+    DICKE_PREP_THREADS only fills those not already set.  A non-empty
+    DICKE_PREP_THREADS that is not an integer >= 1 is a usage error
+    (exit 2), raised before any variable is exported.
     """
-    threads = None
-    for k, arg in enumerate(argv):
-        if arg == "--threads" and k + 1 < len(argv):
-            threads = argv[k + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.partition("=")[2]
     fallback = os.environ.get("DICKE_PREP_THREADS")
+    if fallback:
+        try:
+            fallback = str(_positive_int(fallback))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"DICKE_PREP_THREADS: {exc}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        if threads:
-            os.environ[var] = threads
+        if threads is not None:
+            os.environ[var] = str(threads)
         elif fallback:
             os.environ.setdefault(var, fallback)
 
@@ -363,12 +364,12 @@ def _cmd_dmatrix(args) -> list[Path]:
     from .core import SpinSpec
     from . import wigner
 
-    col = wigner.d_column(SpinSpec(args.two_j, args.two_m), args.theta, backend=args.backend)
+    col = wigner.d_column(SpinSpec(args.two_j, args.two_m), args.theta)
     rows = [
         (int(tm), float(a), float(a) * float(a))
         for tm, a in zip(wigner.two_m_values(args.two_j), col.amplitudes)
     ]
-    meta = {"two_j": args.two_j, "two_m": args.two_m, "theta": args.theta, "backend": args.backend}
+    meta = {"two_j": args.two_j, "two_m": args.two_m, "theta": args.theta}
     table = (meta, ["two_m_prime", "amplitude", "probability"], rows)
     return _write(_out_path(args, None), table, args.no_timestamp)
 
@@ -614,7 +615,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-j", type=int, required=True)
     p.add_argument("--two-m", type=int, required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--backend", choices=["b"], default="b")
 
     p = command(_cmd_angles, "angle-policy comparison table")
     p.add_argument("--two-j", type=int, required=True)
@@ -683,8 +683,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(argv)  # a malformed --threads exits here, before any export
-    _apply_thread_cap(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)  # a malformed --threads exits here, before any export
+    _apply_thread_cap(args.threads, parser)
     try:
         for path in args.func(args):
             print(path)

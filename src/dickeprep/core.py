@@ -24,7 +24,7 @@ class ParityMismatch(DickePrepError, ValueError):
 
 
 class OutOfRange(DickePrepError, ValueError):
-    """A quantum number or backend argument is outside its valid range."""
+    """A quantum number or another argument is outside its valid range."""
 
 
 class DomainError(DickePrepError, ValueError):
@@ -159,7 +159,7 @@ class ResetPolicy:
 
     kind is one of "none", "sqrt_j", "custom"; "custom" carries a threshold t
     and resets whenever the measured |m| > t.  "sqrt_j" resets when |m| >
-    sqrt(j), evaluated exactly on doubled integers: (two_m)^2 > 2*two_j.
+    sqrt(j).  mask is the one place the rule is written.
     """
 
     kind: str = "none"
@@ -178,21 +178,14 @@ class ResetPolicy:
         elif self.threshold is not None:
             raise ValidationError(f"reset policy {self.kind!r} takes no threshold")
 
-    def triggers(self, two_j: int, two_m: int) -> bool:
-        """Whether measuring two_m fires a reset under this policy."""
-        if self.kind == "none":
-            return False
-        if self.kind == "sqrt_j":
-            # |m| > sqrt(j)  <=>  m^2 > j  <=>  (two_m)^2 > 2*two_j, exactly
-            return two_m * two_m > 2 * two_j
-        return abs(two_m) / 2.0 > self.threshold
-
     def mask(self, two_j: int) -> np.ndarray:
-        """triggers at every state of the m grid -j..j, as a boolean array."""
+        """Whether measuring m fires a reset, at every state of the m grid
+        -j..j, as a boolean array."""
         two_m = np.arange(-two_j, two_j + 1, 2, dtype=np.int64)
         if self.kind == "none":
             return np.zeros(len(two_m), dtype=bool)
         if self.kind == "sqrt_j":
+            # |m| > sqrt(j)  <=>  m^2 > j  <=>  (two_m)^2 > 2*two_j, exactly
             return two_m * two_m > 2 * two_j
         return np.abs(two_m) / 2.0 > self.threshold
 

@@ -34,14 +34,12 @@ def _log_binomial(spec: SpinSpec) -> tuple[int, int, float]:
     return jm, jmm, math.lgamma(spec.two_j + 1) - math.lgamma(jm + 1) - math.lgamma(jmm + 1)
 
 
-def husimi_q_dicke(spec: SpinSpec, theta: float, phi: float = 0.0) -> float:
-    """Q_m(theta, phi) = (1/pi) C(2j, j+m) cos^{2(j+m)}(t/2) sin^{2(j-m)}(t/2).
+def husimi_q_dicke(spec: SpinSpec, theta: float) -> float:
+    """Q_m(theta) = (1/pi) C(2j, j+m) cos^{2(j+m)}(t/2) sin^{2(j-m)}(t/2).
 
-    Independent of phi for Dicke states (kept in the signature for the
-    phase-space interface).  Binomial factor evaluated in log space to
-    survive 2j > 60.
+    Independent of the azimuth phi for Dicke states, which are axially
+    symmetric.  Binomial factor evaluated in log space to survive 2j > 60.
     """
-    del phi  # axially symmetric
     jm, jmm, log_binom = _log_binomial(spec)
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
@@ -94,16 +92,15 @@ def husimi_q_profile(spec: SpinSpec, n_grid: int = 181) -> QDistribution:
     return QDistribution(spec=spec, thetas=thetas, values=values)
 
 
-def husimi_q_integral(spec: SpinSpec, n_nodes: int | None = None) -> float:
+def husimi_q_integral(spec: SpinSpec) -> float:
     """Integral of Q_m against dOmega = (2j+1)/4 sin(theta) dtheta dphi.
 
-    Exact (returns 1 up to rounding) once n_nodes exceeds j+1, since in
-    u = cos(theta) the integrand is a polynomial of degree 2j.
+    Exact (returns 1 up to rounding): in u = cos(theta) the integrand is a
+    polynomial of degree 2j, and Gauss-Legendre with floor(j) + 2 > j
+    nodes integrates it exactly.
     """
     two_j = spec.two_j
-    if n_nodes is None:
-        n_nodes = two_j // 2 + 2
-    u, w = np.polynomial.legendre.leggauss(n_nodes)
+    u, w = np.polynomial.legendre.leggauss(two_j // 2 + 2)
     jm, jmm, log_binom = _log_binomial(spec)
     # cos^2(t/2) = (1+u)/2, sin^2(t/2) = (1-u)/2
     with np.errstate(divide="ignore"):

@@ -47,9 +47,8 @@ from . import angles as angles_mod
 from . import chain
 from . import wigner
 
-_BLOCK = 32            # uniforms drawn per trajectory per refill
+_BLOCK = 8             # uniforms drawn per trajectory per refill, a multiple of 4
 _CHUNK = 8192          # trajectories stepped together in the batch sampler
-_REFILL = 1024         # trajectories per call of the block kernel, which bounds its temporaries
 _ENGINES = ("chain", "statevector")  # labels of the one walk, recorded in the summaries
 
 # Philox4x64-10's round multipliers and key increments (Salmon et al. 2011)
@@ -79,12 +78,14 @@ def _philox_block(seed: int, indices: np.ndarray, b: int) -> np.ndarray:
     its counter at 0.  Philox is counter-based (Salmon et al., SC'11): each
     counter value c gives four 64-bit words by ten rounds of the key and c
     alone, and the stream increments the counter before each use, so
-    block b is counters 8b+1 .. 8b+8 and every row is computed at once.
-    A word x becomes the uniform (x >> 11) * 2^-53, as Generator.random.
+    block b is counters cb+1 .. cb+c, c = _BLOCK / 4, and every row is
+    computed at once.  A word x becomes the uniform (x >> 11) * 2^-53, as
+    Generator.random.
     """
     n = len(indices)
-    x0 = np.broadcast_to(np.arange(8 * b + 1, 8 * b + 9, dtype=np.uint64), (n, _BLOCK // 4))
-    x1 = x2 = x3 = np.zeros((n, _BLOCK // 4), dtype=np.uint64)
+    c = _BLOCK // 4  # counters per block, four words each
+    x0 = np.broadcast_to(np.arange(c * b + 1, c * b + c + 1, dtype=np.uint64), (n, c))
+    x1 = x2 = x3 = np.zeros((n, c), dtype=np.uint64)
     k0 = seed & _U64
     k1 = np.asarray(indices, dtype=np.uint64).reshape(n, 1)
     for r in range(10):
@@ -294,9 +295,7 @@ def sample_iterations(
             idx_active = np.flatnonzero(~done)
             if step % _BLOCK == 0:
                 block = np.empty((size, _BLOCK))
-                for a in range(0, len(idx_active), _REFILL):
-                    rows = idx_active[a:a + _REFILL]
-                    block[rows] = _philox_block(config.seed, lo + rows, step // _BLOCK)
+                block[idx_active] = _philox_block(config.seed, lo + idx_active, step // _BLOCK)
             u = block[idx_active, step % _BLOCK]
             src = cur[idx_active]
             # group the active trajectories by state; draw each group from its cumulative

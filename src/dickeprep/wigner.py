@@ -43,10 +43,10 @@ their windows (``Windows``); the dense APIs scatter them into zeros.
 ``row_derivatives`` reads its derivative stencil from the same stacks
 before they are squared (``_eigenvector_windows``).
 
-The log-gamma k-sum that was once a second column backend ("a") and the
-Chebyshev propagation of a general vector (``rotate_state``) are now only
-test oracles (tests/oracles.py, ``logsum_column`` and ``rotate_state``):
-the runtime computes every rotation through the one eigenvector kernel.
+The log-gamma k-sum column and the Chebyshev propagation of a general
+vector are only test oracles (tests/oracles.py, ``logsum_column`` and
+``rotate_state``): the runtime computes every rotation through the one
+eigenvector kernel.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .core import Angle, NormDrift, OutOfRange, SpinSpec, _as_radians
-
-BACKEND_EIGENVECTOR = "b"
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0, dtype=np.float64),))
 
@@ -75,7 +73,6 @@ class RotationColumn:
     spec: SpinSpec
     angle: Angle
     amplitudes: np.ndarray
-    backend: str
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -111,23 +108,19 @@ def two_m_values(two_j: int) -> np.ndarray:
 # public column / element / distribution API
 
 
-def d_column(spec: SpinSpec, angle, backend: str = BACKEND_EIGENVECTOR) -> RotationColumn:
+def d_column(spec: SpinSpec, angle) -> RotationColumn:
     """Compute the rotation column d^j_{.,m}(theta): the O(j) signed
     eigenvector of cos(theta) J_z + sin(theta) J_x, exact at any j.
 
-    backend "b" is the only one; the log-gamma backend "a" was removed
-    (it lives on as the test oracle tests/oracles.py logsum_column).
     The rotation is evaluated at the angle as given; the stored Angle is
     its canonical [-pi, pi] representative (for half-integer j the two can
     differ by a global sign when |theta| > pi, since the rotation group is
     4 pi-periodic there -- probabilities never see it).
     """
-    if backend != BACKEND_EIGENVECTOR:
-        raise OutOfRange(f"unknown backend {backend!r}; use 'b' (the log-gamma backend 'a' was removed)")
     theta = _as_radians(angle)
     amps = _column_eigenvector(spec, theta)
     amps.setflags(write=False)
-    return RotationColumn(spec=spec, angle=Angle(theta), amplitudes=amps, backend=backend)
+    return RotationColumn(spec=spec, angle=Angle(theta), amplitudes=amps)
 
 
 def outcome_distribution(spec: SpinSpec, angle) -> np.ndarray:

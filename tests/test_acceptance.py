@@ -42,7 +42,7 @@ def test_criterion_01_dmatrix_oracle_and_backend_agreement():
                 spec = SpinSpec(two_j, 2 * i_m - two_j)
                 for col in (
                     logsum_column(two_j, spec.two_m, float(theta)),
-                    wigner.d_column(spec, float(theta), backend="b").amplitudes,
+                    wigner.d_column(spec, float(theta)).amplitudes,
                 ):
                     worst_oracle = max(worst_oracle, float(np.max(np.abs(col - oracle[:, i_m]))))
     worst_agree = 0.0
@@ -51,7 +51,7 @@ def test_criterion_01_dmatrix_oracle_and_backend_agreement():
             for i_m in (two_j, (2 * two_j) // 3, two_j // 5):
                 spec = SpinSpec(two_j, 2 * i_m - two_j)
                 a = logsum_column(two_j, spec.two_m, float(theta))
-                b = wigner.d_column(spec, float(theta), backend="b").amplitudes
+                b = wigner.d_column(spec, float(theta)).amplitudes
                 worst_agree = max(worst_agree, float(np.max(np.abs(a - b))))
     ok = worst_oracle < 1e-10 and worst_agree < 1e-8
     _report(

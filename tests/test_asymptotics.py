@@ -117,6 +117,30 @@ def test_contraction_sum_preconditions():
         asymptotics.contraction_sum(400, 0.05, 100)  # m > sqrt(j)
 
 
+@pytest.mark.parametrize(
+    "two_j,alpha,two_m,bits",
+    [
+        (400, 0.05, 2, "0x1.a067400b6fd59p-1"),
+        (400, 0.7, -20, "0x1.be9a38acb262dp-1"),
+        (800, 0.05, 40, "0x1.e32499bd49694p-1"),  # m = sqrt(j) exactly
+        (800, 0.7, -26, "0x1.c78b912348ae1p-1"),
+        (5000, 0.05, 100, "0x1.e748143159ebap-1"),  # m = sqrt(j) exactly
+        (5000, 0.7, 10, "0x1.e0c9d3c674be4p-1"),
+        (20000, 0.05, 200, "0x1.e8dcc8370f391p-1"),  # m = sqrt(j) exactly
+        (20000, 0.7, -2, "0x1.e30cab5ef960dp-1"),
+        (801, 0.3, 21, "0x1.d7c2f86cbe7bdp-1"),
+        (801, 0.3, -39, "0x1.b296aec9460f1p-1"),
+    ],
+)
+def test_contraction_sum_bits_are_pinned(two_j, alpha, two_m, bits):
+    # the proxy's cap at sqrt(j) is read off the sqrt_j reset mask; these are
+    # the bits of the former float cap |m| <= sqrt(j)
+    assert asymptotics.contraction_sum(two_j, alpha, two_m).hex() == bits
+    beyond = next(t for t in range(two_j % 2, two_j + 1, 2) if t * t > 2 * two_j)  # first |m| > sqrt(j)
+    with pytest.raises(DomainError):
+        asymptotics.contraction_sum(two_j, alpha, beyond)
+
+
 def test_beta_moment_alpha_one_identity():
     # B(3/2, 1/2)/pi = 1/2, so the alpha=1 moment is r_m sin(theta)
     from dickeprep.angles import geometric_angle

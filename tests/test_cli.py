@@ -125,7 +125,7 @@ def test_cli_dmatrix_rejects_removed_backend(capsys):
         cli.main(["--no-timestamp", "dmatrix", "--two-j", "4", "--two-m", "4",
                   "--theta", "0.5", "--backend", "a"])
     assert exited.value.code == 2
-    assert "invalid choice: 'a'" in capsys.readouterr().err
+    assert "unrecognized arguments: --backend a" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
@@ -398,11 +398,32 @@ def test_threads_env_fallback_fills_only_unset_variables():
         "import os\n"
         "from dickeprep import cli\n"
         "os.environ.pop('MKL_NUM_THREADS', None)\n"
-        "cli._apply_thread_cap(['chain'])\n"
+        "cli._apply_thread_cap(None, cli._build_parser())\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['MKL_NUM_THREADS'])\n"
     )
     out = _run_python(code, OPENBLAS_NUM_THREADS="2", DICKE_PREP_THREADS="1")
     assert out.split() == ["2", "1"]
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_threads_env_below_one_is_a_usage_error(value):
+    # these used to run with exit 0 and export OPENBLAS_NUM_THREADS=0, -2 or abc
+    code = (
+        "import contextlib, io, os\n"
+        "from dickeprep import cli\n"
+        "blas = ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')\n"
+        "for var in blas:\n"
+        "    os.environ.pop(var, None)\n"
+        "err = io.StringIO()\n"
+        "try:\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        cli.main(['--no-timestamp', 'dmatrix', '--two-j', '4', '--two-m', '0', '--theta', '0.5'])\n"
+        "except SystemExit as exited:\n"
+        "    named = 'usage:' in err.getvalue() and 'DICKE_PREP_THREADS' in err.getvalue()\n"
+        "    print('RESULT', exited.code, named, *(os.environ.get(var) for var in blas))\n"
+    )
+    out = _run_python(code, DICKE_PREP_THREADS=value)
+    assert out.splitlines()[-1].split() == ["RESULT", "2", "True", "None", "None", "None"]
 
 
 def test_cli_runs_without_mpmath(tmp_path):

@@ -159,15 +159,20 @@ def test_default_max_iterations_formula():
         assert default_max_iterations(two_j) == 10 * math.ceil(math.log2(j + 2)) + 100
 
 
+def _fires(policy: ResetPolicy, two_j: int, two_m: int) -> bool:
+    """Whether the policy's mask fires at two_m."""
+    return bool(policy.mask(two_j)[(two_m + two_j) // 2])
+
+
 def test_reset_policy_exact_threshold():
     sqrt_j = ResetPolicy(kind="sqrt_j")
     # j = 4: sqrt(j) = 2 exactly; reset only strictly beyond
-    assert not sqrt_j.triggers(8, 4)    # |m| = 2 == sqrt(j): keep
-    assert sqrt_j.triggers(8, 6)        # |m| = 3 > 2: reset
-    assert sqrt_j.triggers(8, -6)
+    assert not _fires(sqrt_j, 8, 4)     # |m| = 2 == sqrt(j): keep
+    assert _fires(sqrt_j, 8, 6)         # |m| = 3 > 2: reset
+    assert _fires(sqrt_j, 8, -6)
     # j = 2: sqrt(2) between 1 and 2
-    assert not sqrt_j.triggers(4, 2)    # |m| = 1 < sqrt(2)
-    assert sqrt_j.triggers(4, 4)        # |m| = 2 > sqrt(2)
+    assert not _fires(sqrt_j, 4, 2)     # |m| = 1 < sqrt(2)
+    assert _fires(sqrt_j, 4, 4)         # |m| = 2 > sqrt(2)
 
 
 @pytest.mark.parametrize("two_j", [0, 1, 8, 9, 40, 41])
@@ -182,18 +187,33 @@ def test_reset_policy_exact_threshold():
     ],
 )
 def test_reset_mask_equals_triggers(two_j, policy):
+    # the trigger rule in exact integers: |m| > sqrt(j) <=> (two_m)^2 > 2 two_j,
+    # |m| > t <=> |two_m| > 2t (exact for these thresholds)
     mask = policy.mask(two_j)
     assert mask.dtype == bool and mask.shape == (two_j + 1,)
-    expected = [policy.triggers(two_j, two_m) for two_m in range(-two_j, two_j + 1, 2)]
-    assert mask.tolist() == expected
+    rule = {
+        "none": lambda two_m: False,
+        "sqrt_j": lambda two_m: two_m * two_m > 2 * two_j,
+        "custom": lambda two_m: abs(two_m) > 2 * policy.threshold,
+    }[policy.kind]
+    assert mask.tolist() == [rule(two_m) for two_m in range(-two_j, two_j + 1, 2)]
 
 
 def test_reset_policy_custom():
     custom = ResetPolicy(kind="custom", threshold=2.5)
-    assert custom.triggers(20, 6) and not custom.triggers(20, 4)
+    assert _fires(custom, 20, 6) and not _fires(custom, 20, 4)
     with pytest.raises(ValidationError):
         ResetPolicy(kind="custom")
     with pytest.raises(ValidationError):
         ResetPolicy(kind="none", threshold=1.0)
     with pytest.raises(ValidationError):
         ResetPolicy(kind="whenever")
+
+
+def test_every_export_resolves():
+    # the exports are lazy, so a stale entry would fail only at first access
+    import dickeprep
+
+    assert dickeprep.__all__
+    for name in dickeprep.__all__:
+        assert getattr(dickeprep, name) is not None, name

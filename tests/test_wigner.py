@@ -109,7 +109,7 @@ def test_backend_agreement_moderate_j():
         for theta in rng.uniform(0.05, 3.1, 6):
             two_m = int(2 * rng.integers(0, two_j // 2 + 1) - two_j + (two_j % 2))
             a = logsum_column(two_j, two_m, theta)
-            b = wigner.d_column(SpinSpec(two_j, two_m), theta, backend="b").amplitudes
+            b = wigner.d_column(SpinSpec(two_j, two_m), theta).amplitudes
             assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -155,10 +155,6 @@ def test_column_index_validation():
 def test_logsum_rejects_large_j():
     with pytest.raises(OutOfRange):
         logsum_column(602, 0, 0.5)
-    with pytest.raises(OutOfRange):
-        wigner.d_column(SpinSpec(4, 0), 0.5, backend="z")
-    with pytest.raises(OutOfRange, match="backend 'a' was removed"):
-        wigner.d_column(SpinSpec(4, 0), 0.5, backend="a")
 
 
 def test_transition_probabilities_matches_column():
