@@ -34,8 +34,7 @@ _EXPORTS = {
         "expected_steps_for", "mt_sweep", "naive_expected_steps",
     ),
     "simulate": (
-        "SummaryStats", "SymmetricState", "TrajectoryRecord", "rng_stream",
-        "run_statevector", "run_trajectory",
+        "SummaryStats", "TrajectoryRecord", "rng_stream", "run_trajectory",
     ),
     "asymptotics": (
         "AsymptoticComparison", "bessel_limit", "beta_moment",

@@ -69,7 +69,6 @@ class AnglePolicyResult:
 
     angle: Angle
     overlap_probability: float
-    policy: str
     fell_back: bool = False  # optimizer degraded to the geometric angle
 
 
@@ -355,7 +354,6 @@ def optimal_angle(two_j: int, two_mt: int, two_m: int) -> AnglePolicyResult:
     return AnglePolicyResult(
         angle=Angle(float(angle[0])),
         overlap_probability=float(overlap[0]),
-        policy=AnglePolicy.NUMERIC_OPTIMAL,
         fell_back=bool(fell_back[0]),
     )
 

@@ -11,9 +11,8 @@ with the exact d-matrix numerics so their error scaling can be measured:
 * the beta-function moments of the tilted-ring transition density;
 * the closed-form reset probability in the regime sqrt(j)/2 < m <= sqrt(j).
 
-Bessel functions of the first kind are evaluated with Miller's backward
-recurrence normalized by J_0 + 2*sum J_{2k} = 1 (library-independent; the
-series definition and scipy serve as test oracles).
+The Bessel limit is scipy.special.jv, imported on first use: no other
+runtime path needs scipy.special (the power series is the test oracle).
 """
 
 from __future__ import annotations
@@ -118,66 +117,13 @@ def compare_stationary_phase(two_j: int, two_m: int) -> list[AsymptoticCompariso
     return out
 
 
-# ---------------------------------------------------------------------------
-# Bessel functions of the first kind (Miller's backward recurrence)
-
-_BESSEL_MAX_ORDER = 200
-_RESCALE = 1e250
-
-
-def bessel_j_first_kind(order: int, x: float) -> float:
-    """J_order(x) for integer order, accurate to ~1e-12 for |order| <= 200.
-
-    Backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} started high above
-    max(|order|, x) with an arbitrary seed, normalized with the identity
-    J_0(x) + 2 sum_{k>=1} J_{2k}(x) = 1.
-    """
-    if abs(order) > _BESSEL_MAX_ORDER:
-        raise OutOfRange(f"order {order} beyond the supported |order| <= {_BESSEL_MAX_ORDER}")
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        if order % 2:
-            sign = -sign
-    if order < 0:
-        order = -order
-        if order % 2:
-            sign = -sign
-    if x == 0.0:
-        return sign * (1.0 if order == 0 else 0.0)
-
-    top = max(order, int(math.ceil(x)))
-    start = top + int(math.ceil(2.0 * math.sqrt(16.0 * (top + 2)))) + 16
-    if start % 2:
-        start += 1
-
-    j_hi = 0.0
-    j_cur = 1e-30
-    norm = 0.0
-    target = 0.0
-    for k in range(start, 0, -1):
-        j_lo = (2.0 * k / x) * j_cur - j_hi
-        j_hi, j_cur = j_cur, j_lo
-        if k - 1 == order:
-            target = j_cur
-        if (k - 1) % 2 == 0:
-            norm += 2.0 * j_cur if (k - 1) > 0 else j_cur
-        if abs(j_cur) > _RESCALE:
-            j_cur /= _RESCALE
-            j_hi /= _RESCALE
-            norm /= _RESCALE
-            target /= _RESCALE
-    return sign * target / norm
-
-
 def bessel_limit(two_m: int, two_m_prime: int) -> float:
     """The fixed-offset large-j limit J_{m-m'}(m) of d^j_{m',m}(arcsin(m/j))."""
     if (two_m - two_m_prime) % 2 != 0:
         raise OutOfRange("two_m and two_m_prime must share a parity")
-    order = (two_m - two_m_prime) // 2
-    return bessel_j_first_kind(order, two_m / 2.0)
+    from scipy.special import jv  # deferred: no other runtime path imports scipy.special (~45 ms)
+
+    return float(jv((two_m - two_m_prime) // 2, two_m / 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ report's expected_steps_from is first read.  Rows stay on their windows
 (wigner.transition_windows), so routing a row, its part in the S block and
 its fill cost O(window), not O(n).  _checked_rows reads them and checks
 their sums, for this module and for simulate's chain engine alike.
-build_chain and expected_steps keep the dense n x n matrix for callers
-that want the matrix itself.
+build_chain keeps the dense n x n matrix for callers that want the
+matrix itself, and expected_steps solves it over every transient state.
 
 At m_t = 0 (integer j) the chain is strongly lumpable on the classes
 {m, -m} (Kemeny & Snell, 1960, ch. VI).  Every angle policy has
@@ -67,8 +67,7 @@ class TransitionChain:
     """Row-stochastic transition matrix P[a, b] = Pr[m_a -> m_b]."""
 
     config: ProtocolConfig
-    matrix: np.ndarray
-    absorbing_index: int
+    matrix: np.ndarray  # the absorbing row is config.target_index
     angles: np.ndarray  # rotation angle applied from each source state
 
     @property
@@ -169,32 +168,16 @@ def build_chain(config: ProtocolConfig) -> TransitionChain:
         matrix[rows, -1] += moved
     matrix[i_t] = 0.0
     matrix[i_t, i_t] = 1.0
-    return TransitionChain(config=config, matrix=matrix, absorbing_index=i_t, angles=theta)
+    return TransitionChain(config=config, matrix=matrix, angles=theta)
 
 
 def expected_steps(chain: TransitionChain) -> AbsorptionReport:
-    """Solve (I - Q) t = 1 on a dense chain for the expected number of
-    iterations before absorption.
-
-    The solve runs only on the transient states the walk can enter: those
-    with a non-zero column in the matrix, plus the start state m = j.  Every
-    row's mass lies in entered columns, so each other transient state r
-    follows exactly from one product, t_r = 1 + P[r, S] t_S.
-    (I - Q) is block triangular in (S, rest) with identity on the rest, so
-    it is singular exactly when its S block is.
-    """
-    n = chain.size
-    i_t = chain.absorbing_index
-    p = chain.matrix
-    transient = np.arange(n) != i_t
-    solved = p.any(axis=0) & transient
-    solved[n - 1] = transient[n - 1]  # the start state, unless it is the target
-    t = _solve(p[np.ix_(solved, solved)])
-    out = np.zeros(n)
-    out[solved] = t
-    rest = transient & ~solved
-    out[rest] = 1.0 + p[np.ix_(rest, solved)] @ t
-    return AbsorptionReport(chain.config, float(out[n - 1]), lambda: out)
+    """Solve (I - Q) t = 1 on a dense chain, over every transient state,
+    for the expected number of iterations before absorption."""
+    transient = np.arange(chain.size) != chain.config.target_index
+    out = np.zeros(chain.size)
+    out[transient] = _solve(chain.matrix[np.ix_(transient, transient)])
+    return AbsorptionReport(chain.config, float(out[-1]), lambda: out)
 
 
 def expected_steps_for(

@@ -321,13 +321,15 @@ def _bessel_table(two_m: int, j_list: list[int], max_offset: int) -> tuple:
 
 
 def _contraction_table(two_j: int, alpha: float) -> tuple:
+    """The contraction ratio at every m in [j^(1/4), sqrt(j)] of two_j's
+    parity: integer m for integer j, half-integer m otherwise."""
     import math
 
     from .asymptotics import contraction_sum
 
-    j = two_j / 2.0
-    ms = range(int(math.ceil(j**0.25)), int(math.floor(math.sqrt(j))) + 1)
-    rows = [(2 * m, contraction_sum(two_j, alpha, 2 * m)) for m in ms]
+    j, parity = two_j / 2.0, two_j % 2
+    ks = range(math.ceil(j**0.25 - parity / 2), math.floor(math.sqrt(j) - parity / 2) + 1)  # m = k + parity / 2
+    rows = [(two_m, contraction_sum(two_j, alpha, two_m)) for two_m in (2 * k + parity for k in ks)]
     return {"two_j": two_j, "alpha": alpha}, ["two_m", "contraction_sum"], rows
 
 

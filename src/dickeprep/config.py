@@ -19,18 +19,12 @@ together as a ValidationError naming every offending key.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .core import ParseError, ProtocolConfig, ResetPolicy, ValidationError, _config_problems
 
-_ALLOWED_KEYS = {
-    "two_j",
-    "target_two_mt",
-    "angle_policy",
-    "reset_policy",
-    "max_iterations",
-    "seed",
-}
+_ALLOWED_KEYS = {f.name for f in fields(ProtocolConfig)}  # the schema's keys are the config's fields
 
 
 def _parse_reset(value) -> ResetPolicy:
@@ -86,16 +80,7 @@ def load_config(path: str | Path) -> ProtocolConfig:
 
 def config_to_dict(config: ProtocolConfig) -> dict:
     """JSON-ready dictionary round-tripping through parse_config."""
-    reset: object
-    if config.reset_policy.kind == ResetPolicy.CUSTOM:
-        reset = {"custom": config.reset_policy.threshold}
-    else:
-        reset = config.reset_policy.kind
-    return {
-        "two_j": config.two_j,
-        "target_two_mt": config.target_two_mt,
-        "angle_policy": config.angle_policy,
-        "reset_policy": reset,
-        "max_iterations": config.max_iterations,
-        "seed": config.seed,
-    }
+    out = {f.name: getattr(config, f.name) for f in fields(ProtocolConfig)}
+    reset = config.reset_policy
+    out["reset_policy"] = {"custom": reset.threshold} if reset.kind == ResetPolicy.CUSTOM else reset.kind
+    return out

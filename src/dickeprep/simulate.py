@@ -116,19 +116,6 @@ class TrajectoryRecord:
     succeeded: bool
 
 
-@dataclass(frozen=True)
-class SymmetricState:
-    """Real state vector over the |j, m> basis; unit norm within 1e-9."""
-
-    two_j: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        norm_dev = abs(float(self.amplitudes @ self.amplitudes) - 1.0)
-        if norm_dev > 1e-9:
-            raise NormDrift(f"symmetric state norm off by {norm_dev:.3e}")
-
-
 class PolicyTables:
     """Per-config cache of the states some run has stood on: each one's
     policy angle and the cumulative outcome distribution of its chain row
@@ -197,11 +184,13 @@ class PolicyTables:
         """Rotated basis column (signed amplitudes) of source state i_m at its
         cached angle, whose squares are the chain row.  No walk reads it.
 
-        Its norm is checked by SymmetricState: NormDrift beyond 1e-9.
+        Raises NormDrift when its norm is off 1 by more than 1e-9.
         """
         spec = SpinSpec(self.two_j, 2 * i_m - self.two_j)
         column = wigner.d_column(spec, self.angle(i_m)).amplitudes
-        SymmetricState(two_j=self.two_j, amplitudes=column)
+        norm_dev = abs(float(column @ column) - 1.0)
+        if norm_dev > 1e-9:
+            raise NormDrift(f"rotated column norm off by {norm_dev:.3e}")
         return column
 
 
@@ -223,10 +212,9 @@ def run_trajectory(
     (lo, cum) (see PolicyTables.cumulative), and returns to m = j within the
     same step if the outcome is rerouted (never the target).
 
-    run_statevector is this function under a second name.  Rotating |j, m>
-    by the policy angle and measuring J_z gives m' with probability
-    |d^j_{m',m}(theta)|^2, which is the chain row drawn here, so the
-    statevector run and the chain run are one walk with one record.
+    Rotating |j, m> by the policy angle and measuring J_z gives m' with
+    probability |d^j_{m',m}(theta)|^2, which is the chain row drawn here,
+    so this is also the statevector run: one walk with one record.
     """
     tables = tables if tables is not None else PolicyTables(config)
     two_j = config.two_j
@@ -246,9 +234,6 @@ def run_trajectory(
     return TrajectoryRecord(
         config=config, steps=tuple(steps), iterations=len(steps), succeeded=succeeded
     )
-
-
-run_statevector = run_trajectory
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ def test_j1_row_is_binomial():
 def test_absorbing_row_is_point_mass():
     for cfg in (_cfg(2), _cfg(10, policy=AnglePolicy.GEOMETRIC), _cfg(9, 3, AnglePolicy.GEOMETRIC)):
         built = chain.build_chain(cfg)
-        row = built.matrix[built.absorbing_index]
+        row = built.matrix[built.config.target_index]
         expected = np.zeros(built.size)
-        expected[built.absorbing_index] = 1.0
+        expected[built.config.target_index] = 1.0
         assert np.array_equal(row, expected)
 
 
@@ -38,7 +38,7 @@ def test_rows_match_outcome_distribution():
     cfg = _cfg(20, policy=AnglePolicy.GEOMETRIC)
     built = chain.build_chain(cfg)
     for i in range(built.size):
-        if i == built.absorbing_index:
+        if i == built.config.target_index:
             continue
         exact = rotation_oracle(20, built.angles[i])[:, i] ** 2
         assert np.max(np.abs(built.matrix[i] - exact)) < 1e-11
@@ -67,7 +67,7 @@ def test_reset_routing_moves_tail_mass():
     other_tail[-1] = False  # m = j is in the tail but is the reset destination
     assert np.max(np.abs(routed.matrix[:, other_tail])) == 0.0
     expected_last = plain.matrix[:, -1] + plain.matrix[:, other_tail].sum(axis=1)
-    rows = np.arange(two_j + 1) != routed.absorbing_index
+    rows = np.arange(two_j + 1) != routed.config.target_index
     assert routed.matrix[rows, -1] == pytest.approx(expected_last[rows], abs=1e-14)
     # untouched interior columns agree with the unrouted chain
     inside = ~tail
@@ -155,7 +155,7 @@ def test_mt_sweep_rejects_invalid_two_j(two_j):
 def test_singular_system_detected():
     cfg = _cfg(2)
     bad = np.eye(3)  # no path to the absorbing state from the others
-    broken = chain.TransitionChain(config=cfg, matrix=bad, absorbing_index=1, angles=np.zeros(3))
+    broken = chain.TransitionChain(config=cfg, matrix=bad, angles=np.zeros(3))
     with pytest.raises(SingularSystem):
         chain.expected_steps(broken)
 
@@ -193,7 +193,7 @@ def test_half_integer_spin_chain():
 def _dense_expected_steps(built):
     # reference: the full fundamental-matrix solve over every transient state
     n = built.size
-    keep = np.arange(n) != built.absorbing_index
+    keep = np.arange(n) != built.config.target_index
     a = np.eye(n - 1) - built.matrix[np.ix_(keep, keep)]
     out = np.zeros(n)
     out[keep] = np.linalg.solve(a, np.ones(n - 1))
@@ -224,11 +224,11 @@ _SOLVE_CASES = [
 )
 def test_entered_state_solve_matches_dense_reference(policy, two_j, two_mt, reset, shrinks):
     built = chain.build_chain(_cfg(two_j, two_mt, policy, reset))
-    transient = np.arange(built.size) != built.absorbing_index
+    transient = np.arange(built.size) != built.config.target_index
     assert (~built.matrix[:, transient].any(axis=0)).any() == shrinks
     got = chain.expected_steps(built).expected_steps_from
     ref = _dense_expected_steps(built)
-    assert got[built.absorbing_index] == 0.0
+    assert got[built.config.target_index] == 0.0
     assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-12
 
 

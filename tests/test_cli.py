@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -354,9 +355,9 @@ def test_cli_import_loads_no_numpy():
 
 
 def test_runtime_imports_no_scipy_special():
-    # the Chebyshev rotation, the runtime's only scipy.special user, is a test oracle now
-    out = _run_python("import sys, dickeprep.angles, dickeprep.chain, dickeprep.simulate; "
-                      "print('scipy.special' in sys.modules)")
+    # bessel_limit imports scipy.special (about 45 ms) on first use, not at import
+    out = _run_python("import sys, dickeprep.angles, dickeprep.asymptotics, dickeprep.chain, dickeprep.cli, "
+                      "dickeprep.simulate; print('scipy.special' in sys.modules)")
     assert out.split() == ["False"]
 
 
@@ -606,3 +607,95 @@ def test_cli_wrong_parity_target_names_two_mt(tmp_path, capsys, argv):
     assert cli.main(["--no-timestamp", "--out-dir", str(tmp_path), *argv]) == 1
     assert capsys.readouterr().err.startswith("error: two_mt=0 must have the same parity as two_j=")
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_contraction_follows_the_parity_of_two_j(tmp_path):
+    # the table used to build even two_m only, so every odd two_j failed
+    # with "two_m=8 must have the same parity as two_j=401"
+    from dickeprep.asymptotics import contraction_sum
+
+    assert cli.main(["--no-timestamp", "--out-dir", str(tmp_path), "asymptotics", "--mode", "contraction",
+                     "--two-j", "401"]) == 0
+    _, columns, rows = _read_csv(tmp_path / "contraction.csv")
+    assert columns == ["two_m", "contraction_sum"]
+    # every m of two_j's parity in [j^(1/4), sqrt(j)] = [3.76, 14.16]
+    assert [int(r[0]) for r in rows] == list(range(9, 28, 2))
+    assert all(float(v) == contraction_sum(401, 0.05, int(tm)) for tm, v in rows)
+
+
+# every subcommand and mode, both simulate engine labels and every figure job
+# at its defaults, run with --no-timestamp --seed 1 from an empty directory
+_CLI_CONFIG = {"two_j": 40, "angle_policy": "geometric", "reset_policy": "sqrt_j", "seed": 7}
+_CLI_RUNS = {
+    "dmatrix": ["dmatrix", "--two-j", "20", "--two-m", "4", "--theta", "0.7", "--out", "dmatrix.csv"],
+    "angles": ["angles", "--two-j", "40"],
+    "chain-emit": ["chain", "--config", "../cfg.json", "--emit", "matrix.csv"],
+    "chain-expected-steps": ["chain", "--expected-steps", "--j-list", "16,32"],
+    "chain-mt-sweep": ["chain", "--mt-sweep", "--two-j", "20"],
+    "simulate-chain": ["simulate", "--config", "../cfg.json", "--runs", "200", "--engine", "chain",
+                       "--dump-trajectories", "traj.csv"],
+    "simulate-statevector": ["simulate", "--config", "../cfg.json", "--runs", "200", "--engine", "statevector",
+                             "--dump-trajectories", "traj.csv"],
+    "asymptotics-stationary-phase": ["asymptotics", "--mode", "stationary-phase"],
+    "asymptotics-bessel": ["asymptotics", "--mode", "bessel"],
+    "asymptotics-contraction": ["asymptotics", "--mode", "contraction"],
+    "asymptotics-moments": ["asymptotics", "--mode", "moments"],
+    "husimi": ["husimi", "--two-j", "20", "--two-m", "4"],
+    "geometry": ["geometry", "--pdf", "--two-j", "100", "--two-m", "10"],
+    "cavity-spectrum": ["cavity", "--mode", "spectrum"],
+    "cavity-fisher": ["cavity", "--mode", "fisher"],
+    "cavity-estimate": ["cavity", "--mode", "estimate"],
+    "cavity-resolvability": ["cavity", "--mode", "resolvability"],
+    **{f"figure-{job}": ["figure", "--job", job] for job in cli._JOBS},
+}
+# SHA-256 of the exit code and of every file a run writes (name and bytes)
+_CLI_DIGESTS = {
+    "dmatrix": "2d9f6ab1f79d7a065db27affc570e0cc6d5347dd6dfaeffe5a727757f4c7b638",
+    "angles": "4e6afbe9e83c6c1f4b2f5683b76db0e554ac7dc3bd6e3d297007675a1b9a2442",
+    "chain-emit": "29be1ec30fa896c51799d5485b99131158657bcce769f03ebe12b1f8f5550c4f",
+    "chain-expected-steps": "b84ad687b4d592c6a25818fd1fc3224b8e7ff0c08e71d48a3ada0e02359ef730",
+    "chain-mt-sweep": "abca016d5798cf664ecf6a0ea5be76ecf61f39b548a05188350d05a47c33b861",
+    "simulate-chain": "036e6ffcccb387a807aec74cb85ace17399bbfed4fbc1112edf896d7f5908a86",
+    "simulate-statevector": "beb4990d32814964c8f3bfd866690473c7b0f41051b583b8f220bd145b69a4ab",
+    "asymptotics-stationary-phase": "633b61cf7b5509d2c2f4255c75af12da8c1ccef632738ee524c4f4c7e95cfd79",
+    "asymptotics-bessel": "77b5149fb16c8f1d4d5d368bd61baa8ce18955a4305c28672ebf6b588bd5363a",
+    "asymptotics-contraction": "4e40f4a449842dd20930b5a6d4bd216955b3ecb014a63df703bc5d160fbbe20a",
+    "asymptotics-moments": "23c027aba8a5409c8f0ecd7b09ecd3dde32dabd99a082f1e11d3736fee3c0924",
+    "husimi": "be26c430fa512e5757bb6e45445a8965b9a568f9d3c6ade21a98c82b39490709",
+    "geometry": "55db8dd8b643736398c5be91b839cfd87781cb16bd18f04c1e888a60c9a2f43a",
+    "cavity-spectrum": "df6b379383ab1a1e61071b51eea5557be3f04ed1da94e1f94d2098976dad0bf1",
+    "cavity-fisher": "f5eedb09334b24350c7b5a081134b0e99eddfa5ea9ab7c1903228345ab62133d",
+    "cavity-estimate": "f5cd82463be5abc0dc64e0a723350f0023f6fe14d59087b4dc32a1780c0ca57e",
+    "cavity-resolvability": "1f67c0eccbab8c595b8a91dd50da6b804213426b99d35cb76567b32a7db70ffa",
+    "figure-fig2a": "169f6603c18f7c3a64e516cf1a5b471a105af5b29060947c4a607cfb69a50aa1",
+    "figure-fig2b": "878c3ff04dc5486671a70f345bc21c44b4945ba1b8b79b2399be8221bec41f5a",
+    "figure-fig2c": "be6b99c4fca84975ac6ea21807acb51619baf66e96241e4069ca2853c6cf7ae5",
+    "figure-fig2d": "1efd660cc11d8b26951b0368c9ae6fa5ead467299b1a43fc644dcf79b367998d",
+    "figure-pdf-comparison": "67f170143a82a3a9b47380d5a379ef755cc5fef670e35c4532ed94714fc174cf",
+    "figure-cavity-spectrum": "49fbe1196857e248ef09fb42d9fcf131ba5e0627aba457ffcfba41ede11a92b7",
+}
+
+
+def _cli_digests(root: Path) -> dict:
+    """Each _CLI_RUNS entry run from its own empty directory under root."""
+    (root / "cfg.json").write_text(json.dumps(_CLI_CONFIG))
+    got = {}
+    for name, argv in _CLI_RUNS.items():
+        run_dir = root / name
+        run_dir.mkdir()
+        os.chdir(run_dir)
+        rc = cli.main(["--no-timestamp", "--seed", "1", *argv])
+        digest = hashlib.sha256(f"{rc}\n".encode())
+        for path in sorted(run_dir.rglob("*")):
+            digest.update(f"{path.relative_to(run_dir).as_posix()}\n".encode() + path.read_bytes())
+        got[name] = digest.hexdigest()
+    return got
+
+
+def test_cli_outputs_are_pinned(tmp_path):
+    # in a fresh interpreter with BLAS at one thread: a threaded LAPACK
+    # solve (fig2d's 100-state blocks) rounds differently
+    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import test_cli; "
+            f"print(json.dumps(test_cli._cli_digests(test_cli.Path({str(tmp_path)!r}))))")
+    out = _run_python(code, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert json.loads(out.splitlines()[-1]) == _CLI_DIGESTS

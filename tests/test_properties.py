@@ -166,10 +166,9 @@ def protocol_configs(draw, max_two_j=24):
 def test_batched_walk_equals_looped_walk(config, engine):
     runs = 40
     its, ok = simulate.sample_iterations(config, runs, engine=engine)
-    walk = simulate.run_statevector if engine == "statevector" else simulate.run_trajectory
     tables = simulate.PolicyTables(config)
     for i in range(runs):
-        rec = walk(config, simulate.rng_stream(config.seed, i), tables)
+        rec = simulate.run_trajectory(config, simulate.rng_stream(config.seed, i), tables)
         assert (its[i], ok[i]) == (rec.iterations, rec.succeeded)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from dickeprep.core import AnglePolicy, OutOfRange, ProtocolConfig, ResetPolicy, SingularSystem, SpinSpec
+from dickeprep.core import AnglePolicy, NormDrift, OutOfRange, ProtocolConfig, ResetPolicy, SingularSystem, SpinSpec
 from dickeprep import angles, chain, cli, simulate, wigner
 
 from oracles import absorption_time_law, dense_draw, rotation_oracle
@@ -65,7 +66,7 @@ WALK_CONFIGS = [
     _cfg(41, 1, AnglePolicy.GEOMETRIC, seed=6),  # half-integer j, no reset
 ]
 # each engine label's batched sampler against its one-run walk
-WALKS = {"chain": simulate.run_trajectory, "statevector": simulate.run_statevector}
+WALKS = {"chain": simulate.run_trajectory, "statevector": simulate.run_trajectory}
 
 
 def test_batch_equals_sequential_runs():
@@ -184,6 +185,18 @@ def test_statevector_columns_match_outcome_distribution():
         col = tables.column(i_m)
         exact = rotation_oracle(24, theta[i_m])[:, i_m]
         assert np.max(np.abs(col - exact)) < 1e-10
+
+
+def test_statevector_column_norm_is_checked(monkeypatch):
+    d_column = wigner.d_column
+
+    def drifted(spec, theta):
+        column = d_column(spec, theta)
+        return dataclasses.replace(column, amplitudes=column.amplitudes * (1.0 + 1e-8))  # norm off by 2e-8
+
+    monkeypatch.setattr(wigner, "d_column", drifted)
+    with pytest.raises(NormDrift, match="norm off by"):
+        simulate.PolicyTables(_cfg(24, policy=AnglePolicy.GEOMETRIC)).column(5)
 
 
 def test_walk_builds_each_cumulative_once(monkeypatch):
@@ -485,7 +498,7 @@ def test_chain_engine_reaches_two_j_2_to_the_20():
 
 def test_statevector_record_structure():
     cfg = _cfg(12, seed=3)
-    rec = simulate.run_statevector(cfg, simulate.rng_stream(cfg.seed, 0))
+    rec = simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, 0))
     assert rec.succeeded
     assert rec.steps[-1].two_m_after == 0
     for st in rec.steps[:-1]:
@@ -499,7 +512,7 @@ def test_success_rate_is_one_at_default_cap():
     # chain tail bound: after max_iterations steps the unabsorbed mass is
     # far below one expected failure in 20k runs
     built = chain.build_chain(cfg)
-    keep = np.arange(built.size) != built.absorbing_index
+    keep = np.arange(built.size) != built.config.target_index
     q = built.matrix[np.ix_(keep, keep)]
     p = np.zeros(built.size - 1)
     p[-1] = 1.0
@@ -528,7 +541,7 @@ def test_success_rate_one_at_j2048_by_tail_bound():
     # unabsorbed mass after max_iterations bounds the failure probability
     cfg = _cfg(4096, reset="sqrt_j", seed=1)
     built = chain.build_chain(cfg)
-    keep = np.arange(built.size) != built.absorbing_index
+    keep = np.arange(built.size) != built.config.target_index
     q = built.matrix[np.ix_(keep, keep)]
     p = np.zeros(built.size - 1)
     p[-1] = 1.0
@@ -564,7 +577,7 @@ def test_statevector_records_equal_trajectory_records():
         tables = simulate.PolicyTables(cfg)
         for i in range(60):
             rec = simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables)
-            assert simulate.run_statevector(cfg, simulate.rng_stream(cfg.seed, i), tables) == rec
+            assert simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, i), tables) == rec
 
 
 def test_unknown_engine_is_rejected():
@@ -606,11 +619,11 @@ def test_exact_law_oracle_is_consistent():
     # j = 1 under arcsin(m/j): every step rotates m = +-1 by pi/2 and lands
     # on m = 0 with probability 1/2
     built = chain.build_chain(_cfg(2))
-    law = absorption_time_law(built.matrix, built.absorbing_index, built.size - 1, 40)
+    law = absorption_time_law(built.matrix, built.config.target_index, built.size - 1, 40)
     assert np.allclose(law[1:], 0.5 ** np.arange(1, 41), rtol=0, atol=1e-15)
     for two_j, reset in ((16, "none"), (100, "sqrt_j")):
         built = chain.build_chain(_cfg(two_j, policy=AnglePolicy.GEOMETRIC, reset=reset))
-        law = absorption_time_law(built.matrix, built.absorbing_index, built.size - 1, 4000)
+        law = absorption_time_law(built.matrix, built.config.target_index, built.size - 1, 4000)
         assert 1.0 - law.sum() < 1e-12
         mean = float(np.arange(len(law)) @ law)
         assert mean == pytest.approx(chain.expected_steps(built).start_state_value, rel=1e-9)
@@ -638,7 +651,7 @@ def _assert_sample_follows(cfg, law, exact_mean, engine="chain"):
 def test_engine_histograms_follow_exact_law(two_j, reset, engine):
     cfg = _cfg(two_j, policy=AnglePolicy.GEOMETRIC, reset=reset, seed=1000 + two_j)
     built = chain.build_chain(cfg)
-    law = absorption_time_law(built.matrix, built.absorbing_index, built.size - 1, cfg.max_iterations)
+    law = absorption_time_law(built.matrix, built.config.target_index, built.size - 1, cfg.max_iterations)
     _assert_sample_follows(cfg, law, chain.expected_steps(built).start_state_value, engine)
 
 
