@@ -322,13 +322,18 @@ def _bessel_table(two_m: int, j_list: list[int], max_offset: int) -> tuple:
 
 def _contraction_table(two_j: int, alpha: float) -> tuple:
     """The contraction ratio at every m in [j^(1/4), sqrt(j)] of two_j's
-    parity: integer m for integer j, half-integer m otherwise."""
+    parity: integer m for integer j, half-integer m otherwise.  Refuses a
+    two_j with no such m (1, 3, 4, 6 and 11)."""
     import math
 
     from .asymptotics import contraction_sum
+    from .core import DomainError
 
     j, parity = two_j / 2.0, two_j % 2
     ks = range(math.ceil(j**0.25 - parity / 2), math.floor(math.sqrt(j) - parity / 2) + 1)  # m = k + parity / 2
+    if not ks:
+        interval = f"[j^(1/4), sqrt(j)] = [{j**0.25:.4g}, {math.sqrt(j):.4g}]"
+        raise DomainError(f"two_j={two_j} has no m of its parity in {interval}")
     rows = [(two_m, contraction_sum(two_j, alpha, two_m)) for two_m in (2 * k + parity for k in ks)]
     return {"two_j": two_j, "alpha": alpha}, ["two_m", "contraction_sum"], rows
 

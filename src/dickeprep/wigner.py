@@ -29,9 +29,10 @@ test |d| >= |dl| = 0 always holds at a block boundary (no row interchange
 crosses it), and the fill it adds there is 0 * du = 0.  Each block's
 factors and solves are therefore the ones it gets alone, bit for bit: a
 row in a stack equals the same row solved alone, and a single row
-(``_eigenvector``) is the stack of one.  A full-range row that fails its
-first attempt is redone alone, and raises NormDrift if no attempt passes
-the residual check.
+(``_eigenvector``) is the stack of one.  A row that needs another pass
+goes back through the same stacked solve (``_solve_windows``): widened if
+clipped, else from the next start vector; a full-range row that fails
+every start raises NormDrift.
 
 Sign convention: fixed by the generator exp(-i theta J_y) with Condon-Shortley
 ladder operators, J_+|j,m> = sqrt(j(j+1)-m(m+1))|j,m+1>.  Tests pin signs
@@ -142,7 +143,10 @@ def outcome_distribution(spec: SpinSpec, angle) -> np.ndarray:
 # row's classically allowed window
 
 _START_KEY = 0x5D1C_E000  # fixed Philox key base: deterministic start vectors
-_START_CACHE_SIZE = 64  # (n, attempt) start vectors kept; a chain reuses one n
+_START_CACHE_SIZE = 64  # (n, start) start vectors kept; a chain reuses one n
+# the start vector of each pass on the full range: a row that fails its
+# first pass repeats start 0 outside the stack that failed, then tries two others
+_STARTS = np.array([0, 0, 1, 2])
 _RESOLVED = 1e-8  # entries above this fraction of the largest have a trustworthy sign
 # window entries per stacked solve.  Each stack's flat float64 and index
 # arrays (96 KiB) then stay under glibc's default 128 KiB mmap/trim
@@ -226,8 +230,8 @@ def _merge(n: int, count: int, parts: list[tuple[np.ndarray, Windows]]) -> Windo
 
 
 @functools.lru_cache(maxsize=_START_CACHE_SIZE)
-def _start_vector(n: int, attempt: int = 0) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=_START_KEY + 7919 * attempt + n))
+def _start_vector(n: int, start: int = 0) -> np.ndarray:
+    gen = np.random.Generator(np.random.Philox(key=_START_KEY + 7919 * start + n))
     v = gen.uniform(-1.0, 1.0, n)
     v /= np.linalg.norm(v)
     v.setflags(write=False)
@@ -380,7 +384,7 @@ def _eigenvectors(two_j: int, two_ms, thetas, cos, sin, lo, hi) -> Windows:
     return _solve_windows(two_j, two_ms, thetas, cos, sin, lo, hi)
 
 
-def _solve_windows(two_j: int, two_ms, thetas, cos, sin, lo, hi) -> Windows:
+def _solve_windows(two_j: int, two_ms, thetas, cos, sin, lo, hi, attempt=None) -> Windows:
     """Inverse iteration for every row on its window [lo, hi).
 
     The eigenvalues of H are the integers/half-integers -j..j with unit
@@ -391,70 +395,54 @@ def _solve_windows(two_j: int, two_ms, thetas, cos, sin, lo, hi) -> Windows:
     always holds at a block boundary and its fill there is 0 * du = 0; each
     block's factors and solves are the ones it gets alone, bit for bit.
 
-    A clipped row whose edge entry is not negligible, or that fails its
-    first attempt (non-finite, or residual above tolerance), is solved
-    again with each such side widened by its width, up to the full range.
-    A full-range row that fails is redone alone by _retry.
+    A pass is those two solves and the residual check.  The rows that need
+    another pass go through one more stacked call of this function: a
+    clipped row whose edge entry is not negligible, or that failed
+    (non-finite, or residual above tolerance), is widened by its width on
+    each such side, up to the full range; a full-range row that failed
+    moves on to its next start vector in _STARTS, and raises NormDrift once
+    it fails the last.  attempt holds each row's index into _STARTS (None
+    on the first pass, all 0).
     """
     n, count = two_j + 1, len(thetas)
     rows = Windows(n, lo, hi)
     diag, off, lu = _factor(two_j, two_ms, cos, sin, rows)
     bad = np.zeros(count, dtype=bool)
     v = _start_vector(n)[rows.columns]
+    if attempt is not None:  # full-range rows past start 0 take their own start vector
+        start = _STARTS[attempt]
+        for k in np.flatnonzero(start):
+            v[rows.starts[k]:rows.stops[k]] = _start_vector(n, int(start[k]))
     for _ in range(2):
         v = _solve(lu, v, bad, rows)
     tol = 1e-10 * max(1.0, two_j / 2.0)
-    failed = bad | ~(_residuals(diag, off, v, rows) <= tol)
+    res = _residuals(diag, off, v, rows)
+    failed = bad | ~(res <= tol)
     rows.values = v
     wide_lo = (lo > 0) & (failed | (np.abs(v[rows.starts]) > _EDGE))
     wide_hi = (hi < n) & (failed | (np.abs(v[rows.stops - 1]) > _EDGE))
-    if np.count_nonzero(failed):
-        for k in np.flatnonzero(failed & ~wide_lo & ~wide_hi):  # the full-range rows
-            v[rows.starts[k]:rows.stops[k]] = _retry(two_j, int(two_ms[k]), float(thetas[k]), tol)
-    widen = wide_lo | wide_hi
-    if not np.count_nonzero(widen):
+    again = failed | wide_lo | wide_hi
+    if not np.count_nonzero(again):
         return rows
-    redo, keep = np.flatnonzero(widen), np.flatnonzero(~widen)
+    repeat = failed & ~wide_lo & ~wide_hi  # the full-range rows that failed
+    attempt = repeat + (0 if attempt is None else attempt)
+    spent = np.flatnonzero(attempt == len(_STARTS))
+    if len(spent):
+        k = spent[0]
+        res[bad] = np.inf  # a non-finite pass, zeroed by _solve
+        raise NormDrift(
+            f"inverse iteration found no eigenvector (two_j={two_j}, two_m={int(two_ms[k])}, "
+            f"theta={float(thetas[k])!r}): residual {res[k]:.3e} > {tol:.1e}"
+        )
+    redo, keep = np.flatnonzero(again), np.flatnonzero(~again)
     width = rows.widths[redo]
     redone = _solve_windows(
         two_j, two_ms[redo], thetas[redo], cos[redo], sin[redo],
         np.where(wide_lo[redo], np.maximum(lo[redo] - width, 0), lo[redo]),
         np.where(wide_hi[redo], np.minimum(hi[redo] + width, n), hi[redo]),
+        attempt[redo],
     )
     return _merge(n, count, [(keep, rows.take(keep)), (redo, redone)])
-
-
-def _retry(two_j: int, two_m: int, theta: float, tol: float) -> np.ndarray:
-    """One full-range row alone, through up to three start vectors: two
-    solves each, plus a third when the residual check fails.  Raises
-    NormDrift naming the row when no attempt passes.
-    """
-    n = two_j + 1
-    rows = Windows(n, np.zeros(1, dtype=np.int64), np.full(1, n))
-    theta_ = np.array([theta])
-    diag, off, lu = _factor(two_j, np.array([two_m]), np.cos(theta_), np.sin(theta_), rows)
-    best = np.inf
-    for attempt in range(3):
-        bad = np.zeros(1, dtype=bool)
-        v = _start_vector(n, attempt)
-        for _ in range(2):
-            v = _solve(lu, v, bad, rows)
-        if bad[0]:
-            continue
-        res = _residuals(diag, off, v, rows)[0]
-        if res <= tol:
-            return v
-        best = min(best, res)
-        v = _solve(lu, v, bad, rows)
-        if not bad[0]:
-            res = _residuals(diag, off, v, rows)[0]
-            if res <= tol:
-                return v
-            best = min(best, res)
-    raise NormDrift(
-        f"inverse iteration found no eigenvector (two_j={two_j}, two_m={two_m}, "
-        f"theta={theta!r}): best residual {best:.3e} > {tol:.1e}"
-    )
 
 
 def _eigenvector(two_j: int, two_m: int, theta: float) -> tuple[int, np.ndarray]:

@@ -623,6 +623,17 @@ def test_cli_contraction_follows_the_parity_of_two_j(tmp_path):
     assert all(float(v) == contraction_sum(401, 0.05, int(tm)) for tm, v in rows)
 
 
+@pytest.mark.parametrize("two_j", ["1", "3", "4", "6", "11"])
+def test_cli_contraction_refuses_an_empty_interval(tmp_path, capsys, two_j):
+    # no m of two_j's parity lies in [j^(1/4), sqrt(j)]: this used to write a
+    # header-only CSV and exit 0
+    argv = ["--no-timestamp", "--out-dir", str(tmp_path), "asymptotics", "--mode", "contraction", "--two-j", two_j]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: two_j={two_j} ") and "[j^(1/4), sqrt(j)]" in err
+    assert not list(tmp_path.iterdir())
+
+
 # every subcommand and mode, both simulate engine labels and every figure job
 # at its defaults, run with --no-timestamp --seed 1 from an empty directory
 _CLI_CONFIG = {"two_j": 40, "angle_policy": "geometric", "reset_policy": "sqrt_j", "seed": 7}

@@ -349,7 +349,7 @@ def test_stacked_rows_equal_per_row_reference(two_j):
         if stacked.hi[k] - stacked.lo[k] < two_j + 1:  # a window: the 1e-15 gate
             assert np.max(np.abs(dense[k] ** 2 - ref**2)) <= 1e-15
             clipped += 1
-        elif passed:  # the full range: bit for bit (a failed first attempt is redone alone)
+        elif passed:  # the full range: bit for bit (a failed first pass is repeated outside the stack)
             assert (dense[k] * dense[k]).tobytes() == (ref * ref).tobytes()
             checked += 1
     assert checked + clipped >= len(thetas) - 2
@@ -434,7 +434,7 @@ def test_poisoned_block_stays_in_its_block(monkeypatch, poison):
     widths = _predicted_widths(two_j, two_ms, thetas)
     assert widths[2] == n  # the poisoned row is on the full range, so it is retried, not widened
     third = slice(int(widths[:2].sum()), int(widths[:3].sum()))  # the third row's block
-    real_gttrs, real_retry = wigner._gttrs, wigner._retry
+    real_gttrs, real_solve = wigner._gttrs, wigner._solve_windows
     retried = []
     alone_too = [False]
 
@@ -447,12 +447,14 @@ def test_poisoned_block_stays_in_its_block(monkeypatch, poison):
             x[:] = poison
         return x, info
 
-    def spying(two_j, two_m, theta, tol):
-        retried.append((two_m, theta))
-        return real_retry(two_j, two_m, theta, tol)
+    def spying(two_j, two_ms, thetas, cos, sin, lo, hi, attempt=None):
+        # the full-range rows passed back after their first failed pass
+        if attempt is not None:
+            retried.extend((int(m), float(t)) for m, t, a in zip(two_ms, thetas, attempt) if a == 1)
+        return real_solve(two_j, two_ms, thetas, cos, sin, lo, hi, attempt)
 
     monkeypatch.setattr(wigner, "_gttrs", poisoned)
-    monkeypatch.setattr(wigner, "_retry", spying)
+    monkeypatch.setattr(wigner, "_solve_windows", spying)
     got = _one_stack(two_j, two_ms, thetas)
     assert retried == [(-12, -2.0)]
     for k in range(len(thetas)):
@@ -464,6 +466,31 @@ def test_poisoned_block_stays_in_its_block(monkeypatch, poison):
     with pytest.raises(NormDrift, match=r"two_j=40, two_m=-12, theta=-2\.0\)"):
         _one_stack(two_j, two_ms, thetas)
     assert retried == [(-12, -2.0)]
+
+
+def test_failed_rows_move_through_the_start_vectors(monkeypatch):
+    # start 0 all NaN: every pass from it fails, in the stack and outside it,
+    # so each row must come back from start 1, after start 0 was read at
+    # least twice (the pass in the stack and its repeat)
+    two_j = 40
+    two_ms = [40, 4, -12, 0, -38]
+    thetas = [0.3, 0.9, -2.0, 0.05, 2.9]
+    widths = _predicted_widths(two_j, two_ms, thetas)
+    assert (widths < two_j + 1).any() and (widths == two_j + 1).any()  # clipped and full-range rows
+    real_start = wigner._start_vector
+    read = []
+
+    def poisoned(n, start=0):
+        read.append(start)
+        return np.full(n, np.nan) if start == 0 else real_start(n, start)
+
+    monkeypatch.setattr(wigner, "_start_vector", poisoned)
+    got = _one_stack(two_j, two_ms, thetas).dense()
+    assert 1 in read and read[:read.index(1)].count(0) >= 2
+    assert np.isfinite(got).all()
+    for k, (two_m, theta) in enumerate(zip(two_ms, thetas)):
+        exact = rotation_oracle(two_j, theta)[:, (two_m + two_j) // 2] ** 2
+        assert np.max(np.abs(got[k] ** 2 - exact)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
