@@ -14,10 +14,18 @@ run has stood on, and nothing of the others: no O(j) angle table is
 built.  The batched sampler fetches the states its runs first stand on at
 a step in one stack (one angles.policy_angles call on those states, one
 chain._checked_rows call), and the one-run walk fetches one state at a
-time; either way a state gets the same bits.  A chain row is the outcome law
-|d^j_{m',m}(theta)|^2 of rotating |j, m> by the policy angle and measuring
-J_z, so the walk is also the statevector protocol: the engine labels
-"chain" and "statevector" name the same walk and draw the same outcomes.
+time; either way a state gets the same bits.  The sampler marks the
+states it has fetched in a seen mask over the grid.  Each step sorts its
+runs on their states, held in the narrowest unsigned type that holds two_j
+(up to two_j = 65535 that is at most 16 bits, which numpy's stable sort
+sorts by radix), cuts the sorted runs into one slice per state where the
+state changes, and searches each state's cumulative on its slice of the
+draws.  A run's outcome depends only on its state and its draw, so the
+order of the runs within a slice changes nothing.  A chain row is the
+outcome law |d^j_{m',m}(theta)|^2 of rotating |j, m> by the policy angle
+and measuring J_z, so the walk is also the statevector protocol: the
+engine labels "chain" and "statevector" name the same walk and draw the
+same outcomes.
 The independent check is the exact absorption-time law
 Pr[T = k] = e_start Q^(k-1) r (Kemeny & Snell, 1960) of the transition
 matrix built from dense matrix exponentials of J_y, held against the
@@ -60,14 +68,14 @@ _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(high, low) 64-bit words of the 128-bit products m * x, from 32-bit
-    halves: every partial sum fits in 64 bits, and uint64 array products
-    wrap modulo 2^64 without a warning."""
+    halves as in mulhu of Hacker's Delight (Warren, ch. 8): the middle sums
+    t and w each fit in 64 bits, and uint64 array products wrap modulo
+    2^64 without a warning."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    ll, lh, hl = m_lo * x_lo, m_lo * x_hi, m_hi * x_lo
-    mid = (ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
-    hi = m_hi * x_hi + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, x * np.uint64(m)
+    t = m_hi * x_lo + ((m_lo * x_lo) >> _SHIFT32)
+    w = m_lo * x_hi + (t & _LOW32)
+    return m_hi * x_hi + (t >> _SHIFT32) + (w >> _SHIFT32), x * np.uint64(m)
 
 
 def _philox_block(seed: int, indices: np.ndarray, b: int) -> np.ndarray:
@@ -127,8 +135,8 @@ class PolicyTables:
     chain._checked_rows call, which solves their rows in stacks.  Both give
     a state the bits it gets alone or in the whole table, so what is cached
     does not depend on which states were fetched together.  The batched
-    sampler fetches a stack per step; cumulative, angle and column fetch
-    their one state on a miss.
+    sampler fetches a stack per step, the states its seen mask has not
+    marked; cumulative, angle and column fetch their one state on a miss.
 
     The outcome of a uniform u in (0, 1) is lo + searchsorted(cum, u,
     "left").  That is the searchsorted of the dense cumulative, which holds
@@ -250,59 +258,71 @@ def sample_iterations(
     The runs are vectorized in chunks; trajectory i always consumes draws
     from rng_stream(config.seed, i) in step order, so the result is
     identical to looping run_trajectory over i (tested), and independent of
-    chunking.  Each step groups the active trajectories by state, fetches
-    the states no trajectory has stood on before in one stack
-    (PolicyTables.fetch), and draws with the one-run walk's rule, so a
-    state's angle and row are computed only once some trajectory stands on
-    it.  engine is one of _ENGINES, labels of the same walk: it is checked
-    here and changes no draw.
+    chunking.  Each step fetches the states no trajectory has stood on
+    before in one stack (PolicyTables.fetch), read off a seen mask over
+    the grid, so a state's angle and row are computed only once some
+    trajectory stands on it.  The active trajectories are then grouped by
+    one stable argsort on their states, held in the narrowest unsigned
+    type that holds two_j (at most 16 bits up to two_j = 65535, which numpy
+    sorts by radix), with the groups cut where the sorted state changes.  The draws
+    are gathered once in that order, each group's outcomes are searched in
+    its state's cumulative on its slice (the one-run walk's rule), and the
+    windows' offsets are added with one np.repeat.  The draw block is
+    allocated once per call and refilled every _BLOCK steps.  engine is
+    one of _ENGINES, labels of the same walk: it is checked here and
+    changes no draw.
     """
     if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise OutOfRange(f"n_runs must be an integer >= 1, got {n_runs!r}")
     if engine not in _ENGINES:
         raise OutOfRange(f"unknown engine {engine!r}; choose from {_ENGINES}")
-    tables = PolicyTables(config)
     two_j = config.two_j
     i_t = config.target_index
+    if i_t == two_j:  # every run starts on the target
+        return np.zeros(n_runs, dtype=np.int64), np.ones(n_runs, dtype=bool)
+    tables = PolicyTables(config)
     max_iters = config.max_iterations
     cached = tables._rows  # (angle, lo, cum) of the states some trajectory stood on
+    seen = np.zeros(two_j + 1, dtype=bool)  # the states fetched so far
+    key = np.min_scalar_type(two_j)  # the dtype of a state, the sort key
 
     iterations = np.zeros(n_runs, dtype=np.int64)
     succeeded = np.zeros(n_runs, dtype=bool)
+    block = np.empty((min(n_runs, _CHUNK), _BLOCK))  # the draws of a chunk's runs
     for lo in range(0, n_runs, _CHUNK):
-        hi = min(lo + _CHUNK, n_runs)
-        size = hi - lo
-        cur = np.full(size, two_j, dtype=np.int64)
-        done = np.full(size, i_t == two_j)
-        iters = np.zeros(size, dtype=np.int64)
+        active = np.arange(min(_CHUNK, n_runs - lo))  # the chunk's runs still walking
+        state = np.full(len(active), two_j, dtype=key)
         step = 0
-        while not done.all() and step < max_iters:
-            idx_active = np.flatnonzero(~done)
+        while len(active) and step < max_iters:
+            new = state[~seen[state]]
+            if len(new):
+                new = np.unique(new)
+                tables.fetch(new.tolist())
+                seen[new] = True
             if step % _BLOCK == 0:
-                block = np.empty((size, _BLOCK))
-                block[idx_active] = _philox_block(config.seed, lo + idx_active, step // _BLOCK)
-            u = block[idx_active, step % _BLOCK]
-            src = cur[idx_active]
-            # group the active trajectories by state; draw each group from its cumulative
-            order = np.argsort(src, kind="stable")
-            states, starts = np.unique(src[order], return_index=True)
-            ends = [*starts[1:].tolist(), len(order)]
-            nxt = np.empty_like(src)
-            states = states.tolist()
-            tables.fetch(states)
-            for s, start, end in zip(states, starts.tolist(), ends):
-                group = order[start:end]
-                _, offset, cum = cached[s]  # the state's (angle, lo, cum)
-                nxt[group] = offset + cum.searchsorted(u[group], side="left")
+                block[active] = _philox_block(config.seed, lo + active, step // _BLOCK)
+            # group the active runs by state; draw each group from its cumulative
+            order = np.argsort(state, kind="stable")
+            state, active = state[order], active[order]
+            u = block[active, step % _BLOCK]
+            bounds = [0, *(np.flatnonzero(state[1:] != state[:-1]) + 1).tolist(), len(state)]
+            rows = [cached[s] for s in state[bounds[:-1]].tolist()]  # (angle, lo, cum)
+            nxt = np.concatenate([
+                cum.searchsorted(u[a:b], side="left")
+                for (_, _, cum), a, b in zip(rows, bounds, bounds[1:])
+            ])
+            nxt += np.repeat([offset for _, offset, _ in rows], np.diff(bounds))
             nxt[u == 0.0] = 0  # as in the one-run walk
             hit = nxt == i_t
-            nxt[tables.rerouted[nxt]] = two_j
-            iters[idx_active] += 1
-            cur[idx_active] = nxt
-            done[idx_active[hit]] = True
+            finished = lo + active[hit]
+            iterations[finished] = step + 1
+            succeeded[finished] = True
+            keep = ~hit
+            active, nxt = active[keep], nxt[keep]
+            state = nxt.astype(key)
+            state[tables.rerouted[nxt]] = two_j
             step += 1
-        iterations[lo:hi] = iters
-        succeeded[lo:hi] = done
+        iterations[lo + active] = step  # runs cut at max_iterations walked every step
     return iterations, succeeded
 
 

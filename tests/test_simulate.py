@@ -67,14 +67,21 @@ WALK_CONFIGS = [
 ]
 # each engine label's batched sampler against its one-run walk
 WALKS = {"chain": simulate.run_trajectory, "statevector": simulate.run_trajectory}
+# the batched walk sorts its runs on their states, held in 8 bits below
+# two_j = 256, 16 bits at 4096 and 32 bits at 2^16.  At 4096 under the
+# sqrt_j reset one step holds most of the ~90 entered states.
+BATCH_RUNS = [(cfg, 300) for cfg in WALK_CONFIGS] + [
+    (_cfg(4096, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=25), 2000),
+    (_cfg(2**16, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j", seed=25), 200),
+]
 
 
 def test_batch_equals_sequential_runs():
-    for cfg in WALK_CONFIGS:
+    for cfg, runs in BATCH_RUNS:
         for engine, walk in WALKS.items():
-            its, ok = simulate.sample_iterations(cfg, 300, engine=engine)
+            its, ok = simulate.sample_iterations(cfg, runs, engine=engine)
             tables = simulate.PolicyTables(cfg)
-            for i in range(300):
+            for i in range(runs):
                 rec = walk(cfg, simulate.rng_stream(cfg.seed, i), tables)
                 assert its[i] == rec.iterations
                 assert ok[i] == rec.succeeded
@@ -97,6 +104,16 @@ def test_block_reader_matches_streams():
         ref = simulate.rng_stream(seed, i).random(3 * simulate._BLOCK)
         blocks = [simulate._philox_block(seed, np.array([i]), b)[0] for b in (2, 0, 1)]
         assert np.array_equal(np.concatenate([blocks[1], blocks[2], blocks[0]]), ref)
+
+
+@pytest.mark.parametrize("m", simulate._PHILOX_M, ids=hex)
+def test_mulhilo_matches_integer_products(m):
+    # the edge words of the 32-bit halves, then seeded random words
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    words = edges + np.random.default_rng(m % 1000).integers(0, 2**64, 500, dtype=np.uint64).tolist()
+    hi, lo = simulate._mulhilo(m, np.array(words, dtype=np.uint64))
+    assert hi.dtype == lo.dtype == np.uint64
+    assert [(h << 64) | w for h, w in zip(hi.tolist(), lo.tolist())] == [m * x for x in words]
 
 
 # the engine axes below hold one label: both labels name one walk
