@@ -378,9 +378,12 @@ def policy_angles(two_j: int, two_mt: int, policy: str, states=None) -> np.ndarr
     given states (grid indices), one angle per state, with the bits of the
     whole table's entries.  numeric_optimal refines only those states.
 
-    The target entry is 0 (absorbing, no rotation applied).
+    The target entry is 0 (absorbing, no rotation applied).  Raises
+    OutOfRange for a state outside 0..two_j.
     """
     at = np.arange(two_j + 1) if states is None else np.asarray(states, dtype=np.int64)
+    if len(at) and (at.min() < 0 or at.max() > two_j):
+        raise OutOfRange(f"states must be grid indices in 0..{two_j}")
     m = at - two_j / 2.0
     if policy == AnglePolicy.APPROX_MT0:
         if two_mt != 0:

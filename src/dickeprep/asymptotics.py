@@ -145,14 +145,13 @@ def contraction_sum(two_j: int, alpha: float, two_m: int) -> float:
         raise DomainError("alpha must lie in (0, 1)")
     if two_m == 0:
         raise DomainError("m = 0 is absorbing; the ratio is undefined there")
-    resets = _SQRT_J.mask(two_j)
-    i_m = (two_m + two_j) // 2
-    if resets[i_m]:
+    if _SQRT_J.mask(two_j, two_m):
         raise DomainError("contraction regime requires |m| <= sqrt(j)")
     theta = angles_mod.approx_angle_mt0(two_j, two_m)
     probs = wigner.transition_probabilities(spec, theta)
+    resets = _SQRT_J.mask(two_j, wigner.two_m_values(two_j))
     mp_proxy = np.where(resets, math.sqrt(two_j / 2.0) + 1.0, np.abs(wigner.m_values(two_j)))
-    return float(np.sum(probs * mp_proxy**alpha) / mp_proxy[i_m] ** alpha)
+    return float(np.sum(probs * mp_proxy**alpha) / mp_proxy[(two_m + two_j) // 2] ** alpha)
 
 
 def beta_function(a: float, b: float) -> float:
@@ -184,7 +183,7 @@ def reset_probability(two_j: int, two_m: int) -> float:
         raise DomainError("reset probability regime needs m > 0")
     # m > sqrt(j)/2  <=>  2*(two_m)^2 > two_j, exactly on doubled integers;
     # m <= sqrt(j)  <=>  the sqrt_j reset does not fire at m
-    if 2 * two_m * two_m <= two_j or _SQRT_J.mask(two_j)[(two_m + two_j) // 2]:
+    if 2 * two_m * two_m <= two_j or _SQRT_J.mask(two_j, two_m):
         raise DomainError("requires sqrt(j)/2 < m <= sqrt(j)")
     j = two_j / 2.0
     m = two_m / 2.0
@@ -196,4 +195,4 @@ def exact_reset_mass(two_j: int, two_m: int) -> float:
     spec = validate_spin(two_j, two_m)
     theta = angles_mod.approx_angle_mt0(two_j, two_m)
     probs = wigner.transition_probabilities(spec, theta)
-    return float(probs[_SQRT_J.mask(two_j)].sum())
+    return float(probs[_SQRT_J.mask(two_j, wigner.two_m_values(two_j))].sum())

@@ -110,14 +110,12 @@ def crb_variance(params: CavityParams, delta_a: float) -> float:
     return (k - delta_a + delta_a * delta_a / (2.0 * k)) ** 2
 
 
-def required_photons(
-    params: CavityParams, target_variance: float, n_atoms: int | None = None
-) -> int:
+def required_photons(params: CavityParams, target_variance: float) -> int:
     """Smallest N with worst-case CRB(Delta_a)/(chi^2 N) <= target_variance.
 
-    The worst case runs over the operating range Delta_a in [0, chi*n]
-    (capped at kappa/5 by the dispersive regime); the CRB factor decreases
-    with Delta_a there, so the bound is kappa^2 at Delta_a = 0 and
+    The worst case runs over the operating range Delta_a in [0, kappa/5],
+    the dispersive regime's cap; the CRB factor decreases with Delta_a
+    there, so the bound is kappa^2 at Delta_a = 0 and
     N ~ (kappa/chi)^2 / target.
     """
     if params.chi <= 0.0:
@@ -125,8 +123,6 @@ def required_photons(
     if target_variance <= 0.0:
         raise DomainError("target_variance must be > 0")
     hi = params.kappa / DISPERSIVE_FACTOR
-    if n_atoms is not None:
-        hi = min(hi, params.chi * n_atoms)
     worst = max(crb_variance(params, 0.0), crb_variance(params, hi))
     return max(1, math.ceil(worst / (params.chi**2 * target_variance)))
 

@@ -103,7 +103,7 @@ def _checked_rows(two_j: int, theta: np.ndarray, states: np.ndarray) -> Iterator
     """
     for rows, stack in wigner.transition_windows(two_j, 2 * states - two_j, theta):
         row_dev = np.max(np.abs(np.add.reduceat(stack.values, stack.starts) - 1.0))
-        if row_dev > _ROW_SUM_TOL:
+        if not row_dev <= _ROW_SUM_TOL:  # a NaN sum fails too
             raise SingularSystem(f"row sums deviate from 1 by {row_dev:.3e}")
         yield rows, stack
 
@@ -163,7 +163,8 @@ def build_chain(config: ProtocolConfig) -> TransitionChain:
     theta = angles_mod.policy_angles(two_j, config.target_two_mt, config.angle_policy)
 
     matrix = np.zeros((n, n))
-    for rows, stack, moved in _routed_rows(config, theta, config.rerouted(), np.arange(n)):
+    grid = np.arange(n)
+    for rows, stack, moved in _routed_rows(config, theta, config.rerouted(grid), grid):
         matrix[rows].ravel()[stack.flat_index(n)] = stack.values
         matrix[rows, -1] += moved
     matrix[i_t] = 0.0
@@ -210,8 +211,8 @@ def expected_steps_for(
         reset_policy=reset_policy if reset_policy is not None else ResetPolicy(),
     )
     n = two_j + 1
-    rerouted = config.rerouted()
     grid = np.arange(n)
+    rerouted = config.rerouted(grid)  # the reset rule once per call, on the whole grid
     # each state's class representative: m -> |m| at m_t = 0, else itself
     cls = np.maximum(grid, n - 1 - grid) if target_two_mt == 0 else grid
     transient = grid != config.target_index
@@ -254,6 +255,7 @@ def naive_expected_steps(two_j: int) -> float:
 
     Grows like sqrt(pi * j): polynomial, not logarithmic.
     """
+    validate_spin(two_j, two_j)  # OutOfRange for a negative or non-integer two_j
     if two_j % 2 != 0:
         raise OutOfRange("naive strategy needs integer j (even qubit count)")
     n = two_j
@@ -261,22 +263,12 @@ def naive_expected_steps(two_j: int) -> float:
     return math.exp(-log_p)
 
 
-def mt_sweep(
-    two_j: int,
-    angle_policy: str = AnglePolicy.GEOMETRIC,
-    reset_policy: ResetPolicy | None = None,
-) -> list[tuple[int, float]]:
-    """Expected steps from the start state for every target m_t in 0..j.
-
-    Defaults to no reset (the arbitrary-target protocol has none); the
-    reset policy stays configurable.
-    """
+def mt_sweep(two_j: int) -> list[tuple[int, float]]:
+    """Expected steps from the start state for every target m_t in 0..j,
+    under geometric angles and no reset (the arbitrary-target protocol has
+    none)."""
     validate_spin(two_j, two_j)  # OutOfRange for a negative or non-integer two_j
-    reset = reset_policy if reset_policy is not None else ResetPolicy()
-    out = []
-    for two_mt in range(two_j % 2, two_j + 1, 2):
-        report = expected_steps_for(
-            two_j, target_two_mt=two_mt, angle_policy=angle_policy, reset_policy=reset
-        )
-        out.append((two_mt, report.start_state_value))
-    return out
+    return [
+        (two_mt, expected_steps_for(two_j, two_mt, AnglePolicy.GEOMETRIC).start_state_value)
+        for two_mt in range(two_j % 2, two_j + 1, 2)
+    ]

@@ -159,7 +159,9 @@ class ResetPolicy:
 
     kind is one of "none", "sqrt_j", "custom"; "custom" carries a threshold t
     and resets whenever the measured |m| > t.  "sqrt_j" resets when |m| >
-    sqrt(j).  mask is the one place the rule is written.
+    sqrt(j).  mask is the one place the rule is written, and it tests only
+    the measured m it is asked about, as the protocol decides from one
+    outcome: no grid is built.
     """
 
     kind: str = "none"
@@ -178,16 +180,15 @@ class ResetPolicy:
         elif self.threshold is not None:
             raise ValidationError(f"reset policy {self.kind!r} takes no threshold")
 
-    def mask(self, two_j: int) -> np.ndarray:
-        """Whether measuring m fires a reset, at every state of the m grid
-        -j..j, as a boolean array."""
-        two_m = np.arange(-two_j, two_j + 1, 2, dtype=np.int64)
-        if self.kind == "none":
-            return np.zeros(len(two_m), dtype=bool)
+    def mask(self, two_j: int, two_m):
+        """Whether measuring the doubled m two_m (an int or an array) fires
+        a reset, as a bool or a boolean array; only the m given are tested."""
+        two_m = np.asarray(two_m, dtype=np.int64)
         if self.kind == "sqrt_j":
             # |m| > sqrt(j)  <=>  m^2 > j  <=>  (two_m)^2 > 2*two_j, exactly
             return two_m * two_m > 2 * two_j
-        return np.abs(two_m) / 2.0 > self.threshold
+        limit = math.inf if self.kind == "none" else self.threshold  # "none" never fires
+        return np.abs(two_m) / 2.0 > limit
 
 
 def default_max_iterations(two_j: int) -> int:
@@ -307,12 +308,12 @@ class ProtocolConfig:
         if self.max_iterations is None:
             object.__setattr__(self, "max_iterations", default_max_iterations(self.two_j))
 
-    def rerouted(self) -> np.ndarray:
-        """The states whose measurement fires a reset, as a mask over the m
-        grid; absorption wins over reset, so the target is never rerouted."""
-        rerouted = self.reset_policy.mask(self.two_j)
-        rerouted[self.target_index] = False
-        return rerouted
+    def rerouted(self, states):
+        """Whether measuring each given state (a grid index, an int or an
+        array) fires a reset, as a bool or a boolean array; absorption wins
+        over reset, so the target is never rerouted."""
+        states = np.asarray(states, dtype=np.int64)
+        return self.reset_policy.mask(self.two_j, 2 * states - self.two_j) & (states != self.target_index)
 
     @property
     def spin(self) -> SpinSpec:

@@ -14,18 +14,20 @@ run has stood on, and nothing of the others: no O(j) angle table is
 built.  The batched sampler fetches the states its runs first stand on at
 a step in one stack (one angles.policy_angles call on those states, one
 chain._checked_rows call), and the one-run walk fetches one state at a
-time; either way a state gets the same bits.  The sampler marks the
-states it has fetched in a seen mask over the grid.  Each step sorts its
-runs on their states, held in the narrowest unsigned type that holds two_j
-(up to two_j = 65535 that is at most 16 bits, which numpy's stable sort
-sorts by radix), cuts the sorted runs into one slice per state where the
-state changes, and searches each state's cumulative on its slice of the
-draws.  A run's outcome depends only on its state and its draw, so the
-order of the runs within a slice changes nothing.  A chain row is the
-outcome law |d^j_{m',m}(theta)|^2 of rotating |j, m> by the policy angle
-and measuring J_z, so the walk is also the statevector protocol: the
-engine labels "chain" and "statevector" name the same walk and draw the
-same outcomes.
+time; either way a state gets the same bits.  Each step of the sampler
+sorts its runs on their states, held in the narrowest unsigned type that
+holds two_j (up to two_j = 65535 that is at most 16 bits, which numpy's
+stable sort sorts by radix), cuts the sorted runs into one slice per state
+where the state changes, hands those states to the cache, which fetches
+the ones it does not hold, and searches each state's cumulative on its
+slice of the draws.  A run's outcome depends only on its state and its
+draw, so the order of the runs within a slice changes nothing.  The reset
+rule (ProtocolConfig.rerouted) is asked about the outcomes just drawn, as
+the protocol decides from one measured m: neither walk keeps an array
+over the grid.  A chain row is the outcome law |d^j_{m',m}(theta)|^2 of
+rotating |j, m> by the policy angle and measuring J_z, so the walk is also
+the statevector protocol: the engine labels "chain" and "statevector"
+name the same walk and draw the same outcomes.
 The independent check is the exact absorption-time law
 Pr[T = k] = e_start Q^(k-1) r (Kemeny & Snell, 1960) of the transition
 matrix built from dense matrix exponentials of J_y, held against the
@@ -127,7 +129,7 @@ class TrajectoryRecord:
 class PolicyTables:
     """Per-config cache of the states some run has stood on: each one's
     policy angle and the cumulative outcome distribution of its chain row
-    as (lo, cum), plus the rerouted-state mask.  The walks' one cache.
+    as (lo, cum).  The walks' one cache.
     Write-once per state, safe for concurrent reads.
 
     Nothing is computed up front.  fetch(states) fills in the states not
@@ -135,8 +137,9 @@ class PolicyTables:
     chain._checked_rows call, which solves their rows in stacks.  Both give
     a state the bits it gets alone or in the whole table, so what is cached
     does not depend on which states were fetched together.  The batched
-    sampler fetches a stack per step, the states its seen mask has not
-    marked; cumulative, angle and column fetch their one state on a miss.
+    sampler passes a step's group states to fetch, which skips the ones it
+    holds; cumulative, angle and column fetch their one state on a miss.
+    A state outside 0..two_j raises OutOfRange (angles.policy_angles).
 
     The outcome of a uniform u in (0, 1) is lo + searchsorted(cum, u,
     "left").  That is the searchsorted of the dense cumulative, which holds
@@ -149,7 +152,6 @@ class PolicyTables:
     def __init__(self, config: ProtocolConfig):
         self.config = config
         self.two_j = config.two_j
-        self.rerouted = config.rerouted()
         self._rows: dict[int, tuple[float, int, np.ndarray]] = {}  # state -> (angle, lo, cum)
 
     def fetch(self, states) -> None:
@@ -218,13 +220,16 @@ def run_trajectory(
 
     Each step draws u from rng, takes the outcome from the current state's
     (lo, cum) (see PolicyTables.cumulative), and returns to m = j within the
-    same step if the outcome is rerouted (never the target).
+    same step if config.rerouted says so of the outcome (never the target).
+    tables, if given, must be built for config; OutOfRange otherwise.
 
     Rotating |j, m> by the policy angle and measuring J_z gives m' with
     probability |d^j_{m',m}(theta)|^2, which is the chain row drawn here,
     so this is also the statevector run: one walk with one record.
     """
     tables = tables if tables is not None else PolicyTables(config)
+    if tables.config != config:
+        raise OutOfRange("tables were built for another config")
     two_j = config.two_j
     i_t = config.target_index
     i_cur = two_j  # start from m = j
@@ -234,7 +239,7 @@ def run_trajectory(
         u = float(rng.random())
         lo, cum = tables.cumulative(i_cur)
         i_next = lo + int(cum.searchsorted(u, side="left")) if u > 0.0 else 0
-        reset = bool(tables.rerouted[i_next])
+        reset = bool(config.rerouted(i_next))
         angle = tables.angle(i_cur)
         steps.append(TrajectoryStep(2 * i_cur - two_j, angle, 2 * i_next - two_j, reset))
         succeeded = i_next == i_t
@@ -258,19 +263,19 @@ def sample_iterations(
     The runs are vectorized in chunks; trajectory i always consumes draws
     from rng_stream(config.seed, i) in step order, so the result is
     identical to looping run_trajectory over i (tested), and independent of
-    chunking.  Each step fetches the states no trajectory has stood on
-    before in one stack (PolicyTables.fetch), read off a seen mask over
-    the grid, so a state's angle and row are computed only once some
-    trajectory stands on it.  The active trajectories are then grouped by
-    one stable argsort on their states, held in the narrowest unsigned
-    type that holds two_j (at most 16 bits up to two_j = 65535, which numpy
-    sorts by radix), with the groups cut where the sorted state changes.  The draws
-    are gathered once in that order, each group's outcomes are searched in
-    its state's cumulative on its slice (the one-run walk's rule), and the
-    windows' offsets are added with one np.repeat.  The draw block is
-    allocated once per call and refilled every _BLOCK steps.  engine is
-    one of _ENGINES, labels of the same walk: it is checked here and
-    changes no draw.
+    chunking.  Each step groups the active trajectories by one stable
+    argsort on their states, held in the narrowest unsigned type that holds
+    two_j (at most 16 bits up to two_j = 65535, which numpy sorts by
+    radix), with the groups cut where the sorted state changes.  The
+    groups' states go to PolicyTables.fetch, which computes in one stack
+    the ones no trajectory has stood on before, so a state's angle and row
+    are computed only once some trajectory stands on it.  The draws are
+    gathered once in that order, each group's outcomes are searched in its
+    state's cumulative on its slice (the one-run walk's rule), the windows'
+    offsets are added with one np.repeat, and config.rerouted is asked
+    about the outcomes.  The draw block is allocated once per call and
+    refilled every _BLOCK steps.  engine is one of _ENGINES, labels of the
+    same walk: it is checked here and changes no draw.
     """
     if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
         raise OutOfRange(f"n_runs must be an integer >= 1, got {n_runs!r}")
@@ -283,7 +288,6 @@ def sample_iterations(
     tables = PolicyTables(config)
     max_iters = config.max_iterations
     cached = tables._rows  # (angle, lo, cum) of the states some trajectory stood on
-    seen = np.zeros(two_j + 1, dtype=bool)  # the states fetched so far
     key = np.min_scalar_type(two_j)  # the dtype of a state, the sort key
 
     iterations = np.zeros(n_runs, dtype=np.int64)
@@ -294,11 +298,6 @@ def sample_iterations(
         state = np.full(len(active), two_j, dtype=key)
         step = 0
         while len(active) and step < max_iters:
-            new = state[~seen[state]]
-            if len(new):
-                new = np.unique(new)
-                tables.fetch(new.tolist())
-                seen[new] = True
             if step % _BLOCK == 0:
                 block[active] = _philox_block(config.seed, lo + active, step // _BLOCK)
             # group the active runs by state; draw each group from its cumulative
@@ -306,7 +305,9 @@ def sample_iterations(
             state, active = state[order], active[order]
             u = block[active, step % _BLOCK]
             bounds = [0, *(np.flatnonzero(state[1:] != state[:-1]) + 1).tolist(), len(state)]
-            rows = [cached[s] for s in state[bounds[:-1]].tolist()]  # (angle, lo, cum)
+            heads = state[bounds[:-1]].tolist()  # each group's state
+            tables.fetch(heads)  # the ones not cached yet, in one stack
+            rows = [cached[s] for s in heads]  # (angle, lo, cum)
             nxt = np.concatenate([
                 cum.searchsorted(u[a:b], side="left")
                 for (_, _, cum), a, b in zip(rows, bounds, bounds[1:])
@@ -320,7 +321,7 @@ def sample_iterations(
             keep = ~hit
             active, nxt = active[keep], nxt[keep]
             state = nxt.astype(key)
-            state[tables.rerouted[nxt]] = two_j
+            state[config.rerouted(nxt)] = two_j
             step += 1
         iterations[lo + active] = step  # runs cut at max_iterations walked every step
     return iterations, succeeded

@@ -308,6 +308,11 @@ def test_policy_angles_dispatch():
     assert geo[(2 + 8) // 2] == 0.0
     with pytest.raises(OutOfRange):
         angles.policy_angles(8, 0, "sideways")
+    # states off the grid: geometric returned nan, numeric_optimal raised IndexError
+    for policy in AnglePolicy.ALL:
+        for states in ([-1], [9], [0, 4, 9]):
+            with pytest.raises(OutOfRange):
+                angles.policy_angles(8, 0, policy, states)
 
 
 def test_geometric_angle_domain_clamp():

@@ -98,7 +98,7 @@ def test_estimator_variance_respects_crb():
 def test_extreme_weights_distinguishable():
     p = _params()
     n_atoms = 10
-    photons = cavity.required_photons(p, 1.0, n_atoms=n_atoms)
+    photons = cavity.required_photons(p, 1.0)
     mistakes = 0
     for true_w in (0, n_atoms):
         for rep in range(250):

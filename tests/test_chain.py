@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dickeprep.core import AnglePolicy, OutOfRange, ProtocolConfig, ResetPolicy, SingularSystem
-from dickeprep import angles, chain, wigner
+from dickeprep import angles, chain, simulate, wigner
 
 from oracles import rotation_oracle
 
@@ -103,6 +103,9 @@ def test_naive_formula():
         assert abs(ratio - 1.0) < 1e-3
     with pytest.raises(Exception):
         chain.naive_expected_steps(3)
+    for two_j in (-2, True, 2.0):  # -2 raised a bare math domain error, 2.0 returned 2.0000000000000004
+        with pytest.raises(OutOfRange):
+            chain.naive_expected_steps(two_j)
 
 
 def _log_fit(js):
@@ -150,6 +153,23 @@ def test_mt_sweep_rejects_invalid_two_j(two_j):
     # mt_sweep(-4) used to return [], so the CLI wrote a header-only CSV
     with pytest.raises(OutOfRange):
         chain.mt_sweep(two_j)
+
+
+def test_nan_row_fails_the_row_check(monkeypatch):
+    # NaN > tol is False, so a row sum of NaN has to fail by not being <= tol
+    transition_windows = wigner.transition_windows
+
+    def with_nan(two_j, two_ms, thetas):
+        for rows, stack in transition_windows(two_j, two_ms, thetas):
+            stack.values[stack.starts[0]] = np.nan
+            yield rows, stack
+
+    monkeypatch.setattr(wigner, "transition_windows", with_nan)
+    cfg = _cfg(64, policy=AnglePolicy.GEOMETRIC, reset="sqrt_j")
+    with pytest.raises(SingularSystem):
+        chain.expected_steps_for(64, 0, AnglePolicy.GEOMETRIC, cfg.reset_policy)
+    with pytest.raises(SingularSystem):
+        simulate.PolicyTables(cfg).cumulative(64)
 
 
 def test_singular_system_detected():

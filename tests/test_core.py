@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dickeprep.config import parse_config
@@ -161,7 +162,7 @@ def test_default_max_iterations_formula():
 
 def _fires(policy: ResetPolicy, two_j: int, two_m: int) -> bool:
     """Whether the policy's mask fires at two_m."""
-    return bool(policy.mask(two_j)[(two_m + two_j) // 2])
+    return bool(policy.mask(two_j, two_m))
 
 
 def test_reset_policy_exact_threshold():
@@ -189,14 +190,19 @@ def test_reset_policy_exact_threshold():
 def test_reset_mask_equals_triggers(two_j, policy):
     # the trigger rule in exact integers: |m| > sqrt(j) <=> (two_m)^2 > 2 two_j,
     # |m| > t <=> |two_m| > 2t (exact for these thresholds)
-    mask = policy.mask(two_j)
-    assert mask.dtype == bool and mask.shape == (two_j + 1,)
     rule = {
         "none": lambda two_m: False,
         "sqrt_j": lambda two_m: two_m * two_m > 2 * two_j,
         "custom": lambda two_m: abs(two_m) > 2 * policy.threshold,
     }[policy.kind]
-    assert mask.tolist() == [rule(two_m) for two_m in range(-two_j, two_j + 1, 2)]
+    grid = list(range(-two_j, two_j + 1, 2))
+    scattered = grid[::-3] + grid[1::4]  # unsorted; a state may come twice
+    for two_ms in (grid, scattered):
+        mask = policy.mask(two_j, np.array(two_ms))
+        assert mask.dtype == bool and mask.shape == (len(two_ms),)
+        assert mask.tolist() == [rule(two_m) for two_m in two_ms]
+    one = policy.mask(two_j, grid[-1])  # a scalar asks about one state
+    assert np.ndim(one) == 0 and bool(one) == rule(grid[-1])
 
 
 def test_reset_policy_custom():

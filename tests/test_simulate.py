@@ -216,6 +216,24 @@ def test_statevector_column_norm_is_checked(monkeypatch):
         simulate.PolicyTables(_cfg(24, policy=AnglePolicy.GEOMETRIC)).column(5)
 
 
+@pytest.mark.parametrize("policy", [AnglePolicy.GEOMETRIC, AnglePolicy.NUMERIC_OPTIMAL])
+def test_policy_tables_reject_states_off_the_grid(policy):
+    # cumulative(-1) raised IndexError, and a geometric fetch cached nan
+    tables = simulate.PolicyTables(_cfg(24, policy=policy))
+    for call in (lambda: tables.fetch([3, 25]), lambda: tables.cumulative(-1), lambda: tables.angle(25)):
+        with pytest.raises(OutOfRange):
+            call()
+    assert not tables._rows
+
+
+def test_run_trajectory_rejects_tables_of_another_config():
+    # m_t = 0 tables walked towards m_t = 2 "succeeded" in one step
+    cfg = _cfg(24, 4, policy=AnglePolicy.GEOMETRIC)
+    tables = simulate.PolicyTables(_cfg(24, policy=AnglePolicy.GEOMETRIC))
+    with pytest.raises(OutOfRange):
+        simulate.run_trajectory(cfg, simulate.rng_stream(cfg.seed, 0), tables)
+
+
 def test_walk_builds_each_cumulative_once(monkeypatch):
     cfg = _cfg(60, policy=AnglePolicy.GEOMETRIC, seed=21)
     built = []
@@ -300,14 +318,15 @@ def _dense_row(cfg, i_m):
 def _dense_walk(cfg, draws):
     """The walk on dense rows, drawn by oracles.dense_draw: its steps as
     (two_m_before, two_m_after, reset), and whether it reached the target."""
-    two_j, rerouted = cfg.two_j, cfg.rerouted()
+    two_j = cfg.two_j
     i_cur, steps = two_j, []
     for u in draws[:cfg.max_iterations]:
         i_next = dense_draw(_dense_row(cfg, i_cur), u)
-        steps.append((2 * i_cur - two_j, 2 * i_next - two_j, bool(rerouted[i_next])))
+        reset = bool(cfg.rerouted(i_next))
+        steps.append((2 * i_cur - two_j, 2 * i_next - two_j, reset))
         if i_next == cfg.target_index:
             return steps, True
-        i_cur = two_j if rerouted[i_next] else i_next
+        i_cur = two_j if reset else i_next
     return steps, False
 
 
@@ -422,6 +441,12 @@ def test_monte_carlo_fetches_angles_and_rows_per_entered_state(monkeypatch):
     fetched = [s for states in batched_calls for s in states]
     assert len(fetched) == len(set(fetched)) and set(fetched) == set(first)
     assert sorted(row_calls) == sorted([s] for s in first)
+    # the row cache, not a grid mask, keeps a state from being solved twice
+    # in one call: with a reset (above) and without one
+    row_calls.clear()
+    simulate.sample_iterations(_cfg(200, policy=AnglePolicy.GEOMETRIC, seed=19), runs)
+    fetched = [s for states in row_calls for s in states]
+    assert len(fetched) == len(set(fetched)) > 0
 
 
 # SHA-256 of seeded outputs, recorded before the sampler fetched its angles
@@ -477,7 +502,7 @@ def test_numeric_optimal_walk_refines_only_visited_states(monkeypatch):
     monkeypatch.setattr(angles, "_refine", refine_recorded)
     monkeypatch.setattr(chain, "_checked_rows", rows_recorded)
     its, ok = simulate.sample_iterations(cfg, 2000)
-    in_s = np.count_nonzero(~cfg.rerouted())
+    in_s = np.count_nonzero(~cfg.rerouted(np.arange(cfg.two_j + 1)))
     assert len(refined) <= len(fetched) <= in_s + 1
     # a state below the target is refined as its mirror
     assert set(refined) <= set(fetched) | {cfg.two_j - s for s in fetched}
@@ -679,7 +704,7 @@ def _expm_matrix(cfg):
     theta = angles.policy_angles(cfg.two_j, cfg.target_two_mt, cfg.angle_policy)
     n = cfg.two_j + 1
     matrix = np.array([rotation_oracle(cfg.two_j, theta[i])[:, i] ** 2 for i in range(n)])
-    rerouted = cfg.rerouted()
+    rerouted = cfg.rerouted(np.arange(n))
     moved = matrix[:, rerouted].sum(axis=1)
     matrix[:, rerouted] = 0.0
     matrix[:, -1] += moved
