@@ -107,10 +107,8 @@ def geometric_angle(two_j: int, two_mt: int, two_m: int) -> Angle:
 
 def approx_angle_mt0(two_j: int, two_m: int) -> Angle:
     """The m_t = 0 approximation theta_m = arcsin(m/j)."""
-    spec = validate_spin(two_j, two_m)
-    if two_j == 0:
-        return Angle(0.0)
-    return Angle(math.asin(spec.m / spec.j))
+    validate_spin(two_j, two_m)
+    return Angle(float(policy_angles(two_j, 0, AnglePolicy.APPROX_MT0, [(two_j + two_m) // 2])[0]))
 
 
 def _coarse_grid(two_j: int) -> np.ndarray:

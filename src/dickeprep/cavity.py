@@ -114,17 +114,15 @@ def required_photons(params: CavityParams, target_variance: float) -> int:
     """Smallest N with worst-case CRB(Delta_a)/(chi^2 N) <= target_variance.
 
     The worst case runs over the operating range Delta_a in [0, kappa/5],
-    the dispersive regime's cap; the CRB factor decreases with Delta_a
-    there, so the bound is kappa^2 at Delta_a = 0 and
-    N ~ (kappa/chi)^2 / target.
+    the dispersive regime's cap.  The CRB factor falls on [0, kappa] (its
+    derivative is Delta_a/kappa - 1), so the worst case is kappa^2 at
+    Delta_a = 0 and N = ceil((kappa/chi)^2 / target).
     """
     if params.chi <= 0.0:
         raise DomainError("required_photons needs chi > 0")
     if target_variance <= 0.0:
         raise DomainError("target_variance must be > 0")
-    hi = params.kappa / DISPERSIVE_FACTOR
-    worst = max(crb_variance(params, 0.0), crb_variance(params, hi))
-    return max(1, math.ceil(worst / (params.chi**2 * target_variance)))
+    return max(1, math.ceil(crb_variance(params, 0.0) / (params.chi**2 * target_variance)))
 
 
 def simulate_weight_estimator(

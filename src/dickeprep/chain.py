@@ -23,6 +23,8 @@ its fill cost O(window), not O(n).  _checked_rows reads them and checks
 their sums, for this module and for simulate's chain engine alike.
 build_chain keeps the dense n x n matrix for callers that want the
 matrix itself, and expected_steps solves it over every transient state.
+Both solve through _solve: one LAPACK gesv call, and a t outside
+[1, 1e-6 / eps] (about 4.5e9 steps) refused as unresolvable.
 
 At m_t = 0 (integer j) the chain is strongly lumpable on the classes
 {m, -m} (Kemeny & Snell, 1960, ch. VI).  Every angle policy has
@@ -40,13 +42,12 @@ class map is the identity, and the same code is the unlumped solve.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .core import (
     AnglePolicy,
@@ -60,6 +61,8 @@ from . import angles as angles_mod
 from . import wigner
 
 _ROW_SUM_TOL = 1e-9
+_MAX_STEPS = 1e-6 / np.finfo(float).eps  # about 4.5e9: t keeps six correct digits
+_gesv, = get_lapack_funcs(("gesv",), (np.empty(0, dtype=np.float64),))
 
 
 @dataclass(frozen=True)
@@ -126,25 +129,24 @@ def _routed_rows(
 
 
 def _solve(q: np.ndarray) -> np.ndarray:
-    """t with (I - q) t = 1; q is overwritten.
+    """t with (I - q) t = 1, by one LAPACK gesv call; q is overwritten.
 
-    Raises SingularSystem when (I - q) is singular to working precision
-    (LAPACK's reciprocal condition estimate below eps) or when t is not an
-    expected-steps vector: every transient state takes at least one step,
-    so each entry must be finite and at least 1 (within 1e-9).
+    N = (I - Q)^-1 >= 0 and t = N 1, so t bounds its own error: each entry
+    is at least 1, kappa_inf(I - Q) <= 2 max t, and rounding in Q moves t
+    by about max t * eps relative, which no condition estimate sees (1 - q
+    cancels before the solve).  Raises SingularSystem unless gesv's info
+    is 0 and every entry lies in [1 - 1e-9, _MAX_STEPS].
     """
+    if not len(q):
+        return np.zeros(0)
     np.negative(q, out=q)
     q[np.diag_indices_from(q)] += 1.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            t = scipy.linalg.solve(q, np.ones(len(q)), overwrite_a=True, overwrite_b=True)
-    except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
-        raise SingularSystem(f"(I - Q) is numerically singular: {exc}") from exc
-    if not np.all(np.isfinite(t)):
-        raise SingularSystem("(I - Q) solve produced non-finite expected steps")
-    if len(t) and t.min() < 1.0 - 1e-9:
-        raise SingularSystem(f"(I - Q) solve produced expected steps {t.min():.6g} < 1")
+    t, info = _gesv(q, np.ones(len(q)), overwrite_a=True, overwrite_b=True)[2:]
+    if info != 0 or not np.all((t >= 1.0 - 1e-9) & (t <= _MAX_STEPS)):  # NaN fails too
+        raise SingularSystem(
+            f"(I - Q) t = 1 gave expected steps {t.min():.6g} to {t.max():.6g} "
+            f"(gesv info {info}); an entry < 1 or > {_MAX_STEPS:.3g} is unresolvable"
+        )
     return t
 
 

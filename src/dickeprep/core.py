@@ -38,7 +38,8 @@ class NormDrift(DickePrepError, ArithmeticError):
 
 
 class SingularSystem(DickePrepError, ArithmeticError):
-    """The (I - Q) system is numerically singular: chain is not absorbing."""
+    """Expected steps are unresolvable: a row is off unit sum, or the (I - Q)
+    solve failed or gave a t outside [1, 1e-6 / eps] (six correct digits)."""
 
 
 class RegimeViolation(DickePrepError, ValueError):

@@ -148,22 +148,23 @@ def geometric_transition_pdf(two_j: int, two_m: int, two_mt: int, m_prime: float
     return 1.0 / (math.pi * half_width * math.sqrt(u * (2.0 - u)))
 
 
+def _arcsine_cdf(mt: float, half_width: float, m_prime: np.ndarray) -> np.ndarray:
+    """The tilted-ring density's CDF at each m': an arcsine law in
+    u = (m' - m_t)/R, clipped to the band [0, 2], with CDF
+    (arcsin(u-1) + pi/2)/pi."""
+    u = np.clip((m_prime - mt) / half_width, 0.0, 2.0)
+    return (angles_mod._asin(u - 1.0) + math.pi / 2.0) / math.pi
+
+
 def transition_interval_mass(
     two_j: int, two_m: int, two_mt: int, lo: float, hi: float
 ) -> float:
-    """Exact mass of the tilted-ring density on [lo, hi]: the density is an
-    arcsine law in u, with CDF (arcsin(u-1) + pi/2)/pi."""
+    """Exact mass of the tilted-ring density on [lo, hi] (_arcsine_cdf)."""
     mt, _, half_width = transition_band(two_j, two_m, two_mt)
-    if half_width <= 0.0:
+    if half_width <= 0.0 or hi <= lo:
         return 0.0
-
-    def cdf(m_prime: float) -> float:
-        u = np.clip((m_prime - mt) / half_width, 0.0, 2.0)
-        return (math.asin(u - 1.0) + math.pi / 2.0) / math.pi
-
-    if hi <= lo:
-        return 0.0
-    return cdf(hi) - cdf(lo)
+    below, above = _arcsine_cdf(mt, half_width, np.array([lo, hi], dtype=float))
+    return float(above - below)
 
 
 def pdf_moment_quadrature(alpha: float, two_j: int, two_m: int, two_mt: int) -> float:
@@ -194,14 +195,12 @@ def discretized_pdf_lattice(two_j: int, two_m: int, two_mt: int) -> np.ndarray:
     grid.  Sums to 1 (the full band is covered)."""
     if two_m <= two_mt:
         raise DomainError("discretization needs m > m_t (band above the target)")
-    n = two_j + 1
-    out = np.empty(n)
+    mt, _, half_width = transition_band(two_j, two_m, two_mt)
+    if half_width <= 0.0:
+        return np.zeros(two_j + 1)
+    # bin i's upper edge m'_i + 1/2 is bin i+1's lower edge, the same double
     m_grid = wigner.m_values(two_j)
-    for i in range(n):
-        out[i] = transition_interval_mass(
-            two_j, two_m, two_mt, m_grid[i] - 0.5, m_grid[i] + 0.5
-        )
-    return out
+    return np.diff(_arcsine_cdf(mt, half_width, np.append(m_grid - 0.5, m_grid[-1] + 0.5)))
 
 
 def tv_distance_discretized(two_j: int, two_m: int, two_mt: int) -> float:

@@ -244,6 +244,18 @@ def logsum_column(two_j: int, two_m: int, theta: float) -> np.ndarray:
     return out
 
 
+def coherent_overlap(two_j: int, two_mt: int, theta: float) -> float:
+    """|d^j_{m_t,j}(theta)|^2 = C(2j, j+m_t) cos^{2(j+m_t)}(t/2) sin^{2(j-m_t)}(t/2)
+    in 50-digit mpmath: the chance that the coherent state m = j, rotated
+    by theta, is measured at m_t."""
+    import mpmath as mp
+
+    up = (two_j + two_mt) // 2  # j + m_t
+    with mp.workdps(50):
+        half = mp.mpf(theta) / 2
+        return float(mp.binomial(two_j, up) * mp.cos(half) ** (2 * up) * mp.sin(half) ** (2 * (two_j - up)))
+
+
 def bessel_series(order: int, x: float, terms: int = 80) -> float:
     """Power series for J_n(x), adequate for small n and moderate x."""
     import math

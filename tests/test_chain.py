@@ -6,7 +6,7 @@ import pytest
 from dickeprep.core import AnglePolicy, OutOfRange, ProtocolConfig, ResetPolicy, SingularSystem
 from dickeprep import angles, chain, simulate, wigner
 
-from oracles import rotation_oracle
+from oracles import coherent_overlap, rotation_oracle
 
 
 def _cfg(two_j, two_mt=0, policy=AnglePolicy.APPROX_MT0, reset="none", **kw):
@@ -180,16 +180,62 @@ def test_singular_system_detected():
         chain.expected_steps(broken)
 
 
-@pytest.mark.parametrize("two_j", [100, 200])
+def _start_or_none(solve):
+    try:
+        return solve().start_state_value
+    except SingularSystem:
+        return None
+
+
+_GRID_RESETS = [ResetPolicy(), ResetPolicy(kind="sqrt_j")] + [
+    ResetPolicy(kind="custom", threshold=t) for t in (0.0, 0.5, 2.5)
+]
+
+
+@pytest.mark.parametrize("two_j", [100, 200, *range(22)])
 def test_unreachable_target_raises(two_j):
-    # with the sqrt_j reset the walk almost never measures m = -j: (I - Q) is
-    # singular to working precision, and the solve used to return 2^53 at
-    # two_j = 100 and -4.5e15 at two_j = 200 (t >= 1 holds for every state)
-    sqrt_j = ResetPolicy(kind="sqrt_j")
-    with pytest.raises(SingularSystem):
-        chain.expected_steps_for(two_j, -two_j, AnglePolicy.GEOMETRIC, sqrt_j)
-    with pytest.raises(SingularSystem):
-        chain.expected_steps(chain.build_chain(_cfg(two_j, -two_j, AnglePolicy.GEOMETRIC, sqrt_j)))
+    # The entered-block and dense solves refuse the same configs and agree
+    # where both solve.  With the sqrt_j reset the walk almost never
+    # measures m = -j at two_j = 100 and 200, so both must refuse: the solve
+    # used to return 2^53 and -4.5e15 there.  Below, every target under five
+    # resets; under custom threshold 0 the block solve used to return
+    # 8.83e13 at (15, -15), 2^53 at (21, -21) (E = 1/p = 1.9e22) and 3.9e14
+    # at (21, -19), where the dense solve refused.
+    if two_j >= 100:
+        cases = [(-two_j, ResetPolicy(kind="sqrt_j"))]
+    else:
+        cases = [(mt, reset) for mt in range(-two_j, two_j + 1, 2) for reset in _GRID_RESETS]
+    for two_mt, reset in cases:
+        block = _start_or_none(lambda: chain.expected_steps_for(two_j, two_mt, AnglePolicy.GEOMETRIC, reset))
+        dense = _start_or_none(
+            lambda: chain.expected_steps(chain.build_chain(_cfg(two_j, two_mt, AnglePolicy.GEOMETRIC, reset)))
+        )
+        assert (block is None) == (dense is None), (two_mt, reset, block, dense)
+        if block is not None:
+            assert abs(block - dense) <= 1e-12 * dense, (two_mt, reset, block, dense)
+    if two_j >= 100:
+        assert block is None
+
+
+@pytest.mark.parametrize("two_j", range(3, 42, 2))
+def test_threshold_zero_reset_is_geometric(two_j):
+    # odd two_j under custom threshold 0: every outcome but the target
+    # reroutes to m = j, so E = 1/p with p the coherent state's overlap with
+    # the target.  The solve keeps six digits or refuses, and refuses only
+    # beyond 1e-6 / eps (about 4.5e9) steps.
+    zero = ResetPolicy(kind="custom", threshold=0.0)
+    for two_mt in range(-two_j, two_j, 2):
+        theta = angles.geometric_angle(two_j, two_mt, two_j).radians
+        exact = 1.0 / coherent_overlap(two_j, two_mt, theta)
+        for solve in (
+            lambda: chain.expected_steps_for(two_j, two_mt, AnglePolicy.GEOMETRIC, zero),
+            lambda: chain.expected_steps(chain.build_chain(_cfg(two_j, two_mt, AnglePolicy.GEOMETRIC, zero))),
+        ):
+            e = _start_or_none(solve)
+            if e is None:
+                assert exact > 1e-6 / np.finfo(float).eps, (two_mt, exact)
+            else:
+                assert abs(e - exact) <= 1e-6 * exact, (two_mt, e, exact)
 
 
 def test_expected_steps_below_one_raise():
