@@ -23,8 +23,7 @@ its fill cost O(window), not O(n).  _checked_rows reads them and checks
 their sums, for this module and for simulate's chain engine alike.
 build_chain keeps the dense n x n matrix for callers that want the
 matrix itself, and expected_steps solves it over every transient state.
-Both solve through _solve: one LAPACK gesv call, and a t outside
-[1, 1e-6 / eps] (about 4.5e9 steps) refused as unresolvable.
+Both solve through _solve: one gesv call, refusing t beyond 1e-6 / eps steps.
 
 At m_t = 0 (integer j) the chain is strongly lumpable on the classes
 {m, -m} (Kemeny & Snell, 1960, ch. VI).  Every angle policy has
@@ -129,7 +128,8 @@ def _routed_rows(
 
 
 def _solve(q: np.ndarray) -> np.ndarray:
-    """t with (I - q) t = 1, by one LAPACK gesv call; q is overwritten.
+    """t with (I - q) t = 1, by one LAPACK gesv call; q is overwritten (in
+    place when it is Fortran-ordered; gesv copies a C-ordered q).
 
     N = (I - Q)^-1 >= 0 and t = N 1, so t bounds its own error: each entry
     is at least 1, kappa_inf(I - Q) <= 2 max t, and rounding in Q moves t
@@ -142,11 +142,12 @@ def _solve(q: np.ndarray) -> np.ndarray:
     np.negative(q, out=q)
     q[np.diag_indices_from(q)] += 1.0
     t, info = _gesv(q, np.ones(len(q)), overwrite_a=True, overwrite_b=True)[2:]
-    if info != 0 or not np.all((t >= 1.0 - 1e-9) & (t <= _MAX_STEPS)):  # NaN fails too
-        raise SingularSystem(
-            f"(I - Q) t = 1 gave expected steps {t.min():.6g} to {t.max():.6g} "
-            f"(gesv info {info}); an entry < 1 or > {_MAX_STEPS:.3g} is unresolvable"
-        )
+    if info != 0:
+        raise SingularSystem(f"(I - Q) is exactly singular (gesv info {info})")
+    if t.min() < 1.0 - 1e-9:
+        raise SingularSystem(f"(I - Q) solve produced expected steps {t.min():.6g} < 1")
+    if not t.max() <= _MAX_STEPS:  # NaN fails too
+        raise SingularSystem(f"expected steps {t.max():.6g} > {_MAX_STEPS:.3g} are unresolvable")
     return t
 
 
@@ -179,7 +180,7 @@ def expected_steps(chain: TransitionChain) -> AbsorptionReport:
     for the expected number of iterations before absorption."""
     transient = np.arange(chain.size) != chain.config.target_index
     out = np.zeros(chain.size)
-    out[transient] = _solve(chain.matrix[np.ix_(transient, transient)])
+    out[transient] = _solve(chain.matrix.T[np.ix_(transient, transient)].T)  # Fortran-ordered
     return AbsorptionReport(chain.config, float(out[-1]), lambda: out)
 
 
@@ -225,12 +226,13 @@ def expected_steps_for(
     theta = angles_mod.policy_angles(two_j, target_two_mt, config.angle_policy, s)
     place = np.full(n, -1)  # each representative's column in the S block
     place[s] = np.arange(len(s))
-    q = np.zeros((len(s), len(s)))
+    q = np.zeros((len(s), len(s)), order="F")  # Fortran order: gesv factors it in place
     for rows, stack, moved in _routed_rows(config, theta, rerouted, s):
         at = place[cls[stack.columns]]
         kept = at >= 0  # the other columns are the target and the rerouted states, zero here
-        # m' and -m' can share a cell: accumulate, onto zeros
-        np.add.at(q[rows].ravel(), stack.flat_index(len(s), at)[kept], stack.values[kept])
+        row = stack.spread(np.arange(rows.start, rows.stop))  # each entry's row of q
+        # q[r, c] is flat entry c * len(s) + r; m' and -m' can share a cell: accumulate, onto zeros
+        np.add.at(q.ravel(order="F"), (at * len(s) + row)[kept], stack.values[kept])
         if entered[n - 1]:  # m = j is S's last state; else it is the target
             q[rows, -1] += moved
     t = _solve(q)

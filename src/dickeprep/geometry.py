@@ -163,8 +163,7 @@ def transition_interval_mass(
     mt, _, half_width = transition_band(two_j, two_m, two_mt)
     if half_width <= 0.0 or hi <= lo:
         return 0.0
-    below, above = _arcsine_cdf(mt, half_width, np.array([lo, hi], dtype=float))
-    return float(above - below)
+    return float(np.diff(_arcsine_cdf(mt, half_width, np.array([lo, hi], dtype=float)))[0])
 
 
 def pdf_moment_quadrature(alpha: float, two_j: int, two_m: int, two_mt: int) -> float:

@@ -247,6 +247,20 @@ def test_expected_steps_below_one_raise():
     assert chain._solve(np.array([[0.0, 0.0], [0.5, 0.0]])).tolist() == [1.0, 1.5]
 
 
+def test_singular_and_unresolvable_systems_raise():
+    # q = 1 leaves (I - Q) exactly zero; q = 1 - 1e-12 gives t = 1e12, far
+    # beyond the 1e-6 / eps steps that t can resolve
+    with pytest.raises(SingularSystem, match="gesv info 1"):
+        chain._solve(np.array([[1.0]]))
+    with pytest.raises(SingularSystem, match="unresolvable"):
+        chain._solve(np.array([[1.0 - 1e-12]]))
+    # a Fortran-ordered q is factored in place and gives the same t
+    q = np.array([[0.25, 0.5], [0.125, 0.25]])
+    f = np.asfortranarray(q)
+    assert chain._solve(f).tobytes() == chain._solve(q.copy()).tobytes()
+    assert not np.array_equal(f, np.eye(2) - q)
+
+
 def test_half_integer_spin_chain():
     report = chain.expected_steps_for(5, 1, AnglePolicy.GEOMETRIC)
     assert np.isfinite(report.start_state_value)
