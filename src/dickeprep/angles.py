@@ -49,6 +49,7 @@ from .core import (
     AnglePolicy,
     DomainError,
     OutOfRange,
+    _grid_indices,
     validate_spin,
     validate_target,
 )
@@ -164,9 +165,9 @@ def _scan(
 
 
 def _best_points(
-    two_j: int, two_mt: int, states: np.ndarray, first: np.ndarray, stop: np.ndarray
+    two_j: int, two_mt: int, grid: np.ndarray, states: np.ndarray, first: np.ndarray, stop: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per source state, its best coarse-grid index in first .. stop - 1,
+    """Per source state, its best index on the coarse grid in first .. stop - 1,
     and the unsquared row entries around it (_scan; NaN for the start
     state's column, whose entries are not its row's).
 
@@ -176,7 +177,6 @@ def _best_points(
     start state m = j reads its own column |d^j_{.,j}(theta)|^2 instead:
     the column is O(sqrt j) wide, its rows near pi/2 are O(j) wide.
     """
-    grid = _coarse_grid(two_j)
     column = (states == two_j) & (two_mt == 0)
     best = first.copy()
     near = np.full((len(states), len(wigner.STENCIL)), np.nan)
@@ -223,11 +223,11 @@ def _grid_scan(two_j: int, two_mt: int, states) -> tuple[np.ndarray, np.ndarray,
         reach = _WINDOW / math.sqrt(two_j / 2.0)
         first = np.maximum(np.searchsorted(grid, theta_geo - reach) - _WINDOW_CELLS, 0)
         stop = np.minimum(np.searchsorted(grid, theta_geo + reach) + _WINDOW_CELLS, end)
-    best, near = _best_points(two_j, two_mt, states, first, stop)
+    best, near = _best_points(two_j, two_mt, grid, states, first, stop)
     widened = ((best == first) & (first > 0)) | ((best == stop - 1) & (stop < end))
     if widened.any():
         best[widened], near[widened] = _best_points(
-            two_j, two_mt, states[widened], np.zeros_like(stop[widened]), end[widened]
+            two_j, two_mt, grid, states[widened], np.zeros_like(stop[widened]), end[widened]
         )
     return grid, best, widened, near
 
@@ -246,10 +246,11 @@ def _cells(grid: np.ndarray, best: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 def overlap_probabilities(two_j: int, two_mt: int, states, thetas) -> np.ndarray:
     """|d^j_{m_t,m}(theta)|^2 for each source index in states at its own
     theta: entry k is row_probabilities(two_j, two_mt, thetas[k])[states[k]],
-    bit for bit, read off stacked rows on their windows.
+    bit for bit, read off stacked rows on their windows.  Raises OutOfRange
+    for a state outside 0..two_j.
     """
     validate_spin(two_j, two_mt)  # validates now, not at the first stack
-    states = np.asarray(states, dtype=np.int64)
+    states = _grid_indices(two_j, states)
     thetas = np.asarray(thetas, dtype=np.float64)
     out = np.empty(len(states))
     for rows, stack in wigner.transition_windows(two_j, np.full(len(thetas), two_mt), -thetas):
@@ -379,9 +380,7 @@ def policy_angles(two_j: int, two_mt: int, policy: str, states=None) -> np.ndarr
     The target entry is 0 (absorbing, no rotation applied).  Raises
     OutOfRange for a state outside 0..two_j.
     """
-    at = np.arange(two_j + 1) if states is None else np.asarray(states, dtype=np.int64)
-    if len(at) and (at.min() < 0 or at.max() > two_j):
-        raise OutOfRange(f"states must be grid indices in 0..{two_j}")
+    at = np.arange(two_j + 1) if states is None else _grid_indices(two_j, states)
     m = at - two_j / 2.0
     if policy == AnglePolicy.APPROX_MT0:
         if two_mt != 0:

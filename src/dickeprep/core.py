@@ -123,6 +123,14 @@ def validate_target(two_j: int, two_mt: int) -> SpinSpec:
     return SpinSpec(two_j, two_mt)
 
 
+def _grid_indices(two_j: int, states) -> np.ndarray:
+    """states as int64 grid indices; OutOfRange if any lies outside 0..two_j."""
+    at = np.asarray(states, dtype=np.int64)
+    if len(at) and (at.min() < 0 or at.max() > two_j):
+        raise OutOfRange(f"states must be grid indices in 0..{two_j}")
+    return at
+
+
 def ring_radius(spec: SpinSpec) -> float:
     """Radius r_m = sqrt(j(j+1) - m^2) of the Dicke ring on the collective
     Bloch sphere of radius sqrt(j(j+1))."""

@@ -137,8 +137,9 @@ class PolicyTables:
     chain._checked_rows call, which solves their rows in stacks.  Both give
     a state the bits it gets alone or in the whole table, so what is cached
     does not depend on which states were fetched together.  The batched
-    sampler passes a step's group states to fetch, which skips the ones it
-    holds; cumulative, angle and column fetch their one state on a miss.
+    sampler passes a step's group states to fetch, which returns their rows
+    and solves only the ones it does not hold; cumulative, angle and column
+    fetch their one state on a miss.
     A state outside 0..two_j raises OutOfRange (angles.policy_angles).
 
     The outcome of a uniform u in (0, 1) is lo + searchsorted(cum, u,
@@ -154,31 +155,26 @@ class PolicyTables:
         self.two_j = config.two_j
         self._rows: dict[int, tuple[float, int, np.ndarray]] = {}  # state -> (angle, lo, cum)
 
-    def fetch(self, states) -> None:
-        """Cache (angle, lo, cum) of the given source states (grid indices)
-        that are not cached yet, in one stack.  The rows come from the
-        chain's checked rows on their windows [lo, hi) (chain._checked_rows,
-        which raises SingularSystem on a row that does not sum to 1), and
-        cum is the cumulative of a row's window values only.  O(window) per
-        state, not O(j)."""
+    def fetch(self, states) -> list[tuple[float, int, np.ndarray]]:
+        """(angle, lo, cum) of each given source state (grid index), the ones
+        not cached yet solved in one stack: chain._checked_rows on their
+        windows [lo, hi), which raises SingularSystem on a row that does not
+        sum to 1, and cum the cumulative of the window values only."""
         missing = np.array([s for s in states if s not in self._rows], dtype=np.int64)
-        if not len(missing):
-            return
-        cfg = self.config
-        theta = angles_mod.policy_angles(self.two_j, cfg.target_two_mt, cfg.angle_policy, states=missing)
-        for rows, stack in chain._checked_rows(self.two_j, theta, missing):
-            for s, angle, lo, a, b in zip(
-                missing[rows].tolist(), theta[rows].tolist(),
-                stack.lo.tolist(), stack.starts.tolist(), stack.stops.tolist(),
-            ):
-                self._rows[s] = (angle, lo, _normalized_cumulative(stack.values[a:b]))
+        if len(missing):
+            cfg = self.config
+            theta = angles_mod.policy_angles(self.two_j, cfg.target_two_mt, cfg.angle_policy, states=missing)
+            for rows, stack in chain._checked_rows(self.two_j, theta, missing):
+                for s, angle, lo, a, b in zip(
+                    missing[rows].tolist(), theta[rows].tolist(),
+                    stack.lo.tolist(), stack.starts.tolist(), stack.stops.tolist(),
+                ):
+                    self._rows[s] = (angle, lo, _normalized_cumulative(stack.values[a:b]))
+        return [self._rows[s] for s in states]
 
     def _row(self, i_m: int) -> tuple[float, int, np.ndarray]:
         row = self._rows.get(i_m)
-        if row is None:
-            self.fetch([i_m])
-            row = self._rows[i_m]
-        return row
+        return row if row is not None else self.fetch([i_m])[0]
 
     def cumulative(self, i_m: int) -> tuple[int, np.ndarray]:
         """(lo, cum) of source state i_m's chain row, the walk's one outcome
@@ -267,14 +263,13 @@ def sample_iterations(
     argsort on their states, held in the narrowest unsigned type that holds
     two_j (at most 16 bits up to two_j = 65535, which numpy sorts by
     radix), with the groups cut where the sorted state changes.  The
-    groups' states go to PolicyTables.fetch, which computes in one stack
-    the ones no trajectory has stood on before, so a state's angle and row
-    are computed only once some trajectory stands on it.  The draws are
-    gathered once in that order, each group's outcomes are searched in its
-    state's cumulative on its slice (the one-run walk's rule), the windows'
-    offsets are added with one np.repeat, and config.rerouted is asked
-    about the outcomes.  The draw block is allocated once per call and
-    refilled every _BLOCK steps.  engine is one of _ENGINES, labels of the
+    groups' states go to PolicyTables.fetch, which returns their rows and
+    solves in one stack the ones no trajectory has stood on before.  The
+    draws are gathered once in that order, each group's outcomes are
+    searched in its state's cumulative on its slice (the one-run walk's
+    rule), the windows' offsets are added with one np.repeat, and
+    config.rerouted is asked about the outcomes.  The draw block is
+    allocated once per call and refilled every _BLOCK steps.  engine is one of _ENGINES, labels of the
     same walk: it is checked here and changes no draw.
     """
     if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or n_runs < 1:
@@ -287,7 +282,6 @@ def sample_iterations(
         return np.zeros(n_runs, dtype=np.int64), np.ones(n_runs, dtype=bool)
     tables = PolicyTables(config)
     max_iters = config.max_iterations
-    cached = tables._rows  # (angle, lo, cum) of the states some trajectory stood on
     key = np.min_scalar_type(two_j)  # the dtype of a state, the sort key
 
     iterations = np.zeros(n_runs, dtype=np.int64)
@@ -306,8 +300,7 @@ def sample_iterations(
             u = block[active, step % _BLOCK]
             bounds = [0, *(np.flatnonzero(state[1:] != state[:-1]) + 1).tolist(), len(state)]
             heads = state[bounds[:-1]].tolist()  # each group's state
-            tables.fetch(heads)  # the ones not cached yet, in one stack
-            rows = [cached[s] for s in heads]  # (angle, lo, cum)
+            rows = tables.fetch(heads)  # (angle, lo, cum); the ones not cached yet in one stack
             nxt = np.concatenate([
                 cum.searchsorted(u[a:b], side="left")
                 for (_, _, cum), a, b in zip(rows, bounds, bounds[1:])

@@ -17,7 +17,9 @@ O(sqrt j), not O(j).  The prediction sets only the cost: a row whose
 clipped edge entry is not negligible is widened and solved again, up to
 the full range, and entries outside the returned window are zero.  A
 full-range window is the same code with lo = 0, hi = 2j + 1, and gives the
-full-range solve's bits.
+full-range solve's bits.  A window's operator entries come from their
+index formulas at its grid columns (``_factor``): no grid-sized table is
+kept, and the kernel's only state across calls is its start vectors.
 
 Every row goes through one entry, ``_eigenvector_windows``: it predicts
 each row's window once and solves the rows of one j in stacks
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .core import Angle, NormDrift, OutOfRange, SpinSpec, _as_radians
+from .core import Angle, NormDrift, OutOfRange, SpinSpec, _as_radians, _grid_indices
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0, dtype=np.float64),))
 
@@ -88,11 +90,17 @@ class RotationColumn:
         return float(self.amplitudes[self.index_of(two_m_prime)])
 
 
-def ladder_strengths(two_j: int) -> np.ndarray:
-    """Off-diagonal couplings a_i = sqrt(j(j+1) - m_i (m_i + 1)), i = 0..N-2."""
+def _ladder(two_j: int, i) -> np.ndarray:
+    """a_i = sqrt(j(j+1) - m_i (m_i + 1)) at the grid indices i, elementwise;
+    exactly 0 at i = -1 and i = 2j, the couplings past the grid's ends."""
     j = two_j / 2.0
-    m = np.arange(two_j) - j  # m_0 .. m_{N-2}
+    m = i - j
     return np.sqrt(j * (j + 1.0) - m * (m + 1.0))
+
+
+def ladder_strengths(two_j: int) -> np.ndarray:
+    """Off-diagonal couplings a_i = sqrt(j(j+1) - m_i (m_i + 1)), i = 0..2j-1."""
+    return _ladder(two_j, np.arange(two_j))
 
 
 def m_values(two_j: int) -> np.ndarray:
@@ -238,17 +246,6 @@ def _start_vector(n: int, start: int = 0) -> np.ndarray:
     return v
 
 
-@functools.lru_cache(maxsize=_START_CACHE_SIZE)
-def _operators(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal of J_z and the ladder strengths with a trailing zero
-    (one per grid entry), read-only."""
-    m_grid = m_values(two_j)
-    ladder = np.append(ladder_strengths(two_j), 0.0)
-    m_grid.setflags(write=False)
-    ladder.setflags(write=False)
-    return m_grid, ladder
-
-
 def _band(two_j: int, m, cos, sin):
     """The grid edges (low, high), unclipped, of the windows predicted for
     the eigenvectors of H - m, one per row: elementwise numpy ufuncs, so a
@@ -293,14 +290,15 @@ def _factor(two_j: int, two_ms: np.ndarray, cos: np.ndarray, sin: np.ndarray, ro
     to its window, placed as blocks along the diagonal of one system with
     zero couplings between blocks, from one gttrf call.
 
+    Each entry comes from its index formula at its grid column i: the
+    diagonal cos(theta_k) (i - j) - m_k, the coupling sin(theta_k) a_i / 2.
     Returns (diag, off, lu): the flat diagonal and couplings for the
     residual check, and the gttrs factor arguments.  Zero pivots from the
     exact shift are floored at eps*j, the device LAPACK's stein uses.
     """
-    m_grid, ladder = _operators(two_j)
-    diag = rows.spread(cos) * m_grid[rows.columns]
+    diag = rows.spread(cos) * (rows.columns - two_j / 2.0)
     diag -= rows.spread(two_ms / 2.0)
-    coupling = rows.spread(sin) * ladder[rows.columns]
+    coupling = rows.spread(sin) * _ladder(two_j, rows.columns)
     coupling /= 2.0
     coupling[rows.stops - 1] = 0.0  # a block's last entry couples to the next block: zero
     off = coupling[:-1]
@@ -464,8 +462,8 @@ def _column_eigenvector(spec: SpinSpec, theta: float) -> np.ndarray:
     entry k: across the classically forbidden stretch in between, each
     neighbour ratio has the sign of -sin(theta) (H - m) at the entry
     nearer the edge.  The stretch is counted from that closed-form
-    diagonal over the whole grid, so entries outside the window are never
-    read.
+    diagonal, cos(theta) (i - j) - m at the stretch's indices i, so entries
+    outside the window are never read.
     """
     two_j, two_m = spec.two_j, spec.two_m
     lo, v = _eigenvector(two_j, two_m, theta)
@@ -477,16 +475,16 @@ def _column_eigenvector(spec: SpinSpec, theta: float) -> np.ndarray:
         top = two_m * (abs(c) - abs(s)) >= 0.0
         mag = np.abs(v)
         resolved = np.flatnonzero(mag >= _RESOLVED * mag.max())
-        shifted = np.cos(theta) * m_values(two_j) - two_m / 2.0
         if top:
             negative = jmm + c_neg * jpm + s_neg * jmm
             k = resolved[-1]
-            stretch = shifted[lo + k + 1:]
+            stretch = np.arange(lo + k + 1, two_j + 1)
         else:
             negative = c_neg * jmm + s_neg * jpm
             k = resolved[0]
-            stretch = shifted[:lo + k]
-        negative += np.count_nonzero(np.sin(theta) * stretch > 0.0)
+            stretch = np.arange(lo + k)
+        shifted = np.cos(theta) * (stretch - two_j / 2.0) - two_m / 2.0  # H - m there
+        negative += np.count_nonzero(np.sin(theta) * shifted > 0.0)
         if (v[k] < 0.0) != bool(negative % 2):
             v = -v
     out[lo:lo + len(v)] = v
@@ -554,14 +552,13 @@ def stencil_derivatives(two_j: int, r: np.ndarray, k: np.ndarray) -> np.ndarray:
     at the grid columns k = i + STENCIL (zero outside the grid).
 
     The row r(theta) obeys r' = r A with the real antisymmetric
-    A = -i J_y = (J_- - J_+)/2, so with a = ladder_strengths
+    A = -i J_y = (J_- - J_+)/2, so with the ladder strengths a (_ladder)
         (rA)_k = (a_{k-1} r_{k-1} - a_k r_{k+1}) / 2,
         f' = 2 r_i (rA)_i,   f'' = 2 [(rA)_i^2 + r_i (rA^2)_i],
     a stencil of the three entries (rA)_{i-1..i+1}, read from r_{i-2..i+2}.
     Every term is bilinear in r, so an unsigned eigenvector serves.
     """
-    c = k[:, :4]  # a_{i-2} .. a_{i+1}: a_{2j} is the trailing zero, and so is every c past it
-    a = np.where(c >= 0, _operators(two_j)[1][np.minimum(c, two_j)], 0.0)
+    a = _ladder(two_j, np.clip(k[:, :4], -1, two_j))  # a_{i-2} .. a_{i+1}: clipped to 0 past the grid
     ra = 0.5 * (a[:, :3] * r[:, :3] - a[:, 1:] * r[:, 2:])  # (rA)_{i-1}, (rA)_i, (rA)_{i+1}
     r_i, ra_i = r[:, 2], ra[:, 1]
     ra2_i = 0.5 * (a[:, 1] * ra[:, 0] - a[:, 2] * ra[:, 2])
@@ -574,10 +571,11 @@ def row_derivatives(
     """For each k, f = row_probabilities(two_j, two_m_target, angles[k])[indices[k]]
     and its first and second theta-derivatives, as three arrays, from the
     unsquared eigenvector stacks of _eigenvector_windows (stencil_derivatives).
+    Raises OutOfRange for an index outside 0..two_j.
     """
     SpinSpec(two_j, two_m_target)
     thetas = np.asarray(angles, dtype=np.float64)
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = _grid_indices(two_j, indices)
     out = np.empty((3, len(thetas)))
     for rows, stack in _eigenvector_windows(two_j, np.full(len(thetas), two_m_target), -thetas):
         k = indices[rows, None] + STENCIL  # grid columns i-2 .. i+2

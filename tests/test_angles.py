@@ -308,11 +308,17 @@ def test_policy_angles_dispatch():
     assert geo[(2 + 8) // 2] == 0.0
     with pytest.raises(OutOfRange):
         angles.policy_angles(8, 0, "sideways")
-    # states off the grid: geometric returned nan, numeric_optimal raised IndexError
-    for policy in AnglePolicy.ALL:
-        for states in ([-1], [9], [0, 4, 9]):
-            with pytest.raises(OutOfRange):
+    # states off the grid: geometric returned nan, numeric_optimal raised
+    # IndexError, and the two stacked readers read zeros there
+    for states in ([-1], [9], [0, 4, 9]):
+        for policy in AnglePolicy.ALL:
+            with pytest.raises(OutOfRange, match="grid indices in 0..8"):
                 angles.policy_angles(8, 0, policy, states)
+        thetas = np.full(len(states), 0.3)
+        with pytest.raises(OutOfRange, match="grid indices in 0..8"):
+            angles.overlap_probabilities(8, 0, states, thetas)
+        with pytest.raises(OutOfRange, match="grid indices in 0..8"):
+            wigner.row_derivatives(8, 0, thetas, states)
 
 
 def test_geometric_angle_domain_clamp():

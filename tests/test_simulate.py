@@ -395,11 +395,10 @@ def test_stacked_fetch_gives_the_one_state_bits(cfg):
     sources = np.flatnonzero(np.arange(cfg.two_j + 1) != cfg.target_index)
     states = np.random.default_rng(cfg.two_j).permutation(sources)  # one stack, in no particular order
     stacked = simulate.PolicyTables(cfg)
-    stacked.fetch(states)
+    fetched = stacked.fetch(states)  # the rows of the states asked for, in their order
     alone = simulate.PolicyTables(cfg)
-    for s in states.tolist():
+    for s, (angle, stacked_lo, stacked_cum) in zip(states.tolist(), fetched, strict=True):
         lo, cum = alone.cumulative(s)  # a one-state fetch
-        angle, stacked_lo, stacked_cum = stacked._rows[s]
         assert angle.hex() == alone.angle(s).hex() == float(table[s]).hex()
         assert stacked_lo == lo and stacked_cum.tobytes() == cum.tobytes()
     assert len(stacked._rows) == len(alone._rows) == len(states)

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +200,26 @@ def test_start_vector_cache_is_bounded():
     assert wigner._start_vector.cache_info().currsize <= bound
     for n, v in first.items():  # evicted vectors come back identical
         assert np.array_equal(wigner._start_vector(n, 0), v)
+
+
+def test_kernel_keeps_no_grid_sized_tables():
+    # a window's operator entries come from their index formulas, so after
+    # the call the kernel keeps only its start vector (one n-long array);
+    # cached diagonal and ladder tables kept three
+    two_j = 2**20 + 3  # no other test solves at this size
+    two_ms, thetas = np.array([1, -1, 3, two_j]), np.array([1e-3, -0.02, 0.01, 1e-4])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _, stack in wigner.transition_windows(two_j, two_ms, thetas):
+            assert np.all(stack.widths < two_j // 8)  # windows, not the full range
+        del stack
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.5 * 8 * (two_j + 1)
 
 
 @pytest.mark.parametrize("two_j", [1, 2, 5, 12, 25, 40])
